@@ -80,9 +80,8 @@ def main(spec_path: str, result_path: str) -> int:
     if tracer is not None:
         result["layers"] = tracer.layer_metrics()
         result["durations_ms"] = tracer.durations_ms()
-        balance, orphans = tracer.tree_balance()
-        result["trace"] = {"spans": len(tracer.spans), "balance_s": balance,
-                           "orphans": orphans, "missing": tracer.missing}
+        result["trace"] = {"spans": len(tracer.spans), "missing": tracer.missing,
+                           **tracer.tree_check()}
     with open(result_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh)
     return 0

@@ -1,4 +1,4 @@
-"""dwigner benchmark: four CLI workloads, end-to-end metrics and a traced run.
+"""dwigner benchmark: CLI workloads, end-to-end metrics and a traced run.
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
     python3 perfbench/run.py --workload all --seconds S     # every workload
@@ -6,17 +6,18 @@
 Run from the root of a source checkout (``src/dwigner`` must exist). Each
 invocation of the workload's ``dwigner`` subcommand gets a fresh interpreter
 (``child.py``), so set-up time, peak RSS and BLAS thread state mean the same
-thing on every invocation. Invocations repeat, with the same seed, until
-``--seconds`` have passed (at least three). BLAS thread variables are passed
-through as found, never set.
+thing on every invocation. Invocations repeat, with the same seed, while the
+next one is expected to end within ``--seconds`` (at least three). BLAS thread
+variables are passed through as found, never set.
 
 ``--trace 0`` reports the end-to-end metrics as medians over the
 invocations: setup_s, wall_s, cpu_s and peak_rss_mb. ``--trace 1`` alternates
 untraced and traced invocations (at least two of each) and reports the
 per-layer metrics of ``tracing.py`` as medians over the traced ones, plus
 ``trace.overhead_s`` (traced minus untraced median wall time). A traced run is
-incorrect if the exact counts differ between traced invocations, or if the
-span self times do not add up to the traced wall time.
+incorrect if the exact counts differ between traced invocations, if the span
+self times do not add up to the traced wall time, or if a span lies outside
+its parent or has a negative self time. Metric units come from BENCHMARK.json.
 
 The human-readable lines come first (run manifest, each metric's median,
 tail percentile and invocation count, fail_ratio); the last line of stdout is
@@ -49,19 +50,12 @@ RUN_CAP_S = 120.0            # start no invocation expected to end past this
 DEADLINE_S = 165.0           # a hung invocation is killed at this point of the run
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-END_TO_END = (("setup_s", "s"), ("wall_s", "s"), ("cpu_s", "s"), ("peak_rss_mb", "MiB"))
 
-
-def layer_unit(name: str) -> str:
-    if name.endswith("_s"):
-        return "s"
-    if name.endswith("_ms"):
-        return "ms"
-    if name == "ensembles.bytes_computed":
-        return "bytes"
-    if name.endswith(".overlap"):
-        return "ratio"
-    return "count"
+def metric_units(root: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """Units of the end-to-end and per-layer metrics, as BENCHMARK.json names them."""
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return ({m["name"]: m["unit"] for m in spec["end_to_end"]},
+            {m["name"]: m["unit"] for m in spec["per_layer"]})
 
 
 class Runner:
@@ -107,14 +101,14 @@ class Runner:
         return {"result": result, "report": report}
 
     def loop(self, seconds: float, traced: bool) -> list[tuple[dict, dict | None]]:
-        """Invocations until ``seconds`` pass; (untraced, traced or None) pairs."""
+        """Invocations that fit in ``seconds``; (untraced, traced or None) pairs."""
         pairs = []
         minimum = MIN_TRACED if traced else MIN_INVOCATIONS
         start = time.perf_counter()
         longest = 0.0
         while True:
             elapsed = time.perf_counter() - start
-            if len(pairs) >= minimum and elapsed >= seconds:
+            if len(pairs) >= minimum and elapsed + longest > seconds:
                 break
             if pairs and elapsed + longest > RUN_CAP_S:
                 break
@@ -159,10 +153,10 @@ def manifest(root: Path, workload, seed: int, blas: dict | None) -> dict:
     }
 
 
-def end_to_end(pairs) -> dict:
+def end_to_end(pairs, units: dict[str, str]) -> dict:
     results = [p[0]["result"] for p in pairs if p[0]["result"]]
     metrics = {}
-    for name, unit in END_TO_END:
+    for name, unit in units.items():
         values = [r[name] for r in results if name in r]
         if not values:
             continue                 # nothing measured; the failures are reported
@@ -172,26 +166,38 @@ def end_to_end(pairs) -> dict:
     return metrics
 
 
-def per_layer(pairs, runner: Runner) -> dict:
-    traced = [p[1]["result"] for p in pairs if p[1]["result"] and "layers" in p[1]["result"]]
-    plain = [p[0]["result"]["wall_s"] for p in pairs if p[0]["result"]]
-    if not traced or not plain:
-        return {}                    # the failed invocations are already counted
+def layer_values(traced: list[dict], plain_walls: list[float],
+                 cases: list[int]) -> dict[str, list[float]]:
+    """Every per-layer metric's values over the traced invocations.
+
+    ``traced`` are the child results of traced invocations, ``plain_walls``
+    the wall times of the untraced ones and ``cases`` the correspondence
+    case count of each traced report. Percentiles pool the calls of all
+    traced invocations, so they come as one value.
+    """
     values = {n: [r["layers"][n] for r in traced] for n in traced[0]["layers"]}
     pooled = {n: [d for r in traced for d in r["durations_ms"][n]]
               for n in traced[0]["durations_ms"]}
     values.update({n: [v] for n, v in percentile_metrics(pooled).items()})
+    values["experiments.verify.correspondence_roundtrip.cases"] = cases
+    traced_wall = statistics.median(r["wall_s"] for r in traced)
+    values["trace.overhead_s"] = [traced_wall - statistics.median(plain_walls)]
+    return values
+
+
+def per_layer(pairs, runner: Runner, units: dict[str, str]) -> dict:
+    traced = [p[1]["result"] for p in pairs if p[1]["result"] and "layers" in p[1]["result"]]
+    plain = [p[0]["result"]["wall_s"] for p in pairs if p[0]["result"]]
+    if not traced or not plain:
+        return {}                    # the failed invocations are already counted
+    cases = [_cases(p[1]["report"]) for p in pairs if p[1]["result"]]
+    values = layer_values(traced, plain, cases)
     metrics = {}
-    for name in sorted(values):
-        unit = layer_unit(name)
+    for name, unit in sorted(units.items()):
         pick = statistics.median_low if unit in ("count", "bytes") else statistics.median
         metrics[name] = {"value": pick(values[name]), "unit": unit}
-    cases = [_cases(p[1]["report"]) for p in pairs if p[1]["result"]]
-    metrics["experiments.verify.correspondence_roundtrip.cases"] = {
-        "value": statistics.median_low(cases), "unit": "count"}
+    overhead = metrics["trace.overhead_s"]["value"]
     traced_wall = statistics.median(r["wall_s"] for r in traced)
-    overhead = traced_wall - statistics.median(plain)
-    metrics["trace.overhead_s"] = {"value": overhead, "unit": "s"}
 
     for name in EXACT_COUNTS:
         seen = {r["layers"][name] for r in traced}
@@ -200,10 +206,14 @@ def per_layer(pairs, runner: Runner) -> dict:
     tolerance = max(abs(overhead), 1e-3)
     for r in traced:
         info = r["trace"]
-        if info["orphans"] or abs(info["balance_s"] - r["wall_s"]) > tolerance:
+        if abs(info["balance_s"] - r["wall_s"]) > tolerance:
             runner.problems.append(
                 f"self times sum to {info['balance_s']:.6f} s, traced wall {r['wall_s']:.6f} s "
-                f"(tolerance {tolerance:.6f} s), {info['orphans']} orphan spans")
+                f"(tolerance {tolerance:.6f} s)")
+        if info["orphans"] or info["misplaced"] or info["negative_self"]:
+            runner.problems.append(
+                f"span tree: {info['orphans']} orphan spans, {info['misplaced']} spans outside "
+                f"their parent, {info['negative_self']} negative self times")
     info = traced[0]["trace"]
     print(f"trace: {info['spans']} spans per traced run, traced wall {traced_wall:.6g} s, "
           f"overhead {overhead:.6g} s, runs={len(traced)}")
@@ -222,7 +232,7 @@ def _cases(report: dict | None) -> int:
 
 
 def run_workload(root: Path, workdir: Path, name: str, seed: int, seconds: float,
-                 trace: bool) -> dict:
+                 trace: bool, units: tuple[dict[str, str], dict[str, str]]) -> dict:
     workload = WORKLOADS[name]
     runner = Runner(root, workdir, workload, seed)
     pairs = runner.loop(seconds, traced=trace)
@@ -230,7 +240,8 @@ def run_workload(root: Path, workdir: Path, name: str, seed: int, seconds: float
     print(f"# perfbench workload={name} seed={seed} trace={int(trace)} "
           f"invocations={len(pairs) * (2 if trace else 1)}")
     print("manifest: " + json.dumps(manifest(root, workload, seed, blas), sort_keys=True))
-    metrics = per_layer(pairs, runner) if trace else end_to_end(pairs)
+    e2e_units, layer_units = units
+    metrics = per_layer(pairs, runner, layer_units) if trace else end_to_end(pairs, e2e_units)
     failed = len(runner.problems)
     for problem in runner.problems:
         print(f"FAILED: {problem}")
@@ -253,16 +264,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perfbench: no dwigner sources under {root / 'src'}; run from a source checkout",
               file=sys.stderr)
         return 2
+    units = metric_units(root)
     names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
     workdir = Path(tempfile.mkdtemp(prefix=".perfbench-", dir=root))
     try:
-        results = [run_workload(root, workdir, name, args.seed, args.seconds, bool(args.trace))
+        results = [run_workload(root, workdir, name, args.seed, args.seconds, bool(args.trace),
+                                units)
                    for name in names]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     for result in results:
         print(json.dumps(result, sort_keys=True))
-    return 0 if all(r["correct"] for r in results) or len(results) == 1 else 1
+    # The verdict is the "correct" field of each result line, whatever the
+    # number of workloads; a nonzero exit means that no result was produced.
+    return 0
 
 
 if __name__ == "__main__":

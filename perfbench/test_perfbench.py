@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import json
 import math
 import sys
 import threading
@@ -17,7 +18,9 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from tracing import TARGETS, Span, Tracer, percentile_metrics, self_times, tail_index  # noqa: E402
+from run import layer_values, metric_units  # noqa: E402
+from tracing import (TARGETS, Span, Tracer, misplaced, percentile_metrics,  # noqa: E402
+                     self_times, tail_index)
 from workloads import CORRESPONDENCE_CASES, WORKLOADS, check  # noqa: E402
 
 
@@ -35,6 +38,29 @@ def test_self_time_subtracts_union_of_nested_children():
     assert selfs == [10.0 - 5.0 - 1.0, 2.0, 3.0, 1.0, 1.0]
     assert excess == 1.0                     # a and b ran together for 1 s
     assert math.isclose(sum(selfs) - excess, spans[0].duration)
+
+
+def test_misparented_spans_fail_the_tree_check():
+    good = [
+        Span("root", -1, [(0.0, 10.0)]),
+        Span("gen", 0, [(1.0, 2.0), (3.0, 4.0)]),
+        Span("in_gen", 1, [(3.2, 3.8)]),
+    ]
+    assert misplaced(good) == 0
+    bad = [
+        Span("root", -1, [(0.0, 10.0)]),
+        Span("a", 0, [(1.0, 2.0)]),
+        Span("pool", 1, [(1.5, 6.0)]),       # ran past the span it was attached to
+        Span("gap", 0, [(8.0, 9.0)]),
+        Span("between", 3, [(8.5, 8.6), (9.5, 9.6)]),  # second interval outside 'gap'
+    ]
+    assert misplaced(bad) == 2
+    selfs, _ = self_times(bad)
+    assert selfs[1] < 0                      # the mis-parented child outlasts its parent
+    tracer = Tracer()
+    tracer.spans = bad
+    check = tracer.tree_check()
+    assert (check["misplaced"], check["negative_self"], check["orphans"]) == (2, 1, 0)
 
 
 def test_tail_is_highest_value_with_ten_beyond_it():
@@ -129,12 +155,19 @@ def test_traced_run_restores_every_wrapped_name(tmp_path):
         tracer.restore()
     assert code == 0
     assert _originals() == before
-    _, orphans = tracer.tree_balance()
-    assert orphans == 1                      # the second cli.main is a second root
+    check = tracer.tree_check()
+    assert check["orphans"] == 1             # the second cli.main is a second root
+    assert (check["misplaced"], check["negative_self"]) == (0, 0)
     metrics = tracer.layer_metrics()
     assert metrics["ensembles.sample.calls"] == 2
     assert metrics["spectral.eigenvalues.values_returned"] == 16
     assert metrics["path_model.canonical_closed_paths.yielded"] > 0
+
+    traced = {"layers": metrics, "durations_ms": tracer.durations_ms(), "wall_s": 1.0}
+    emitted = set(layer_values([traced], [0.5], [CORRESPONDENCE_CASES]))
+    spec = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert emitted == {m["name"] for m in spec["per_layer"]}
+    assert set(metric_units(HERE.parent)[0]) == {m["name"] for m in spec["end_to_end"]}
 
 
 def test_untraced_run_records_nothing(tmp_path):
@@ -154,8 +187,11 @@ def _summary_records(summary):
     return [{"sample": "summary", "statistic": k, "value": v} for k, v in summary.items()]
 
 
+FLUCT_SAMPLES = int(WORKLOADS["fluct-super"].argv[-1])
+
+
 def _fluct_report(mean=2.5, devs=None):
-    devs = [0.1] * 24 if devs is None else devs
+    devs = [0.1] * FLUCT_SAMPLES if devs is None else devs
     records = [{"sample": i, "statistic": "sqrt_n_dev_1", "value": d} for i, d in enumerate(devs)]
     return {"records": records + _summary_records({"ks_statistic": 0.1,
                                                    "mean_lambda_1": mean})}
@@ -195,8 +231,8 @@ def test_good_reports_pass():
 def test_each_check_fails_on_a_bad_report():
     bad = [
         ("fluct-super", 0, _fluct_report(mean=2.7)),
-        ("fluct-super", 0, _fluct_report(devs=[0.1] * 23 + [math.nan])),
-        ("fluct-super", 0, _fluct_report(devs=[0.1] * 23)),
+        ("fluct-super", 0, _fluct_report(devs=[0.1] * (FLUCT_SAMPLES - 1) + [math.nan])),
+        ("fluct-super", 0, _fluct_report(devs=[0.1] * (FLUCT_SAMPLES - 1))),
         ("fluct-super", 1, _fluct_report()),
         ("census-full", 0, _census_report(violations=1)),
         ("census-full", 0, _census_report(ks=0.031)),

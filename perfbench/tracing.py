@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import threading
 import time
+from bisect import bisect_right
 from collections import defaultdict
 
 # (span name, module the caller looks the name up in, attribute, kind).
@@ -99,6 +100,7 @@ SELF_ONLY = (
     "dyck_stats.tail_bound_check", "dyck_stats.class_count_bound_check",
     "dyck_stats.dyck_decompose", "dyck_stats.max_level_distribution", "cli.main",
 )
+NEGATIVE_SELF_S = -1e-6
 VERIFY_CHECKS = tuple(name.split(".")[-1] for name, *_ in TARGETS
                       if name.startswith("experiments.verify."))
 
@@ -160,6 +162,25 @@ def self_times(spans: list[Span]) -> tuple[list[float], float]:
     return out, excess
 
 
+def misplaced(spans: list[Span]) -> int:
+    """Spans with an interval that lies outside every interval of their parent.
+
+    A span's intervals are recorded in time order and do not overlap, so the
+    one parent interval that can hold a child interval is found by bisection.
+    """
+    bad = 0
+    for span in spans:
+        if span.parent < 0:
+            continue
+        outer = spans[span.parent].intervals
+        for a, b in span.intervals:
+            i = bisect_right(outer, a, key=lambda iv: iv[0]) - 1
+            if i < 0 or b > outer[i][1]:
+                bad += 1
+                break
+    return bad
+
+
 def tail_index(n: int) -> int:
     """Index (ascending order) of the highest value with >= 10 values beyond it."""
     return max(n - 11, 0)
@@ -178,8 +199,7 @@ def percentile_metrics(durations_ms: dict[str, list[float]]) -> dict[str, float]
 class Tracer:
     """Records spans for calls made through the names it wraps."""
 
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans: list[Span] = []
         self.counters: dict[str, int] = defaultdict(int)
         self.missing: list[str] = []
@@ -218,17 +238,16 @@ class Tracer:
     # -- wrappers ---------------------------------------------------------
     def wrap_call(self, name: str, fn):
         counters = [(cname, f) for cname, sname, f in RESULT_COUNTERS if sname == name]
-        clock = self.clock
 
         def wrapper(*args, **kwargs):
             stack = self._stack()
             span, idx = self._open(name, stack)
             stack.append(idx)
-            start = clock()
+            start = time.perf_counter()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                span.intervals.append((start, clock()))
+                span.intervals.append((start, time.perf_counter()))
                 stack.pop()
             for cname, f in counters:
                 self._count(cname, f(result))
@@ -238,7 +257,6 @@ class Tracer:
         return wrapper
 
     def wrap_generator(self, name: str, fn):
-        clock = self.clock
         yielded = f"{name}.yielded"
 
         def wrapper(*args, **kwargs):
@@ -247,13 +265,13 @@ class Tracer:
             inner = fn(*args, **kwargs)
             while True:
                 stack.append(idx)
-                start = clock()
+                start = time.perf_counter()
                 try:
                     item = next(inner)
                 except StopIteration:
                     return
                 finally:
-                    span.intervals.append((start, clock()))
+                    span.intervals.append((start, time.perf_counter()))
                     stack.pop()
                 self._count(yielded, 1)
                 yield item
@@ -319,12 +337,17 @@ class Tracer:
         busy = sum(s.duration for s in self.spans if s.parent in runners)
         return busy / wall if wall > 0 else 0.0
 
-    def tree_balance(self) -> tuple[float, int]:
-        """(sum of self times - concurrency excess, orphan spans).
+    def tree_check(self) -> dict:
+        """Consistency of the span tree, as the benchmark checks it.
 
-        For a well-formed tree with one root the first equals the root's
-        duration; an orphan is a span with no parent besides that root.
+        ``balance_s`` is the sum of self times minus the concurrency excess;
+        for a well-formed tree with one root it equals the root's duration.
+        ``orphans`` counts roots beyond the first, ``misplaced`` the spans
+        with an interval outside their parent's intervals, and
+        ``negative_self`` the spans whose self time is below -1 us.
         """
         selfs, excess = self_times(self.spans)
         roots = sum(1 for s in self.spans if s.parent < 0)
-        return sum(selfs) - excess, max(roots - 1, 0)
+        return {"balance_s": sum(selfs) - excess, "orphans": max(roots - 1, 0),
+                "misplaced": misplaced(self.spans),
+                "negative_self": sum(1 for v in selfs if v < NEGATIVE_SELF_S)}

@@ -5,6 +5,13 @@ the JSON report the subcommand writes with ``--out`` and compare it against
 paper-level tolerances (the acceptance suite's where one exists), never
 against output bytes, so a change of random-stream layout is not a failure.
 
+BENCHMARK.json gates three of them. ``fluct-super`` (the paper's headline
+statistic, two workers over BLAS threads on an n=1000 eigensolve) stays
+runnable by name but is not gated: on a 2-vCPU machine the spread of its wall
+time over ten runs reached 0.28 of the median, and its set-up median moved by
+40% between two sets of ten runs, both beyond 0.25, the largest bound a gated
+metric may have.
+
 An operation is one verify check on ``verify-exact`` and one runner
 invocation on the Monte Carlo workloads; ``check`` returns how many were
 attempted and which failed.
@@ -46,13 +53,13 @@ _VERIFY_TINY = (
     "--dyck-roundtrip-steps", "2", "--ballot-steps", "2", "--max-pmf-m", "2",
 )
 
-# Why each workload was chosen is recorded in BENCHMARK.json.
+# Why each gated workload was chosen is recorded in BENCHMARK.json.
 WORKLOADS: dict[str, Workload] = {w.name: w for w in (
     Workload(
         name="fluct-super",
         argv=("fluctuations", "--n", "1000", "--theta", "2", "--sigma", "1",
               "--law", "rademacher", "--symmetry", "complex", "--workers", "2",
-              "--samples", "24"),
+              "--samples", "8"),
         warmup=("fluctuations", "--n", "8", "--theta", "2", "--sigma", "1",
                 "--law", "rademacher", "--symmetry", "complex", "--workers", "2",
                 "--samples", "2"),
