@@ -88,11 +88,12 @@ _LAW_ALIAS = {"uniform": "uniform-symmetric", "gaussian": "gaussian",
 
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
+    law = _LAW_ALIAS[settings.get("law", "gaussian")]
     base = EnsembleConfig.create(
         n=settings.get("n", 100),
         sigma=settings.get("sigma", 1.0),
         theta=settings.get("theta", 0.0),
-        law=_LAW_ALIAS[settings.get("law", "gaussian")],
+        law=law,
         symmetry=settings.get("symmetry", "complex"),
         master_seed=settings.get("seed", 0),
     )
@@ -100,7 +101,7 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     if "baseline_theta" in settings or "baseline_law" in settings:
         baseline = base.with_params(
             theta=settings.get("baseline_theta", base.theta),
-            law=_LAW_ALIAS[settings.get("baseline_law", base.law.kind)],
+            law=_LAW_ALIAS[settings["baseline_law"]] if "baseline_law" in settings else law,
         )
     return ExperimentConfig(
         base=base,

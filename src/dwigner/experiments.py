@@ -119,12 +119,14 @@ def ks_statistic(sample, reference, mode: str | None = None) -> KSResult:
     """Exact sup-distance between empirical CDFs.
 
     ``reference`` is either a CDF callable (one-sample) or a second sample
-    (two-sample).
+    (two-sample). Empty samples and NaN or inf values raise ``ValueError``.
     """
     xs = np.sort(np.asarray(sample, dtype=np.float64))
     n1 = xs.size
     if n1 == 0:
         raise ValueError("empty sample")
+    if not np.isfinite(xs).all():
+        raise ValueError("sample contains NaN or inf")
     if callable(reference):
         stat = 0.0
         for i in range(n1):
@@ -135,6 +137,8 @@ def ks_statistic(sample, reference, mode: str | None = None) -> KSResult:
     n2 = ys.size
     if n2 == 0:
         raise ValueError("empty reference sample")
+    if not np.isfinite(ys).all():
+        raise ValueError("reference sample contains NaN or inf")
     grid = np.concatenate([xs, ys])
     c1 = np.searchsorted(xs, grid, side="right") / n1
     c2 = np.searchsorted(ys, grid, side="right") / n2

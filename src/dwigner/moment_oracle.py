@@ -1,10 +1,14 @@
-"""Exact brute-force trace expectations and asymptotic predictors.
+"""Exact trace expectations by a sum over path shapes, and asymptotic predictors.
 
-``exact_trace_expectation`` sums E[M_{i0 i1} ... M_{i_{L-1} i0}] over all
-n**L closed paths, factorizing each expectation over its distinct unordered
-edges. Entry moments come from a :class:`MomentModel` that knows the exact
-joint moments of one entry; the sampler and the oracle therefore describe
-exactly the same ensemble, including the theta/n cross terms.
+``exact_trace_expectation`` sums E[M_{i0 i1} ... M_{i_{L-1} i0}] over the
+closed paths of length L, factorizing each expectation over its distinct
+unordered edges. The expectation depends only on a path's shape (its
+first-occurrence relabelling), so the sum runs over shapes, each with k
+distinct vertices weighted by the falling factorial n(n-1)...(n-k+1) of the
+labelled paths it stands for (the Sinai-Soshnikov reduction). Entry moments
+come from a :class:`MomentModel` that knows the exact joint moments of one
+entry; the sampler and the oracle therefore describe exactly the same
+ensemble, including the theta/n cross terms.
 
 ``symbolic_trace_expectation`` is the independent second route used by the
 test suite: it multiplies out M**L over a polynomial ring in the entry
@@ -19,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import path_model
 from .ensembles import EnsembleConfig, EntryLaw, SymmetryClass
 
 __all__ = [
@@ -32,7 +37,7 @@ __all__ = [
     "oracle_record",
 ]
 
-PATH_SUM_GUARD = 100_000_000
+SHAPE_SUM_GUARD = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -160,20 +165,38 @@ def _path_signature(path: tuple[int, ...]) -> tuple[tuple[int, int, bool], ...]:
     return tuple(sorted((a, b, i == j) for (i, j), (a, b) in counts.items()))
 
 
-def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float) -> float:
-    """E[Tr M**power] by exhaustive closed-path summation (exact small scale).
+def _shape_count(length: int, max_vertices: int) -> int:
+    """Number of closed-path shapes of a length on at most ``max_vertices`` vertices.
 
-    Paths are grouped by their edge-multiplicity signature so each distinct
-    product of edge moments is evaluated once; the final reduction is
-    compensated.
+    A shape is a restricted-growth sequence, so this is the partial Bell sum
+    sum_{k <= max_vertices} S(length, k) over Stirling numbers of the second
+    kind.
+    """
+    row = [1]  # S(size, k) for k = 0..size, from size 0
+    for size in range(1, length + 1):
+        row.append(0)
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, size + 1)]
+    return sum(row[: max_vertices + 1])
+
+
+def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float) -> float:
+    """E[Tr M**power] as an exact sum over closed-path shapes.
+
+    Every shape with k distinct vertices stands for n(n-1)...(n-k+1) labelled
+    paths of equal expectation. Shapes are grouped by their edge-multiplicity
+    signature, so each distinct product of edge moments is evaluated once and
+    weighted by the summed falling factorials; the final reduction is
+    compensated. The cost grows with the shape count, not with n.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
-    if n**power > PATH_SUM_GUARD:
-        raise ValueError(f"n**power = {n**power} exceeds the oracle guard {PATH_SUM_GUARD}")
-    signatures = Counter(
-        _path_signature(path) for path in itertools.product(range(n), repeat=power)
-    )
+    max_vertices = min(n, power)
+    shapes = _shape_count(power, max_vertices)
+    if shapes > SHAPE_SUM_GUARD:
+        raise ValueError(f"{shapes} path shapes exceed the oracle guard {SHAPE_SUM_GUARD}")
+    signatures: Counter = Counter()
+    for shape in path_model.canonical_closed_paths(power, max_vertices):
+        signatures[_path_signature(shape.vertices[:-1])] += math.perm(n, shape.ambient_n)
 
     @lru_cache(maxsize=None)
     def edge_factor(a: int, b: int, diag: bool) -> float:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dwigner.path_model
+from dwigner.cli import main as cli_main
 from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of
 from dwigner.experiments import (
     ExperimentConfig,
@@ -86,6 +87,16 @@ def test_ks_statistic_basics():
     assert single.mode == "one-sample"
     with pytest.raises(ValueError):
         ks_statistic([], xs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_statistic_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="NaN or inf"):
+        ks_statistic([0.1, bad, 0.3], gaussian_cdf)
+    with pytest.raises(ValueError, match="NaN or inf"):
+        ks_statistic([0.1, bad], [0.2, 0.3])
+    with pytest.raises(ValueError, match="NaN or inf"):
+        ks_statistic([0.1, 0.2], [bad, 0.3])
 
 
 coarse_floats = st.lists(
@@ -306,6 +317,24 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(*args, "--out", str(a)).returncode == 0
     assert run_cli(*args, "--out", str(b), "--workers", "3").returncode == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_baseline_theta_with_uniform_law(capsys):
+    code = cli_main(["fluctuations", "--n", "20", "--samples", "4", "--theta", "0.5",
+                     "--law", "uniform", "--baseline-theta", "0"])
+    assert code == 0
+    assert "ks_two_sample_1:" in capsys.readouterr().out
+
+
+def test_cli_oracle_compare_byte_identical_across_workers(tmp_path):
+    # 5000 samples span three Monte Carlo batches, so two workers split them
+    args = ["oracle-compare", "--n", "3", "--L", "4", "--theta", "2.0",
+            "--law", "rademacher", "--symmetry", "real", "--samples", "5000",
+            "--seed", "13", "--format", "json"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli_main(args + ["--workers", "1", "--out", str(a)]) == 0
+    assert cli_main(args + ["--workers", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -1,11 +1,16 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
 from dwigner.ensembles import EnsembleConfig
 from dwigner.experiments import mc_trace_moments
 from dwigner.moment_oracle import (
+    SHAPE_SUM_GUARD,
     MomentModel,
+    _path_signature,
+    _shape_count,
     asymptotic_predictions,
     edge_moment,
     exact_trace_expectation,
@@ -13,6 +18,7 @@ from dwigner.moment_oracle import (
     symbolic_trace_expectation,
     trace_universality_probe,
 )
+from dwigner.path_model import canonical_closed_paths
 
 ALL_LAWS = ("gaussian", "rademacher", "uniform-symmetric")
 
@@ -83,10 +89,71 @@ def test_trace_expectation_first_powers():
             assert exact_trace_expectation(3, 2, m, 2.0) == pytest.approx(7.0, rel=1e-12)
 
 
+def brute_force_trace_expectation(n, power, model, theta):
+    """Reference: sum over all n**power labelled closed paths."""
+    signatures = Counter(
+        _path_signature(path) for path in itertools.product(range(n), repeat=power)
+    )
+    terms = []
+    for sig, mult in signatures.items():
+        w = 1.0
+        for a, b, diag in sig:
+            w *= edge_moment(model, a + b, 0, True, theta, n) if diag \
+                else edge_moment(model, a, b, False, theta, n)
+        terms.append(mult * w)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_shape_sum_matches_brute_force(law, symmetry):
+    for theta in (0.0, 0.5, 2.0):
+        for n in range(1, 5):
+            m = model_for(law, symmetry, n=n, theta=theta)
+            for power in range(1, 7):
+                expected = brute_force_trace_expectation(n, power, m, theta)
+                assert exact_trace_expectation(n, power, m, theta) == pytest.approx(
+                    expected, rel=1e-12)
+
+
+def test_shape_count_is_partial_bell_sum():
+    assert [_shape_count(length, length) for length in range(1, 9)] == \
+        [1, 2, 5, 15, 52, 203, 877, 4140]
+    for length in range(1, 8):
+        for k in range(1, length + 1):
+            assert _shape_count(length, k) == sum(
+                1 for _ in canonical_closed_paths(length, k))
+
+
 def test_trace_guard():
     m = model_for(n=3)
-    with pytest.raises(ValueError):
-        exact_trace_expectation(100, 5, m, 2.0)
+    # 52 shapes, although 100**5 = 1e10 labelled paths
+    assert exact_trace_expectation(100, 5, m, 2.0) > 0
+    assert _shape_count(14, 14) > SHAPE_SUM_GUARD  # Bell(14) = 190,899,322
+    with pytest.raises(ValueError, match="guard"):
+        exact_trace_expectation(100, 14, m, 2.0)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_second_moment_exact_at_large_n(law, symmetry):
+    n = 10**6
+    for theta in (0.0, 0.5, 2.0):
+        cfg = EnsembleConfig.create(n=n, sigma=1.3, theta=theta, law=law,
+                                    symmetry=symmetry, diag_sigma=0.7)
+        m = MomentModel.from_config(cfg)
+        expected = theta**2 + (n - 1) * 1.3**2 + 0.7**2
+        assert exact_trace_expectation(n, 2, m, theta) == pytest.approx(expected, rel=1e-12)
+
+
+def test_gue_fourth_moment_harer_zagier():
+    # E[Tr (W/sqrt(n))^4] = 2n + 1/n for the GUE normalized to E|W_ij|^2 = 1
+    n = 10**6
+    m = model_for("gaussian", "complex", n=n, theta=0.0)
+    value = exact_trace_expectation(n, 4, m, 0.0)
+    assert value == pytest.approx(2 * n + 1 / n, rel=1e-12)
+    # the 1/n genus-one term itself, resolved well below its size
+    assert abs(value - 2 * n - 1 / n) <= 1e-3 / n
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)
