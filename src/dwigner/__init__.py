@@ -7,7 +7,6 @@ from .ensembles import (
     Regime,
     RegimeError,
     SymmetryClass,
-    deformation_matrix,
     regime_of,
     sample_deformed,
     sample_wigner,
@@ -25,7 +24,6 @@ from .spectral import (
 )
 from .path_model import (
     ClosedPath,
-    PathClass,
     PathType,
     Trajectory,
     classify_instants,

@@ -24,71 +24,65 @@ from .experiments import (
     write_report,
 )
 
-_ENSEMBLE_KEYS = {
-    "n": int,
-    "samples": int,
-    "theta": float,
-    "sigma": float,
-    "law": str,
-    "symmetry": str,
-    "seed": int,
-    "t_scale": float,
-    "top_k": int,
-    "baseline_theta": float,
-    "baseline_law": str,
-    "out": str,
-    "format": str,
-    "workers": int,
-    "ks_threshold": float,
-    "L": int,
+_LAWS = ("gaussian", "rademacher", "uniform")
+
+# dest -> (type, choices, help). One table drives both the command-line flags
+# and the --config keys, so file values obey the same types and choices.
+_OPTIONS = {
+    "n": (int, None, "matrix dimension"),
+    "samples": (int, None, "number of Monte Carlo samples"),
+    "theta": (float, None, "deformation strength"),
+    "sigma": (float, None, "off-diagonal scale"),
+    "law": (str, _LAWS, "entry law"),
+    "symmetry": (str, ("complex", "real"), "symmetry class"),
+    "seed": (int, None, "master seed"),
+    "t_scale": (float, None, "trace exponent scale t (s = floor(t sqrt(n)))"),
+    "top_k": (int, None, "edge statistics depth"),
+    "baseline_theta": (float, None, "baseline ensemble deformation"),
+    "baseline_law": (str, _LAWS, "baseline ensemble law"),
+    "ks_threshold": (float, None, "fail (exit 1) when the KS statistic exceeds this"),
+    "workers": (int, None, "worker threads (default 1)"),
+    "out": (str, None, "output file path"),
+    "format": (str, ("csv", "json"), "output format"),
+    "L": (int, None, "trace power (default 4)"),
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_options(parser: argparse.ArgumentParser, with_power: bool) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override")
-    parser.add_argument("--n", type=int, help="matrix dimension")
-    parser.add_argument("--samples", type=int, help="number of Monte Carlo samples")
-    parser.add_argument("--theta", type=float, help="deformation strength")
-    parser.add_argument("--sigma", type=float, help="off-diagonal scale")
-    parser.add_argument("--law", choices=["gaussian", "rademacher", "uniform"],
-                        help="entry law")
-    parser.add_argument("--symmetry", choices=["complex", "real"], help="symmetry class")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--t-scale", dest="t_scale", type=float,
-                        help="trace exponent scale t (s = floor(t sqrt(n)))")
-    parser.add_argument("--top-k", dest="top_k", type=int, help="edge statistics depth")
-    parser.add_argument("--baseline-theta", dest="baseline_theta", type=float,
-                        help="baseline ensemble deformation")
-    parser.add_argument("--baseline-law", dest="baseline_law",
-                        choices=["gaussian", "rademacher", "uniform"],
-                        help="baseline ensemble law")
-    parser.add_argument("--ks-threshold", dest="ks_threshold", type=float,
-                        help="fail (exit 1) when the KS statistic exceeds this")
-    parser.add_argument("--workers", type=int, help="worker threads (default 1)")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format")
+    for dest, (kind, choices, text) in _OPTIONS.items():
+        if dest != "L" or with_power:
+            parser.add_argument(f"--{dest.replace('_', '-')}", dest=dest, type=kind,
+                                choices=choices, help=text)
 
 
 def _gather(args: argparse.Namespace) -> dict:
     settings: dict = {}
     if getattr(args, "config", None):
         for key, raw in load_config_file(args.config).items():
-            if key not in _ENSEMBLE_KEYS:
+            if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _ENSEMBLE_KEYS[key](raw)
-    for key in _ENSEMBLE_KEYS:
+            kind, choices, _ = _OPTIONS[key]
+            value = kind(raw)
+            if choices is not None and value not in choices:
+                raise ValueError(f"config {key}={raw!r}: choose from {', '.join(choices)}")
+            settings[key] = value
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
     return settings
 
 
-_LAW_ALIAS = {"uniform": "uniform-symmetric", "gaussian": "gaussian",
-              "rademacher": "rademacher"}
+_LAW_ALIAS = {"uniform": "uniform-symmetric"}
+
+
+def _canonical_law(name: str) -> str:
+    return _LAW_ALIAS.get(name, name)
 
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
-    law = _LAW_ALIAS[settings.get("law", "gaussian")]
+    law = _canonical_law(settings.get("law", "gaussian"))
     base = EnsembleConfig.create(
         n=settings.get("n", 100),
         sigma=settings.get("sigma", 1.0),
@@ -101,7 +95,7 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     if "baseline_theta" in settings or "baseline_law" in settings:
         baseline = base.with_params(
             theta=settings.get("baseline_theta", base.theta),
-            law=_LAW_ALIAS[settings["baseline_law"]] if "baseline_law" in settings else law,
+            law=_canonical_law(settings["baseline_law"]) if "baseline_law" in settings else law,
         )
     return ExperimentConfig(
         base=base,
@@ -123,10 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("fluctuations", "trace-growth", "census", "oracle-compare"):
-        sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "oracle-compare":
-            sub.add_argument("--L", dest="L", type=int, help="trace power (default 4)")
+        _add_options(subs.add_parser(name), with_power=name == "oracle-compare")
     verify = subs.add_parser("verify-combinatorics")
     verify.add_argument("--out", help="output file path")
     verify.add_argument("--format", choices=["csv", "json"], default="json")
@@ -139,38 +130,36 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "verify-combinatorics":
-        limits = {key: getattr(args, key) for key in DEFAULT_VERIFY_LIMITS}
-        code, report = run_combinatorics_verify(limits)
-        if args.out:
-            write_report(report, args.out, args.format)
-        for rec in report["records"]:
-            status = "pass" if rec["pass"] else "FAIL"
-            print(f"{rec['check']}: {status}")
-        return code
-
     try:
-        settings = _gather(args)
-        cfg = _experiment_config(settings)
-    except (ValueError, KeyError, OSError) as exc:
+        if args.command == "verify-combinatorics":
+            _, report = run_combinatorics_verify(
+                {key: getattr(args, key) for key in DEFAULT_VERIFY_LIMITS})
+            out, fmt = args.out, args.format
+        else:
+            settings = _gather(args)
+            cfg = _experiment_config(settings)
+            if args.command == "fluctuations":
+                report = run_fluctuations(cfg)
+            elif args.command == "trace-growth":
+                report = run_trace_growth(cfg)
+            elif args.command == "census":
+                report = run_spectrum_census(cfg)
+            else:
+                report = run_oracle_compare(cfg, settings.get("L", 4))
+            out, fmt = cfg.output_path, cfg.output_format
+        if out:
+            write_report(report, out, fmt)
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))  # exits with code 2
-        return 2
 
-    if args.command == "fluctuations":
-        report = run_fluctuations(cfg)
-    elif args.command == "trace-growth":
-        report = run_trace_growth(cfg)
-    elif args.command == "census":
-        report = run_spectrum_census(cfg)
+    if args.command == "verify-combinatorics":
+        for rec in report["records"]:
+            print(f"{rec['check']}: {'pass' if rec['pass'] else 'FAIL'}")
     else:
-        report = run_oracle_compare(cfg, settings.get("L", 4))
-
-    if cfg.output_path:
-        write_report(report, cfg.output_path, cfg.output_format)
-    for key in sorted(report["summary"]):
-        value = report["summary"][key]
-        if not isinstance(value, dict):
-            print(f"{key}: {value}")
+        for key in sorted(report["summary"]):
+            value = report["summary"][key]
+            if not isinstance(value, dict):
+                print(f"{key}: {value}")
     return report["exit_code"]
 
 

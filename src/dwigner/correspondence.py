@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .path_model import (
     Trajectory,
     classify_instants,
     count_trajectories,
+    nonneg_walks,
     trajectory_of,
 )
 
@@ -68,24 +70,17 @@ def _rotate(path: ClosedPath, r: int) -> ClosedPath:
 
 def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for a, b in path.edges():
-        key = (a, b) if a <= b else (b, a)
+    for key in path.edge_keys():
         out[key] = out.get(key, 0) + 1
     return out
 
 
 def _first_odd_edge_instant(path: ClosedPath) -> int | None:
     """1-based instant of the first traversal of the first odd edge."""
-    counts = edge_multiset(path)
-    seen: set[tuple[int, int]] = set()
-    for j, (a, b) in enumerate(path.edges(), start=1):
-        key = (a, b) if a <= b else (b, a)
-        if key in seen:
-            continue
-        seen.add(key)
-        if counts[key] % 2 == 1:
-            return j
-    return None
+    keys = path.edge_keys()
+    counts = Counter(keys)
+    # The first instant on any odd edge is that edge's first traversal.
+    return next((j for j, key in enumerate(keys, start=1) if counts[key] % 2 == 1), None)
 
 
 def to_marked_origin(path: ClosedPath) -> CorrespondenceResult:
@@ -186,20 +181,15 @@ def glue_paths(p1: ClosedPath, p2: ClosedPath) -> ClosedPath:
         raise ValueError("paths must have the same length")
     if p1.length < 2:
         raise ValueError("gluing needs length >= 2")
-    edges2 = {}
-    for t, (a, b) in enumerate(p2.edges()):
-        key = (a, b) if a <= b else (b, a)
+    edges2: dict[tuple[int, int], int] = {}
+    for t, key in enumerate(p2.edge_keys()):
         edges2.setdefault(key, t)
-    t1 = None
-    for t, (a, b) in enumerate(p1.edges()):
-        key = (a, b) if a <= b else (b, a)
-        if key in edges2:
-            t1 = t
-            break
+    keys1 = p1.edge_keys()
+    t1 = next((t for t, key in enumerate(keys1) if key in edges2), None)
     if t1 is None:
         raise ValueError("paths share no edge (uncorrelated pair)")
     v, w = p1.vertices[t1], p1.vertices[t1 + 1]
-    t2 = edges2[(v, w) if v <= w else (w, v)]
+    t2 = edges2[keys1[t1]]
     a2, b2 = p2.vertices[t2], p2.vertices[t2 + 1]
     # Cycle of p2 with the shared traversal removed: walk from b2 around to a2.
     base2 = list(p2.vertices[:-1])
@@ -278,20 +268,13 @@ def preimage_bound_check(length: int, vertex_budget: int) -> dict:
     }
 
 
-def _nonneg_completions(height: int, ups: int, downs: int) -> int:
-    """Walks with the given step budget from ``height`` staying nonnegative."""
-    n = ups + downs
-    reflected = downs - height - 1
-    return math.comb(n, downs) - (math.comb(n, reflected) if reflected >= 0 else 0)
-
-
 def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:
     """Uniform draw from the (m, l) class by exact sequential counting."""
     ups, downs, h = l + m, m, 0
     steps = []
     while ups + downs > 0:
-        n_up = _nonneg_completions(h + 1, ups - 1, downs) if ups > 0 else 0
-        n_down = _nonneg_completions(h - 1, ups, downs - 1) if downs > 0 and h > 0 else 0
+        n_up = nonneg_walks(h + 1, ups - 1, downs) if ups > 0 else 0
+        n_down = nonneg_walks(h - 1, ups, downs - 1) if downs > 0 and h > 0 else 0
         p_up = float(Fraction(n_up, n_up + n_down))
         if rng.random() < p_up:
             steps.append(1)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .path_model import Trajectory
+from .path_model import Trajectory, count_trajectories
 
 __all__ = [
     "DyckDecomposition",
@@ -21,7 +21,6 @@ __all__ = [
     "ballot_count",
     "confined_dyck_count",
     "max_level_distribution",
-    "pmf_to_csv",
     "tail_bound_check",
     "class_count_bound_check",
     "level_returns",
@@ -141,10 +140,9 @@ def ballot_count(steps: int, end_level: int) -> int:
         raise ValueError("steps and end level must be nonnegative")
     if (steps + end_level) % 2 != 0:
         raise ValueError("steps and end level have incompatible parity")
-    ups = (steps + end_level) // 2
-    if ups > steps:
+    if end_level > steps:
         return 0
-    return math.comb(steps, ups) - (math.comb(steps, ups + 1) if ups + 1 <= steps else 0)
+    return count_trajectories((steps - end_level) // 2, end_level)
 
 
 def _unconstrained(steps: int, displacement: int) -> int:
@@ -223,14 +221,6 @@ def max_level_distribution(
     return pmf
 
 
-def pmf_to_csv(m: int, pmf: dict[int, Fraction]) -> str:
-    """CSV export of a maximum-level pmf with header ``m,k,probability``."""
-    lines = ["m,k,probability"]
-    for k in sorted(pmf):
-        lines.append(f"{m},{k},{float(pmf[k])!r}")
-    return "\n".join(lines) + "\n"
-
-
 def tail_bound_check(
     m_grid: list[int],
     c0: float = 1.0 / 96.0,
@@ -286,7 +276,7 @@ def class_count_bound_check(s: int, c0: float = 1.0 / 8.0) -> dict:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    t_even = _t_count(s, 0)
+    t_even = count_trajectories(s, 0)
     best_c0 = math.inf
     ok = True
     failures = []
@@ -294,7 +284,7 @@ def class_count_bound_check(s: int, c0: float = 1.0 / 8.0) -> dict:
     monotone = True
     for l in range(0, 2 * s + 1, 2):
         m = s - l // 2
-        ratio = Fraction(_t_count(m, l), t_even)
+        ratio = Fraction(count_trajectories(m, l), t_even)
         bound = (l + 1) * math.exp(-c0 * l * l / s)
         if float(ratio) > bound:
             ok = False
@@ -314,11 +304,6 @@ def class_count_bound_check(s: int, c0: float = 1.0 / 8.0) -> dict:
         "largest_supported_c0": best_c0,
         "monotone_normalized": monotone,
     }
-
-
-def _t_count(m: int, l: int) -> int:
-    total = l + 2 * m
-    return math.comb(total, l + m) - (math.comb(total, m - 1) if m >= 1 else 0)
 
 
 def _log_fraction(x: Fraction) -> float:

@@ -29,10 +29,8 @@ __all__ = [
     "Regime",
     "RegimeError",
     "sample_wigner",
-    "deformation_matrix",
     "sample_deformed",
     "regime_of",
-    "dump_matrix",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -288,16 +286,6 @@ def sample_wigner(config: EnsembleConfig, sample_index: int) -> MatrixSample:
     return MatrixSample(dim=n, entries=w, provenance=(config.config_hash, sample_index))
 
 
-def deformation_matrix(n: int, theta: float) -> MatrixSample:
-    """The rank-one matrix with every entry ``theta / n`` (eigenvalue theta)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    entries = np.full((n, n), theta / n, dtype=np.float64)
-    return MatrixSample(dim=n, entries=entries, provenance=(f"deformation:theta={theta!r}", 0))
-
-
 def sample_deformed(config: EnsembleConfig, sample_index: int) -> MatrixSample:
     """Draw ``M = W / sqrt(n) + A`` for the given sample index."""
     w = sample_wigner(config, sample_index)
@@ -305,18 +293,3 @@ def sample_deformed(config: EnsembleConfig, sample_index: int) -> MatrixSample:
     m = w.entries / math.sqrt(config.n) + config.theta / config.n
     return MatrixSample(dim=config.n, entries=m, provenance=w.provenance)
 
-
-def dump_matrix(sample: MatrixSample) -> str:
-    """Debug dump: one row per line, tokens ``re`` or ``re+imI``, row-major."""
-    rows = []
-    for row in sample.entries:
-        toks = []
-        for z in row:
-            if np.iscomplexobj(sample.entries):
-                re, im = float(z.real), float(z.imag)
-                sign = "+" if im >= 0 else "-"
-                toks.append(f"{re!r}{sign}{abs(im)!r}I")
-            else:
-                toks.append(repr(float(z)))
-        rows.append(" ".join(toks))
-    return "\n".join(rows) + "\n"

@@ -155,6 +155,49 @@ def _map_indices(fn, indices, workers: int) -> list:
 
 
 # --------------------------------------------------------------------------
+# shared runner core: per-sample draws, records, report and KS gate
+
+
+def _draws(cfg: ExperimentConfig, one) -> list:
+    """``one(i)`` for every sample index, in index order."""
+    return _map_indices(one, range(cfg.n_samples), cfg.workers)
+
+
+def _sample_records(rows, names) -> list[dict]:
+    """One record per sample and name, pairing ``names`` with each row's leading values."""
+    return [
+        {"sample": i, "statistic": name, "value": value}
+        for i, row in enumerate(rows)
+        for name, value in zip(names, row)
+    ]
+
+
+def _report(command: str, records: list[dict], summary: dict, exit_code: int) -> dict:
+    """Runner report: the records followed by the scalar summary records, sorted by key."""
+    records.extend(
+        {"sample": "summary", "statistic": key, "value": summary[key]}
+        for key in sorted(summary)
+        if not isinstance(summary[key], dict)
+    )
+    return {
+        "command": command,
+        "fieldnames": ("sample", "statistic", "value"),
+        "records": records,
+        "summary": summary,
+        "exit_code": exit_code,
+    }
+
+
+def _gate(cfg: ExperimentConfig, summary: dict, statistic: float) -> int:
+    """Exit code of the optional ``ks_threshold`` gate, recorded in the summary."""
+    if cfg.ks_threshold is None:
+        return 0
+    summary["ks_threshold"] = cfg.ks_threshold
+    summary["passed"] = statistic <= cfg.ks_threshold
+    return 0 if summary["passed"] else 1
+
+
+# --------------------------------------------------------------------------
 # fluctuations
 
 
@@ -170,9 +213,7 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
     """
     base = cfg.base
     regime = regime_of(base.theta, base.sigma)
-    records: list[dict] = []
     summary: dict = {"regime": regime.label}
-    exit_code = 0
 
     if regime.label == "supercritical":
         rho = regime.rho_theta
@@ -181,14 +222,9 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
         if not base.symmetry.is_complex:
             var = 2.0 * regime.sigma_theta**2
             label = "conjecture"
-
-        def one(i: int) -> float:
-            spec = eigenvalues(sample_deformed(base, i))
-            return math.sqrt(base.n) * (float(spec.values[0]) - rho)
-
-        devs = _map_indices(one, range(cfg.n_samples), cfg.workers)
-        for i, d in enumerate(devs):
-            records.append({"sample": i, "statistic": "sqrt_n_dev_1", "value": d})
+        devs = _draws(cfg, lambda i: math.sqrt(base.n)
+                      * (float(eigenvalues(sample_deformed(base, i)).values[0]) - rho))
+        records = _sample_records([(d,) for d in devs], ("sqrt_n_dev_1",))
         ks = ks_statistic(devs, lambda x: gaussian_cdf(x, 0.0, var), mode="one-sample-gaussian")
         summary.update(
             ks_statistic=ks.statistic,
@@ -198,55 +234,32 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
             label=label,
             mean_lambda_1=math.fsum(devs) / len(devs) / math.sqrt(base.n) + rho,
         )
-        if cfg.ks_threshold is not None:
-            summary["ks_threshold"] = cfg.ks_threshold
-            summary["passed"] = ks.statistic <= cfg.ks_threshold
-            exit_code = 0 if summary["passed"] else 1
+        worst = ks.statistic
     else:
-        baseline = cfg.baseline or base.with_params(law="gaussian")
-
-        def edge_stats(config: EnsembleConfig):
-            def one(i: int):
-                spec = eigenvalues(sample_deformed(config, i))
-                fluct = rescaled_fluctuation(spec, regime_of(config.theta, config.sigma),
-                                             config.n, cfg.top_k)
-                return fluct.edge_u
-
-            return _map_indices(one, range(cfg.n_samples), cfg.workers)
+        def edge_stats(config: EnsembleConfig) -> list:
+            edge_regime = regime_of(config.theta, config.sigma)
+            return _draws(cfg, lambda i: rescaled_fluctuation(
+                eigenvalues(sample_deformed(config, i)), edge_regime, config.n, cfg.top_k).edge_u)
 
         primary = edge_stats(base)
-        second = edge_stats(baseline)
-        for i, us in enumerate(primary):
-            for j, u in enumerate(us, start=1):
-                records.append({"sample": i, "statistic": f"edge_u_{j}", "value": u})
-        for i, us in enumerate(second):
-            for j, u in enumerate(us, start=1):
-                records.append({"sample": i, "statistic": f"baseline_edge_u_{j}", "value": u})
+        second = edge_stats(cfg.baseline or base.with_params(law="gaussian"))
+        names = [f"edge_u_{j}" for j in range(1, cfg.top_k + 1)]
+        records = _sample_records(primary, names) + _sample_records(
+            second, [f"baseline_{name}" for name in names])
         worst = 0.0
         for j in range(cfg.top_k):
             ks = ks_statistic([u[j] for u in primary], [u[j] for u in second])
             summary[f"ks_two_sample_{j + 1}"] = ks.statistic
             worst = max(worst, ks.statistic)
         if regime.label == "subcritical":
-            wigner = base.with_params(theta=0.0)
-            third = edge_stats(wigner)
+            third = edge_stats(base.with_params(theta=0.0))
             for j in range(cfg.top_k):
                 ks = ks_statistic([u[j] for u in primary], [u[j] for u in third])
                 summary[f"ks_vs_wigner_{j + 1}"] = ks.statistic
         summary["label"] = "descriptive" if regime.label == "critical" else "theorem"
-        if cfg.ks_threshold is not None:
-            summary["ks_threshold"] = cfg.ks_threshold
-            summary["passed"] = worst <= cfg.ks_threshold
-            exit_code = 0 if summary["passed"] else 1
 
-    records.extend(_summary_records(summary))
-    return {
-        "command": "fluctuations",
-        "fieldnames": ("sample", "statistic", "value"),
-        "records": records,
-        "summary": summary,
-        "exit_code": exit_code,
-    }
+    exit_code = _gate(cfg, summary, worst)
+    return _report("fluctuations", records, summary, exit_code)
 
 
 # --------------------------------------------------------------------------
@@ -294,11 +307,7 @@ def run_trace_growth(cfg: ExperimentConfig, t_grid: tuple[float, ...] = (0.5, 1.
         )
         return eps, exp_sum, grid_traces
 
-    rows = _map_indices(one, range(cfg.n_samples), cfg.workers)
-    records = []
-    for i, (eps, exp_sum, _) in enumerate(rows):
-        records.append({"sample": i, "statistic": "eps", "value": eps})
-        records.append({"sample": i, "statistic": "exp_sum", "value": exp_sum})
+    rows = _draws(cfg, one)
     mean_abs_eps = math.fsum(abs(r[0]) for r in rows) / len(rows)
     mean_exp_sum = math.fsum(r[1] for r in rows) / len(rows)
     summary = {
@@ -310,14 +319,7 @@ def run_trace_growth(cfg: ExperimentConfig, t_grid: tuple[float, ...] = (0.5, 1.
     }
     for k, t in enumerate(t_grid):
         summary[f"mean_trace_t_{t}"] = math.fsum(r[2][k] for r in rows) / len(rows)
-    records.extend(_summary_records(summary))
-    return {
-        "command": "trace-growth",
-        "fieldnames": ("sample", "statistic", "value"),
-        "records": records,
-        "summary": summary,
-        "exit_code": 0,
-    }
+    return _report("trace-growth", _sample_records(rows, ("eps", "exp_sum")), summary, 0)
 
 
 # --------------------------------------------------------------------------
@@ -345,34 +347,21 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
         )
         inter = interlacing_check(spec, base_spec)
         census = outlier_census(spec, base.theta, base.sigma, base.n) if supercritical else (0, 0)
-        return ks.statistic, inter, census, float(spec.values[0])
+        return (ks.statistic, inter.violations, float(spec.values[0])) + census
 
-    rows = _map_indices(one, range(cfg.n_samples), cfg.workers)
-    records = []
-    for i, (esd, inter, census, lam1) in enumerate(rows):
-        records.append({"sample": i, "statistic": "esd_ks", "value": esd})
-        records.append({"sample": i, "statistic": "interlacing_violations", "value": inter.violations})
-        records.append({"sample": i, "statistic": "lambda_1", "value": lam1})
-        if supercritical:
-            records.append({"sample": i, "statistic": "count_mid", "value": census[0]})
-            records.append({"sample": i, "statistic": "count_far", "value": census[1]})
+    rows = _draws(cfg, one)
+    names = ["esd_ks", "interlacing_violations", "lambda_1"]
     summary = {
         "max_esd_ks": max(r[0] for r in rows),
-        "total_interlacing_violations": sum(r[1].violations for r in rows),
-        "mean_lambda_1": math.fsum(r[3] for r in rows) / len(rows),
+        "total_interlacing_violations": sum(r[1] for r in rows),
+        "mean_lambda_1": math.fsum(r[2] for r in rows) / len(rows),
     }
     if supercritical:
-        summary["max_count_mid"] = max(r[2][0] for r in rows)
-        summary["max_count_far"] = max(r[2][1] for r in rows)
-        summary["samples_with_count_mid"] = sum(1 for r in rows if r[2][0] > 0)
-    records.extend(_summary_records(summary))
-    return {
-        "command": "census",
-        "fieldnames": ("sample", "statistic", "value"),
-        "records": records,
-        "summary": summary,
-        "exit_code": 0,
-    }
+        names += ["count_mid", "count_far"]
+        summary["max_count_mid"] = max(r[3] for r in rows)
+        summary["max_count_far"] = max(r[4] for r in rows)
+        summary["samples_with_count_mid"] = sum(1 for r in rows if r[3] > 0)
+    return _report("census", _sample_records(rows, names), summary, 0)
 
 
 # --------------------------------------------------------------------------
@@ -446,14 +435,7 @@ def run_oracle_compare(cfg: ExperimentConfig, power: int) -> dict:
             base.symmetry.value, oracle,
         ),
     }
-    records.extend(_summary_records({k: v for k, v in summary.items() if k != "record"}))
-    return {
-        "command": "oracle-compare",
-        "fieldnames": ("sample", "statistic", "value"),
-        "records": records,
-        "summary": summary,
-        "exit_code": 0 if summary["within_4_se"] else 1,
-    }
+    return _report("oracle-compare", records, summary, 0 if summary["within_4_se"] else 1)
 
 
 # --------------------------------------------------------------------------
@@ -482,42 +464,31 @@ def _classes_up_to(max_steps: int):
             yield m, l
 
 
-def _check_trajectory_counts(max_steps: int) -> dict:
+def _check_trajectory_counts(max_steps: int):
     params = {"max_steps": max_steps}
     for m, l in _classes_up_to(max_steps):
         listed = len(path_model.enumerate_trajectories(m, l))
         closed = path_model.count_trajectories(m, l)
         factorial = path_model.count_trajectories_factorial(m, l)
         if not listed == closed == factorial:
-            return {
-                "check": "trajectory_counts", "params": params, "pass": False,
-                "counterexample": {"m": m, "l": l, "enumerated": listed,
-                                   "binomial_form": closed, "factorial_form": factorial},
-            }
+            return params, {"m": m, "l": l, "enumerated": listed,
+                            "binomial_form": closed, "factorial_form": factorial}
         up, down = path_model.last_step_split(m, l)
         tally_up = sum(1 for x in path_model.enumerate_trajectories(m, l) if x.steps[-1] == 1)
         if up != tally_up or up + down != closed:
-            return {
-                "check": "trajectory_counts", "params": params, "pass": False,
-                "counterexample": {"m": m, "l": l, "split": (up, down), "tally_up": tally_up},
-            }
-    return {"check": "trajectory_counts", "params": params, "pass": True, "counterexample": None}
+            return params, {"m": m, "l": l, "split": (up, down), "tally_up": tally_up}
+    return params, None
 
 
-def _check_sum_identity(max_steps: int) -> dict:
+def _check_sum_identity(max_steps: int):
     params = {"max_steps": max_steps}
     for m, l in _classes_up_to(max_steps):
-        if m < 1 or l % 2 == 1:
-            continue
-        if not correspondence.verify_count_identity(m, l):
-            return {
-                "check": "sum_identity", "params": params, "pass": False,
-                "counterexample": {"m": m, "l": l},
-            }
-    return {"check": "sum_identity", "params": params, "pass": True, "counterexample": None}
+        if m >= 1 and l % 2 == 0 and not correspondence.verify_count_identity(m, l):
+            return params, {"m": m, "l": l}
+    return params, None
 
 
-def _check_correspondence(max_length: int, max_vertices: int) -> dict:
+def _check_correspondence(max_length: int, max_vertices: int):
     params = {"max_length": max_length, "max_vertices": max_vertices}
     checked = 0
     seen: dict[tuple, tuple] = {}
@@ -529,14 +500,9 @@ def _check_correspondence(max_length: int, max_vertices: int) -> dict:
             checked += 1
             fail = _correspondence_case_fails(path, seen)
             if fail is not None:
-                fail_rec = {"path": path_model.path_to_string(path), "reason": fail}
-                return {
-                    "check": "correspondence_roundtrip", "params": params, "pass": False,
-                    "counterexample": fail_rec,
-                }
+                return params, {"path": path_model.path_to_string(path), "reason": fail}
     params["cases"] = checked
-    return {"check": "correspondence_roundtrip", "params": params, "pass": True,
-            "counterexample": None}
+    return params, None
 
 
 def _correspondence_case_fails(path, seen) -> str | None:
@@ -563,7 +529,7 @@ def _correspondence_case_fails(path, seen) -> str | None:
     return None
 
 
-def _check_surgery(max_steps: int) -> dict:
+def _check_surgery(max_steps: int):
     params = {"max_steps": max_steps}
     for m, l in _classes_up_to(max_steps):
         if l < 1 or m < 1:
@@ -584,45 +550,36 @@ def _check_surgery(max_steps: int) -> dict:
                     images.add(out.steps)
             target = path_model.count_trajectories(m - p, l + 2 * p)
             if count != target or len(images) != target:
-                return {
-                    "check": "surgery_bijection", "params": params, "pass": False,
-                    "counterexample": {"m": m, "l": l, "p": p, "pairs": count,
-                                       "distinct": len(images), "target": target},
-                }
-    return {"check": "surgery_bijection", "params": params, "pass": True, "counterexample": None}
+                return params, {"m": m, "l": l, "p": p, "pairs": count,
+                                "distinct": len(images), "target": target}
+    return params, None
 
 
-def _check_gluing(length: int, vertices: int) -> dict:
+def _check_gluing(length: int, vertices: int):
     params = {"max_length": length, "vertices": vertices}
     for cur in range(2, length + 1):
         report = correspondence.preimage_bound_check(cur, vertices)
         if not report["pass"]:
-            return {"check": "gluing_preimage_bound", "params": params, "pass": False,
-                    "counterexample": report["violations"][0]}
-    return {"check": "gluing_preimage_bound", "params": params, "pass": True,
-            "counterexample": None}
+            return params, report["violations"][0]
+    return params, None
 
 
-def _check_lemma73(s_max: int) -> dict:
+def _check_lemma73(s_max: int):
     params = {"s_max": s_max, "c0": 1.0 / 8.0}
     worst_c0 = math.inf
     for s in range(1, s_max + 1):
         report = dyck_stats.class_count_bound_check(s)
         if not report["pass"]:
-            return {"check": "lemma73_class_bound", "params": params, "pass": False,
-                    "counterexample": {"s": s, "failures": report["failures"][:3]}}
+            return params, {"s": s, "failures": report["failures"][:3]}
         if not report["monotone_normalized"]:
-            return {"check": "lemma73_class_bound", "params": params, "pass": False,
-                    "counterexample": {"s": s, "reason": "normalized ratio not decreasing"}}
+            return params, {"s": s, "reason": "normalized ratio not decreasing"}
         if math.isfinite(report["largest_supported_c0"]):
             worst_c0 = min(worst_c0, report["largest_supported_c0"])
     params["largest_supported_c0"] = worst_c0
-    ok = worst_c0 > 0
-    return {"check": "lemma73_class_bound", "params": params, "pass": ok,
-            "counterexample": None if ok else {"largest_supported_c0": worst_c0}}
+    return params, None if worst_c0 > 0 else {"largest_supported_c0": worst_c0}
 
 
-def _check_lemma77(m_grid: tuple[int, ...]) -> dict:
+def _check_lemma77(m_grid: tuple[int, ...]):
     report = dyck_stats.tail_bound_check(list(m_grid))
     params = {"m_grid": list(m_grid), "c0": report["c0"]}
     for family, data in report["families"].items():
@@ -630,27 +587,24 @@ def _check_lemma77(m_grid: tuple[int, ...]) -> dict:
         params[f"spread_{family}"] = spread
         params[f"q_sup_{family}"] = max(row["q"] for row in data["rows"])
         if spread >= 2.0:
-            return {"check": "lemma77_exp_moment", "params": params, "pass": False,
-                    "counterexample": {"family": family, "spread": spread}}
-    return {"check": "lemma77_exp_moment", "params": params, "pass": True, "counterexample": None}
+            return params, {"family": family, "spread": spread}
+    return params, None
 
 
-def _check_dyck_roundtrip(max_steps: int) -> dict:
+def _check_dyck_roundtrip(max_steps: int):
     params = {"max_steps": max_steps}
     for m, l in _classes_up_to(max_steps):
         for x in path_model.enumerate_trajectories(m, l):
             decomp = dyck_stats.dyck_decompose(x)
             if decomp.reconstruct().steps != x.steps:
-                return {"check": "dyck_roundtrip", "params": params, "pass": False,
-                        "counterexample": {"trajectory": path_model.trajectory_to_string(x)}}
+                return params, {"trajectory": path_model.trajectory_to_string(x)}
             if decomp.end_level != l or sum(decomp.block_lengths) != 2 * m:
-                return {"check": "dyck_roundtrip", "params": params, "pass": False,
-                        "counterexample": {"trajectory": path_model.trajectory_to_string(x),
-                                           "reason": "rise/block bookkeeping"}}
-    return {"check": "dyck_roundtrip", "params": params, "pass": True, "counterexample": None}
+                return params, {"trajectory": path_model.trajectory_to_string(x),
+                                "reason": "rise/block bookkeeping"}
+    return params, None
 
 
-def _check_ballot(max_steps: int) -> dict:
+def _check_ballot(max_steps: int):
     params = {"max_steps": max_steps}
     for steps in range(1, max_steps + 1):
         total = 0
@@ -658,24 +612,21 @@ def _check_ballot(max_steps: int) -> dict:
             ballot = dyck_stats.ballot_count(steps, end)
             confined = dyck_stats.bounded_path_count(steps, steps, end)
             if ballot != confined:
-                return {"check": "ballot_counts", "params": params, "pass": False,
-                        "counterexample": {"steps": steps, "end": end,
-                                           "ballot": ballot, "transfer": confined}}
+                return params, {"steps": steps, "end": end, "ballot": ballot,
+                                "transfer": confined}
             total += ballot
         if total != math.comb(steps, steps // 2):
-            return {"check": "ballot_counts", "params": params, "pass": False,
-                    "counterexample": {"steps": steps, "sum": total,
-                                       "expected": math.comb(steps, steps // 2)}}
-    return {"check": "ballot_counts", "params": params, "pass": True, "counterexample": None}
+            return params, {"steps": steps, "sum": total,
+                            "expected": math.comb(steps, steps // 2)}
+    return params, None
 
 
-def _check_max_pmf(max_m: int) -> dict:
+def _check_max_pmf(max_m: int):
     params = {"max_m": max_m}
     for m in range(1, max_m + 1):
         pmf = dyck_stats.max_level_distribution(m)
         if sum(pmf.values()) != 1:
-            return {"check": "max_level_pmf", "params": params, "pass": False,
-                    "counterexample": {"m": m, "reason": "pmf does not sum to 1"}}
+            return params, {"m": m, "reason": "pmf does not sum to 1"}
         tally: dict[int, int] = {}
         for x in path_model.enumerate_trajectories(m, 0):
             top = max(x.levels())
@@ -683,16 +634,34 @@ def _check_max_pmf(max_m: int) -> dict:
         total = sum(tally.values())
         for k, mass in pmf.items():
             if mass != Fraction(tally.get(k, 0), total):
-                return {"check": "max_level_pmf", "params": params, "pass": False,
-                        "counterexample": {"m": m, "k": k, "pmf": str(mass),
-                                           "enumerated": f"{tally.get(k, 0)}/{total}"}}
+                return params, {"m": m, "k": k, "pmf": str(mass),
+                                "enumerated": f"{tally.get(k, 0)}/{total}"}
         halves = (m - m // 2, m // 2) if m >= 2 else None
         if halves and halves[1] > 0:
             joint = dyck_stats.max_level_distribution(m, blocks=halves)
             if sum(joint.values()) != 1:
-                return {"check": "max_level_pmf", "params": params, "pass": False,
-                        "counterexample": {"m": m, "reason": "class pmf does not sum to 1"}}
-    return {"check": "max_level_pmf", "params": params, "pass": True, "counterexample": None}
+                return params, {"m": m, "reason": "class pmf does not sum to 1"}
+    return params, None
+
+
+# (check, function name, limit keys): each check runs when its first key is
+# among the limits, with later keys defaulting to DEFAULT_VERIFY_LIMITS, and
+# returns (params, counterexample), None meaning pass. The function is looked
+# up by name at call time, so a wrapped module attribute (a tracer, a test
+# double) is the one that runs.
+_CHECKS = (
+    ("trajectory_counts", "_check_trajectory_counts", ("trajectory_steps",)),
+    ("sum_identity", "_check_sum_identity", ("sum_identity_steps",)),
+    ("correspondence_roundtrip", "_check_correspondence",
+     ("correspondence_length", "correspondence_vertices")),
+    ("surgery_bijection", "_check_surgery", ("surgery_steps",)),
+    ("gluing_preimage_bound", "_check_gluing", ("glue_length", "glue_vertices")),
+    ("lemma73_class_bound", "_check_lemma73", ("lemma73_s",)),
+    ("lemma77_exp_moment", "_check_lemma77", ("lemma77_grid",)),
+    ("dyck_roundtrip", "_check_dyck_roundtrip", ("dyck_roundtrip_steps",)),
+    ("ballot_counts", "_check_ballot", ("ballot_steps",)),
+    ("max_level_pmf", "_check_max_pmf", ("max_pmf_m",)),
+)
 
 
 def run_combinatorics_verify(limits: dict | None = None) -> tuple[int, dict]:
@@ -701,59 +670,34 @@ def run_combinatorics_verify(limits: dict | None = None) -> tuple[int, dict]:
     ``limits=None`` runs the defaults; an empty dict runs nothing and
     passes. Counterexamples are machine-readable.
     """
-    limits = dict(DEFAULT_VERIFY_LIMITS) if limits is None else dict(limits)
+    limits = DEFAULT_VERIFY_LIMITS if limits is None else limits
     records: list[dict] = []
-
-    def run(name, fn, *args):
+    for check, fn_name, keys in _CHECKS:
+        if keys[0] not in limits:
+            continue
+        args = [limits.get(key, DEFAULT_VERIFY_LIMITS[key]) for key in keys]
+        args = [tuple(a) if isinstance(a, list) else a for a in args]  # CLI grids are lists
         try:
-            records.append(fn(*args))
+            params, counterexample = globals()[fn_name](*args)
         except Exception as exc:  # a crashed check is a failed check
-            records.append({"check": name, "params": {"args": [repr(a) for a in args]},
-                            "pass": False, "counterexample": {"error": repr(exc)}})
+            params = {"args": [repr(a) for a in args]}
+            counterexample = {"error": repr(exc)}
+        records.append({"check": check, "params": params, "pass": counterexample is None,
+                        "counterexample": counterexample})
 
-    if "trajectory_steps" in limits:
-        run("trajectory_counts", _check_trajectory_counts, limits["trajectory_steps"])
-    if "sum_identity_steps" in limits:
-        run("sum_identity", _check_sum_identity, limits["sum_identity_steps"])
-    if "correspondence_length" in limits:
-        run("correspondence_roundtrip", _check_correspondence,
-            limits["correspondence_length"], limits.get("correspondence_vertices", 4))
-    if "surgery_steps" in limits:
-        run("surgery_bijection", _check_surgery, limits["surgery_steps"])
-    if "glue_length" in limits:
-        run("gluing_preimage_bound", _check_gluing,
-            limits["glue_length"], limits.get("glue_vertices", 3))
-    if "lemma73_s" in limits:
-        run("lemma73_class_bound", _check_lemma73, limits["lemma73_s"])
-    if "lemma77_grid" in limits:
-        run("lemma77_exp_moment", _check_lemma77, tuple(limits["lemma77_grid"]))
-    if "dyck_roundtrip_steps" in limits:
-        run("dyck_roundtrip", _check_dyck_roundtrip, limits["dyck_roundtrip_steps"])
-    if "ballot_steps" in limits:
-        run("ballot_counts", _check_ballot, limits["ballot_steps"])
-    if "max_pmf_m" in limits:
-        run("max_level_pmf", _check_max_pmf, limits["max_pmf_m"])
-
-    ok = all(r["pass"] for r in records)
+    failures = sum(not r["pass"] for r in records)
     report = {
         "command": "verify-combinatorics",
         "fieldnames": ("check", "params", "pass", "counterexample"),
         "records": records,
-        "summary": {"checks": len(records), "failures": sum(not r["pass"] for r in records)},
-        "exit_code": 0 if ok else 1,
+        "summary": {"checks": len(records), "failures": failures},
+        "exit_code": 1 if failures else 0,
     }
     return report["exit_code"], report
 
 
 # --------------------------------------------------------------------------
 # report emission
-
-
-def _summary_records(summary: dict) -> list[dict]:
-    return [
-        {"sample": "summary", "statistic": key, "value": summary[key]}
-        for key in sorted(summary)
-    ]
 
 
 def load_config_file(path: str) -> dict[str, str]:

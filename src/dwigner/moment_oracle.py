@@ -321,13 +321,13 @@ def asymptotic_predictions(s: int, theta: float, sigma: float, n: int) -> Asympt
     if s < 1:
         raise ValueError("s must be >= 1")
     two_s = 2 * s
-    t_even = _t_count(s, 0)
+    t_even = path_model.count_trajectories(s, 0)
     marked_terms = []
     class_terms = []
     marked_only_terms = []
     for l in range(2, two_s + 1, 2):
         m = s - l // 2
-        t_ml = _t_count(m, l)
+        t_ml = path_model.count_trajectories(m, l)
         weight = float(theta) ** l * float(sigma) ** (2 * m)
         damped = weight * math.exp(-((l + m) ** 2) / (2.0 * n))
         marked_terms.append(t_ml * damped)
@@ -367,11 +367,6 @@ def asymptotic_predictions(s: int, theta: float, sigma: float, n: int) -> Asympt
         odd_edge_marked_only_ratio=odd_edge_marked_only_ratio,
         **preds,
     )
-
-
-def _t_count(m: int, l: int) -> int:
-    total = l + 2 * m
-    return math.comb(total, l + m) - (math.comb(total, m - 1) if m >= 1 else 0)
 
 
 def trace_universality_probe(

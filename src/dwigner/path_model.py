@@ -13,21 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 __all__ = [
     "ClosedPath",
     "Trajectory",
-    "PathClass",
     "PathType",
     "VertexStats",
     "EnumerationLimitError",
     "classify_instants",
     "trajectory_of",
-    "path_class_of",
     "enumerate_trajectories",
     "count_trajectories",
+    "nonneg_walks",
     "count_trajectories_factorial",
     "last_step_split",
     "path_type",
@@ -72,10 +72,9 @@ class ClosedPath:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Ordered edges (i_{j-1}, i_j) for j = 1..L."""
-        v = self.vertices
-        return [(v[j - 1], v[j]) for j in range(1, len(v))]
+    def edge_keys(self) -> list[tuple[int, int]]:
+        """Unordered edges of instants j = 1..L, smaller label first."""
+        return [(a, b) if a <= b else (b, a) for a, b in pairwise(self.vertices)]
 
 
 @dataclass(frozen=True)
@@ -118,16 +117,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class PathClass:
-    m: int
-    l: int
-
-    @property
-    def length(self) -> int:
-        return self.l + 2 * self.m
-
-
-@dataclass(frozen=True)
 class PathType:
     """Self-intersection type: counts[k] = number of k-fold marked vertices."""
 
@@ -146,16 +135,6 @@ class PathType:
         # M = sum_{k>=2} (k-1) N_k
         return sum((k - 1) * c for k, c in enumerate(self.counts) if k >= 2)
 
-    @property
-    def high_count(self) -> int:
-        # M_1 = sum_{k>=11} N_k
-        return sum(c for k, c in enumerate(self.counts) if k >= 11)
-
-    @property
-    def low_count(self) -> int:
-        # M_2 = sum_{2<=k<=10} N_k
-        return sum(c for k, c in enumerate(self.counts) if 2 <= k <= 10)
-
 
 @dataclass(frozen=True)
 class VertexStats:
@@ -165,16 +144,11 @@ class VertexStats:
     odd_edge_count: int
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a <= b else (b, a)
-
-
 def classify_instants(path: ClosedPath) -> list[bool]:
     """True for marked instants j = 1..L, False for unmarked ones."""
     seen: dict[tuple[int, int], int] = {}
     out = []
-    for a, b in path.edges():
-        key = _edge_key(a, b)
+    for key in path.edge_keys():
         c = seen.get(key, 0) + 1
         seen[key] = c
         out.append(c % 2 == 1)
@@ -186,17 +160,19 @@ def trajectory_of(path: ClosedPath) -> Trajectory:
     return Trajectory.from_steps(steps)
 
 
-def path_class_of(path: ClosedPath) -> PathClass:
-    traj = trajectory_of(path)
-    return PathClass(m=traj.down_steps, l=traj.end_level)
-
-
 def count_trajectories(m: int, l: int) -> int:
     """Number of nonnegative walks with l + m up and m down steps ending at l."""
     if m < 0 or l < 0:
         raise ValueError("m and l must be nonnegative")
-    total = l + 2 * m
-    return math.comb(total, l + m) - (math.comb(total, m - 1) if m >= 1 else 0)
+    return nonneg_walks(0, l + m, m)
+
+
+def nonneg_walks(height: int, ups: int, downs: int) -> int:
+    """Walks of ``ups`` up and ``downs`` down steps from ``height`` that stay
+    nonnegative: all orderings minus the reflected ones (reflection principle)."""
+    total = ups + downs
+    reflected = downs - height - 1
+    return math.comb(total, downs) - (math.comb(total, reflected) if reflected >= 0 else 0)
 
 
 def count_trajectories_factorial(m: int, l: int) -> int:
@@ -306,8 +282,7 @@ def vertex_stats(path: ClosedPath) -> VertexStats:
     self_intersections = {v for v, c in occ.items() if c >= 2}
     parity: dict[tuple[int, int], int] = {}
     nonclosed: set[int] = set()
-    for j, is_marked in enumerate(marked, start=1):
-        a, b = verts[j - 1], verts[j]
+    for a, is_marked, key in zip(verts, marked, path.edge_keys()):
         if not is_marked and a in self_intersections:
             open_here = sum(
                 1
@@ -316,7 +291,6 @@ def vertex_stats(path: ClosedPath) -> VertexStats:
             )
             if open_here > 1:
                 nonclosed.add(a)
-        key = _edge_key(a, b)
         parity[key] = parity.get(key, 0) + 1
 
     odd_edges = sum(1 for c in parity.values() if c % 2 == 1)

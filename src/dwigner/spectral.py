@@ -2,7 +2,7 @@
 
 Everything downstream consumes eigenvalues only, so this module exposes a
 single full decomposition plus trace-of-power helpers, the rank-one
-interlacing check, the edge/outlier rescalings and a CSV export.
+interlacing check and the edge/outlier rescalings.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "interlacing_check",
     "rescaled_fluctuation",
     "outlier_census",
-    "spectrum_to_csv",
 ]
 
 
@@ -35,11 +34,10 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, with an accuracy estimate."""
+    """Eigenvalues sorted descending."""
 
     values: np.ndarray = field(repr=False)
     dim: int
-    residual_tol: float
 
 
 @dataclass(frozen=True)
@@ -88,10 +86,7 @@ def eigenvalues(m: MatrixSample) -> Spectrum:
         vals = np.linalg.eigvalsh(m.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
-    vals = np.ascontiguousarray(vals[::-1])
-    max_entry = float(np.max(np.abs(m.entries))) if m.dim else 0.0
-    tol = np.finfo(np.float64).eps * m.dim * max(1.0, max_entry)
-    return Spectrum(values=vals, dim=m.dim, residual_tol=tol)
+    return Spectrum(values=np.ascontiguousarray(vals[::-1]), dim=m.dim)
 
 
 def trace_power(obj: Spectrum | MatrixSample, power: int) -> float:
@@ -185,10 +180,3 @@ def outlier_census(spectrum: Spectrum, theta: float, sigma: float, n: int) -> tu
     count_far = int(np.sum(lam > far))
     return count_mid, count_far
 
-
-def spectrum_to_csv(spectrum: Spectrum) -> str:
-    """CSV export with header ``index,lambda`` (1-based, descending)."""
-    lines = ["index,lambda"]
-    for i, v in enumerate(spectrum.values, start=1):
-        lines.append(f"{i},{float(v)!r}")
-    return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ from dwigner.dyck_stats import (
     dyck_decompose,
     level_returns,
     max_level_distribution,
-    pmf_to_csv,
     tail_bound_check,
 )
 from dwigner.path_model import (
@@ -155,11 +154,6 @@ def test_class_count_bound():
     # l = 0 term is an equality with prefactor 1, so c0 only binds for l >= 2
     r1 = class_count_bound_check(1)
     assert r1["pass"]
-
-
-def test_pmf_csv_export():
-    text = pmf_to_csv(2, max_level_distribution(2))
-    assert text == "m,k,probability\n2,1,0.5\n2,2,0.5\n"
 
 
 def test_level_returns_examples():

@@ -9,8 +9,6 @@ from dwigner.ensembles import (
     EntryLaw,
     RegimeError,
     SymmetryClass,
-    deformation_matrix,
-    dump_matrix,
     regime_of,
     sample_deformed,
     sample_wigner,
@@ -56,19 +54,6 @@ def test_reproducibility_and_independence_of_order():
     assert not np.array_equal(a, sample_wigner(cfg, 6).entries)
     other_seed = make_config(n=12, master_seed=43)
     assert not np.array_equal(a, sample_wigner(other_seed, 5).entries)
-
-
-def test_deformation_matrix_examples():
-    d = deformation_matrix(3, 1.5)
-    assert np.all(d.entries == 0.5)
-    eig = np.sort(np.linalg.eigvalsh(d.entries))[::-1]
-    assert np.allclose(eig, [1.5, 0.0, 0.0], atol=1e-12)
-
-    assert np.all(deformation_matrix(4, 0.0).entries == 0.0)
-
-    d2 = deformation_matrix(2, 1.0)
-    assert np.all(d2.entries == 0.5)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(d2.entries)), [0.0, 1.0], atol=1e-12)
 
 
 def test_deformed_theta_zero_is_scaled_wigner():
@@ -183,15 +168,3 @@ def test_diag_sigma_default_and_override():
     assert cfg.diag_sigma == cfg.sigma
     cfg2 = make_config(n=5, diag_sigma=0.25)
     assert cfg2.diag_sigma == 0.25
-
-
-def test_dump_matrix_tokens():
-    cfg = make_config(n=3)
-    text = dump_matrix(sample_wigner(cfg, 0))
-    lines = text.strip().split("\n")
-    assert len(lines) == 3
-    assert all(len(line.split()) == 3 for line in lines)
-    assert "I" in lines[0]
-    real_cfg = make_config(n=2, symmetry="real")
-    text = dump_matrix(sample_wigner(real_cfg, 0))
-    assert "I" not in text

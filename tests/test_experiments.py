@@ -12,6 +12,8 @@ import dwigner.path_model
 from dwigner.cli import main as cli_main
 from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of
 from dwigner.experiments import (
+    _CHECKS,
+    DEFAULT_VERIFY_LIMITS,
     ExperimentConfig,
     gaussian_cdf,
     ks_statistic,
@@ -140,7 +142,7 @@ def test_trace_exp_residual_single_outlier():
     # single eigenvalue at rho, the rest at zero: both routes give exactly 1
     rho = 2.5
     values = np.array([rho] + [0.0] * 9)
-    spec = Spectrum(values=values, dim=10, residual_tol=0.0)
+    spec = Spectrum(values=values, dim=10)
     eps, exp_sum, even = trace_exp_residual(spec, rho, 10, 1.0)
     assert even == pytest.approx(1.0)
     assert exp_sum == pytest.approx(1.0)
@@ -253,6 +255,22 @@ def test_verify_battery_detects_fault(monkeypatch):
     assert bad and bad[0]["counterexample"] is not None
 
 
+def test_verify_battery_reports_a_crashed_check():
+    # m = 0 divides by zero inside the tail report; the crash is a failed record
+    code, report = run_combinatorics_verify({"lemma77_grid": (0,)})
+    assert code == 1
+    (rec,) = report["records"]
+    assert rec["check"] == "lemma77_exp_moment"
+    assert rec["pass"] is False
+    assert rec["params"] == {"args": ["(0,)"]}
+    assert "error" in rec["counterexample"]
+
+
+def test_verify_check_table_uses_every_limit():
+    keys = [key for _, _, check_keys in _CHECKS for key in check_keys]
+    assert sorted(keys) == sorted(DEFAULT_VERIFY_LIMITS)
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nn=40\ntheta=2.0\nlaw=rademacher\n\nseed=9\n")
@@ -327,11 +345,14 @@ def test_cli_baseline_theta_with_uniform_law(capsys):
     assert "ks_two_sample_1:" in capsys.readouterr().out
 
 
-def test_cli_oracle_compare_byte_identical_across_workers(tmp_path):
+@pytest.mark.parametrize("args", [
     # 5000 samples span three Monte Carlo batches, so two workers split them
-    args = ["oracle-compare", "--n", "3", "--L", "4", "--theta", "2.0",
-            "--law", "rademacher", "--symmetry", "real", "--samples", "5000",
-            "--seed", "13", "--format", "json"]
+    ["oracle-compare", "--n", "3", "--L", "4", "--theta", "2.0", "--law", "rademacher",
+     "--symmetry", "real", "--samples", "5000", "--seed", "13", "--format", "json"],
+    ["trace-growth", "--n", "30", "--theta", "2.0", "--law", "rademacher",
+     "--symmetry", "complex", "--samples", "12", "--seed", "13", "--format", "json"],
+], ids=["oracle-compare", "trace-growth"])
+def test_cli_byte_identical_across_workers(tmp_path, args):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert cli_main(args + ["--workers", "1", "--out", str(a)]) == 0
     assert cli_main(args + ["--workers", "2", "--out", str(b)]) == 0
@@ -351,3 +372,27 @@ def test_cli_verify_fast(tmp_path):
     payload = json.loads(out.read_text())
     assert all(rec["pass"] for rec in payload["records"])
     assert {"check", "params", "pass", "counterexample"} <= set(payload["records"][0])
+
+
+@pytest.mark.parametrize("args", [
+    ["trace-growth", "--theta", "0.5", "--n", "10", "--samples", "2"],
+    ["oracle-compare", "--L", "0", "--n", "3", "--samples", "10"],
+    ["oracle-compare", "--n", "100", "--L", "14", "--samples", "10"],
+], ids=["wrong-regime", "zero-power", "oracle-guard"])
+def test_cli_bad_input_exits_2_with_one_line(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("dwigner: error: ")
+
+
+def test_cli_config_values_obey_flag_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=10\nsamples=2\nlaw=uniform-symmetric\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["census", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "law='uniform-symmetric': choose from gaussian, rademacher, uniform" in (
+        capsys.readouterr().err)

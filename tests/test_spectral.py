@@ -7,7 +7,6 @@ from dwigner.ensembles import (
     EnsembleConfig,
     MatrixSample,
     RegimeError,
-    deformation_matrix,
     regime_of,
     sample_deformed,
     sample_wigner,
@@ -18,7 +17,6 @@ from dwigner.spectral import (
     interlacing_check,
     outlier_census,
     rescaled_fluctuation,
-    spectrum_to_csv,
     trace_power,
     trace_power_dense,
 )
@@ -31,7 +29,7 @@ def matrix_of(arr):
 
 def spectrum_of(values):
     vals = np.asarray(sorted(values, reverse=True), dtype=np.float64)
-    return Spectrum(values=vals, dim=len(vals), residual_tol=1e-12)
+    return Spectrum(values=vals, dim=len(vals))
 
 
 def test_swap_matrix_eigenvalues():
@@ -40,7 +38,7 @@ def test_swap_matrix_eigenvalues():
 
 
 def test_rank_one_eigenvalues():
-    s = eigenvalues(deformation_matrix(3, 1.5))
+    s = eigenvalues(matrix_of(np.full((3, 3), 1.5 / 3)))
     assert np.allclose(s.values, [1.5, 0.0, 0.0], atol=1e-12)
 
 
@@ -93,7 +91,7 @@ def test_permutation_invariance():
 def test_interlacing_zero_wigner():
     # W = 0: deformed spectrum is (theta, 0, ..., 0), base is all zeros
     n, theta = 5, 2.0
-    deformed = eigenvalues(deformation_matrix(n, theta))
+    deformed = eigenvalues(matrix_of(np.full((n, n), theta / n)))
     base = spectrum_of([0.0] * n)
     assert interlacing_check(deformed, base).ok
 
@@ -167,8 +165,3 @@ def test_outlier_census():
 
     with pytest.raises(RegimeError):
         outlier_census(s, 0.5, 1.0, n)
-
-
-def test_spectrum_csv():
-    text = spectrum_to_csv(spectrum_of([1.5, -0.5]))
-    assert text == "index,lambda\n1,1.5\n2,-0.5\n"
