@@ -56,6 +56,14 @@ def _add_options(parser: argparse.ArgumentParser, with_power: bool) -> None:
                                 choices=choices, help=text)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for the verify limits: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _gather(args: argparse.Namespace) -> dict:
     settings: dict = {}
     if getattr(args, "config", None):
@@ -63,9 +71,14 @@ def _gather(args: argparse.Namespace) -> dict:
             if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
             kind, choices, _ = _OPTIONS[key]
-            value = kind(raw)
+            try:
+                value = kind(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{args.config}: config {key}={raw!r}: expected {kind.__name__}") from None
             if choices is not None and value not in choices:
-                raise ValueError(f"config {key}={raw!r}: choose from {', '.join(choices)}")
+                raise ValueError(
+                    f"{args.config}: config {key}={raw!r}: choose from {', '.join(choices)}")
             settings[key] = value
     for key in _OPTIONS:
         flag = getattr(args, key, None)
@@ -123,10 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument("--format", choices=["csv", "json"], default="json")
     for key, default in DEFAULT_VERIFY_LIMITS.items():
         if isinstance(default, tuple):
-            verify.add_argument(f"--{key.replace('_', '-')}", type=int, nargs="+",
+            verify.add_argument(f"--{key.replace('_', '-')}", type=positive_int, nargs="+",
                                 default=list(default))
         else:
-            verify.add_argument(f"--{key.replace('_', '-')}", type=int, default=default)
+            verify.add_argument(f"--{key.replace('_', '-')}", type=positive_int,
+                                default=default)
 
     args = parser.parse_args(argv)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +23,9 @@ import numpy as np
 from .path_model import (
     ClosedPath,
     Trajectory,
-    classify_instants,
     count_trajectories,
     nonneg_walks,
+    tally_edges,
     trajectory_of,
 )
 
@@ -75,29 +74,24 @@ def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
     return out
 
 
-def _first_odd_edge_instant(path: ClosedPath) -> int | None:
-    """1-based instant of the first traversal of the first odd edge."""
-    keys = path.edge_keys()
-    counts = Counter(keys)
-    # The first instant on any odd edge is that edge's first traversal.
-    return next((j for j, key in enumerate(keys, start=1) if counts[key] % 2 == 1), None)
-
-
 def to_marked_origin(path: ClosedPath) -> CorrespondenceResult:
     """Rotate a last-step-down path to the marked-origin, last-step-up form.
 
     Requires at least one odd-multiplicity edge. The image visits the same
     edges with the same multiplicities and stays in the same (m, l) class;
-    the pair (image, shift_k) determines the source exactly.
+    the pair (image, shift_k) determines the source exactly. One
+    ``tally_edges`` pass gives the last step, the first odd edge and
+    ``level_p``.
     """
-    marked = classify_instants(path)
-    if marked[-1]:
+    keys, counts, marks = tally_edges(path)
+    if marks[-1]:
         raise ValueError("path has a last step up; the rotation applies to last-step-down paths")
-    j = _first_odd_edge_instant(path)
-    if j is None:
+    # counts keeps first-traversal order, so this is the first odd edge.
+    odd = next((key for key, c in counts.items() if c % 2 == 1), None)
+    if odd is None:
         raise ValueError("path has no odd edge (l = 0)")
-    heights = trajectory_of(path).levels()
-    level_p = heights[j - 1]
+    j = keys.index(odd) + 1  # instant of its first traversal
+    level_p = 2 * sum(marks[: j - 1]) - (j - 1)  # height before instant j
     image = _rotate(path, j)
     return CorrespondenceResult(image=image, shift_k=path.length - j, level_p=level_p)
 

@@ -8,6 +8,7 @@ would hide failures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,10 +146,13 @@ def ballot_count(steps: int, end_level: int) -> int:
     return count_trajectories((steps - end_level) // 2, end_level)
 
 
-def _unconstrained(steps: int, displacement: int) -> int:
-    if (steps + displacement) % 2 != 0 or abs(displacement) > steps:
-        return 0
-    return math.comb(steps, (steps + displacement) // 2)
+@functools.lru_cache(maxsize=8)
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """C(n, 0), ..., C(n, n) by the recurrence C(n, k+1) = C(n, k) (n - k) / (k + 1)."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return tuple(row)
 
 
 def confined_dyck_count(m: int, ceiling: int) -> int:
@@ -157,7 +161,8 @@ def confined_dyck_count(m: int, ceiling: int) -> int:
     Double-reflection sum over the images of the endpoint under the group
     generated by reflections at -1 and ceiling + 1; agrees with the transfer
     recursion (cross-checked in the test suite) but costs O(m / ceiling)
-    binomials instead of O(m * ceiling) state updates.
+    lookups instead of O(m * ceiling) state updates. Every term is read from
+    one binomial row C(2m, 0..2m), built once per length and cached.
     """
     if m < 0 or ceiling < 0:
         raise ValueError("m and ceiling must be nonnegative")
@@ -165,6 +170,13 @@ def confined_dyck_count(m: int, ceiling: int) -> int:
         return 1
     if ceiling == 0:
         return 0
+    row = _binomial_row(2 * m)
+
+    def walks_to(level: int) -> int:
+        # unconstrained 2m-step walks from 0 to an even level: C(2m, m + level/2)
+        k = m + level // 2
+        return row[k] if 0 <= k <= 2 * m else 0
+
     period = 2 * (ceiling + 2)
     total = 0
     j = 0
@@ -172,7 +184,7 @@ def confined_dyck_count(m: int, ceiling: int) -> int:
         offsets = [j * period, -j * period] if j else [0]
         contrib = 0
         for off in offsets:
-            contrib += _unconstrained(2 * m, off) - _unconstrained(2 * m, -2 + off)
+            contrib += walks_to(off) - walks_to(-2 + off)
         if contrib == 0 and j * period > 2 * m + 2:
             break
         total += contrib

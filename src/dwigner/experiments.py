@@ -467,14 +467,14 @@ def _classes_up_to(max_steps: int):
 def _check_trajectory_counts(max_steps: int):
     params = {"max_steps": max_steps}
     for m, l in _classes_up_to(max_steps):
-        listed = len(path_model.enumerate_trajectories(m, l))
+        listed = path_model.enumerate_trajectories(m, l)
         closed = path_model.count_trajectories(m, l)
         factorial = path_model.count_trajectories_factorial(m, l)
-        if not listed == closed == factorial:
-            return params, {"m": m, "l": l, "enumerated": listed,
+        if not len(listed) == closed == factorial:
+            return params, {"m": m, "l": l, "enumerated": len(listed),
                             "binomial_form": closed, "factorial_form": factorial}
         up, down = path_model.last_step_split(m, l)
-        tally_up = sum(1 for x in path_model.enumerate_trajectories(m, l) if x.steps[-1] == 1)
+        tally_up = sum(1 for x in listed if x.steps[-1] == 1)
         if up != tally_up or up + down != closed:
             return params, {"m": m, "l": l, "split": (up, down), "tally_up": tally_up}
     return params, None
@@ -498,21 +498,20 @@ def _check_correspondence(max_length: int, max_vertices: int):
             if traj.end_level == 0 or traj.steps[-1] == 1:
                 continue
             checked += 1
-            fail = _correspondence_case_fails(path, seen)
+            fail = _correspondence_case_fails(path, traj, seen)
             if fail is not None:
                 return params, {"path": path_model.path_to_string(path), "reason": fail}
     params["cases"] = checked
     return params, None
 
 
-def _correspondence_case_fails(path, seen) -> str | None:
+def _correspondence_case_fails(path, source_traj, seen) -> str | None:
     result = correspondence.to_marked_origin(path)
     image = result.image
-    image_traj = path_model.trajectory_of(image)
-    source_traj = path_model.trajectory_of(path)
+    image_traj = path_model.trajectory_of(image)  # the one classification of the image
     if image_traj.steps[-1] != 1:
         return "image does not end with an up step"
-    if not path_model.has_marked_origin(image):
+    if not path_model.has_marked_origin(image, image_traj):
         return "image origin is not marked"
     if (image_traj.end_level, image_traj.down_steps) != (
         source_traj.end_level, source_traj.down_steps

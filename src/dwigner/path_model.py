@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "PathType",
     "VertexStats",
     "EnumerationLimitError",
+    "tally_edges",
     "classify_instants",
     "trajectory_of",
     "enumerate_trajectories",
@@ -65,7 +66,7 @@ class ClosedPath:
             raise ValueError("a closed path needs at least one step")
         if self.vertices[0] != self.vertices[-1]:
             raise ValueError("path is not closed (last vertex != origin)")
-        if any(v < 1 or v > self.ambient_n for v in self.vertices):
+        if min(self.vertices) < 1 or max(self.vertices) > self.ambient_n:
             raise ValueError("vertex outside {1, ..., ambient_n}")
 
     @property
@@ -85,13 +86,12 @@ class Trajectory:
     end_level: int
 
     def __post_init__(self) -> None:
-        if any(s not in (-1, 1) for s in self.steps):
+        if not {-1, 1}.issuperset(self.steps):
             raise ValueError("steps must be +-1")
-        h = 0
-        for s in self.steps:
-            h += s
-            if h < 0:
-                raise ValueError("trajectory dips below zero")
+        heights = list(accumulate(self.steps, initial=0))
+        if min(heights) < 0:
+            raise ValueError("trajectory dips below zero")
+        h = heights[-1]
         if h != self.end_level:
             raise ValueError(f"end level mismatch: sum {h} != declared {self.end_level}")
 
@@ -106,14 +106,11 @@ class Trajectory:
 
     @property
     def down_steps(self) -> int:
-        return sum(1 for s in self.steps if s < 0)
+        return self.steps.count(-1)
 
     def levels(self) -> tuple[int, ...]:
         """Heights x(0), ..., x(L)."""
-        out = [0]
-        for s in self.steps:
-            out.append(out[-1] + s)
-        return tuple(out)
+        return tuple(accumulate(self.steps, initial=0))
 
 
 @dataclass(frozen=True)
@@ -144,15 +141,24 @@ class VertexStats:
     odd_edge_count: int
 
 
+def tally_edges(
+    path: ClosedPath,
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int], list[bool]]:
+    """One pass over the edge keys: the keys of instants j = 1..L, each edge's
+    traversal count (in first-traversal order) and the marks of the instants."""
+    keys = path.edge_keys()
+    counts: dict[tuple[int, int], int] = {}
+    marks = []
+    for key in keys:
+        c = counts.get(key, 0) + 1
+        counts[key] = c
+        marks.append(c % 2 == 1)
+    return keys, counts, marks
+
+
 def classify_instants(path: ClosedPath) -> list[bool]:
     """True for marked instants j = 1..L, False for unmarked ones."""
-    seen: dict[tuple[int, int], int] = {}
-    out = []
-    for key in path.edge_keys():
-        c = seen.get(key, 0) + 1
-        seen[key] = c
-        out.append(c % 2 == 1)
-    return out
+    return tally_edges(path)[2]
 
 
 def trajectory_of(path: ClosedPath) -> Trajectory:
@@ -255,13 +261,12 @@ def is_simple(path: ClosedPath) -> bool:
     return True
 
 
-def has_marked_origin(path: ClosedPath) -> bool:
-    """True when some marked instant lands on the origin."""
+def has_marked_origin(path: ClosedPath, traj: Trajectory | None = None) -> bool:
+    """True when some marked instant lands on the origin. A caller holding
+    ``traj = trajectory_of(path)`` passes it to skip classifying again."""
+    marks = classify_instants(path) if traj is None else [s == 1 for s in traj.steps]
     origin = path.vertices[0]
-    return any(
-        is_marked and path.vertices[j] == origin
-        for j, is_marked in enumerate(classify_instants(path), start=1)
-    )
+    return any(is_marked and v == origin for is_marked, v in zip(marks, path.vertices[1:]))
 
 
 def vertex_stats(path: ClosedPath) -> VertexStats:

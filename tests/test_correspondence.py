@@ -20,6 +20,7 @@ from dwigner.path_model import (
     ClosedPath,
     Trajectory,
     canonical_closed_paths,
+    classify_instants,
     count_trajectories,
     enumerate_trajectories,
     has_marked_origin,
@@ -107,6 +108,33 @@ def test_exhaustive_roundtrip_small():
                 assert r.level_p >= 1
             else:
                 assert r.level_p >= 0
+    assert checked > 1000
+
+
+def _reference_to_marked_origin(path):
+    # The rotation written step by step: classify, find the first odd edge,
+    # read the trajectory heights, rotate.
+    if classify_instants(path)[-1]:
+        raise ValueError("last step up")
+    keys = path.edge_keys()
+    odd = [j for j, key in enumerate(keys, start=1) if keys.count(key) % 2 == 1]
+    if not odd:
+        raise ValueError("no odd edge")
+    j = odd[0]
+    level_p = trajectory_of(path).levels()[j - 1]
+    return _rotate(path, j), path.length - j, level_p
+
+
+def test_one_pass_rotation_matches_reference():
+    checked = 0
+    for length in range(1, 9):
+        for path in canonical_closed_paths(length, 4):
+            if not _admissible(path):
+                continue
+            checked += 1
+            r = to_marked_origin(path)
+            image, shift_k, level_p = _reference_to_marked_origin(path)
+            assert (r.image.vertices, r.shift_k, r.level_p) == (image.vertices, shift_k, level_p)
     assert checked > 1000
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dwigner.dyck_stats import (
+    _binomial_row,
     ballot_count,
     bounded_path_count,
     class_count_bound_check,
@@ -83,9 +84,16 @@ def test_ballot_sum_identity():
 
 
 def test_confined_reflection_equals_transfer():
-    for m in range(0, 11):
-        for ceiling in range(1, 2 * m + 3):
-            assert confined_dyck_count(m, ceiling) == bounded_path_count(2 * m, ceiling, 0)
+    cases = [(m, ceiling) for m in range(0, 11) for ceiling in range(1, 2 * m + 3)]
+    cases += [(60, ceiling) for ceiling in (1, 2, 3, 5, 10, 30, 59, 60, 100)]
+    for m, ceiling in cases:
+        expected = bounded_path_count(2 * m, ceiling, 0)
+        assert confined_dyck_count(m, ceiling) == expected, (m, ceiling)
+
+
+def test_binomial_row_equals_comb():
+    for n in [*range(0, 65), 100, 200, 400, 800, 900, 1800]:
+        assert _binomial_row(n) == tuple(math.comb(n, k) for k in range(n + 1)), n
 
 
 def test_max_level_pmf_examples():

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dwigner.correspondence
 import dwigner.path_model
 from dwigner.cli import main as cli_main
+from dwigner.correspondence import CorrespondenceResult
 from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of
 from dwigner.experiments import (
     _CHECKS,
@@ -266,6 +268,23 @@ def test_verify_battery_reports_a_crashed_check():
     assert "error" in rec["counterexample"]
 
 
+def test_verify_battery_catches_a_wrong_rotation_shift(monkeypatch):
+    # an off-by-one shift_k from the rotation must fail the round-trip check
+    real = dwigner.correspondence.to_marked_origin
+
+    def shifted(path):
+        r = real(path)
+        return CorrespondenceResult(image=r.image, shift_k=r.shift_k + 1, level_p=r.level_p)
+
+    monkeypatch.setattr(dwigner.correspondence, "to_marked_origin", shifted)
+    code, report = run_combinatorics_verify(
+        {"correspondence_length": 6, "correspondence_vertices": 3})
+    assert code == 1
+    (rec,) = report["records"]
+    assert rec["check"] == "correspondence_roundtrip"
+    assert rec["pass"] is False
+
+
 def test_verify_check_table_uses_every_limit():
     keys = [key for _, _, check_keys in _CHECKS for key in check_keys]
     assert sorted(keys) == sorted(DEFAULT_VERIFY_LIMITS)
@@ -388,6 +407,19 @@ def test_cli_bad_input_exits_2_with_one_line(args, capsys):
     assert err.splitlines()[-1].startswith("dwigner: error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["--lemma73-s", "0"],
+    ["--lemma77-grid", "25", "0"],
+], ids=["verify-limit", "verify-grid"])
+def test_cli_verify_limit_below_one_exits_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify-combinatorics", *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"error: argument {args[0]}: must be >= 1, got 0")
+
+
 def test_cli_config_values_obey_flag_choices(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=10\nsamples=2\nlaw=uniform-symmetric\n")
@@ -396,3 +428,14 @@ def test_cli_config_values_obey_flag_choices(tmp_path, capsys):
     assert exc.value.code == 2
     assert "law='uniform-symmetric': choose from gaussian, rademacher, uniform" in (
         capsys.readouterr().err)
+
+
+def test_cli_config_type_error_names_key_and_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=abc\nsamples=2\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["census", "--config", str(cfg)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"dwigner: error: {cfg}: config n='abc': expected int"
+

@@ -9,6 +9,7 @@ from dwigner.path_model import (
     ClosedPath,
     EnumerationLimitError,
     Trajectory,
+    canonical_closed_paths,
     classify_instants,
     count_trajectories,
     count_trajectories_factorial,
@@ -20,6 +21,7 @@ from dwigner.path_model import (
     path_to_string,
     path_type,
     random_closed_path,
+    tally_edges,
     trajectory_from_string,
     trajectory_of,
     trajectory_to_string,
@@ -130,6 +132,17 @@ def test_marked_origin():
     # {1,2,1}: instants land on 2 (marked) and 1 (unmarked)
     assert not has_marked_origin(ClosedPath((1, 2, 1), 2))
     assert not has_marked_origin(NINE_PATH)
+    # a held trajectory gives the same answer
+    for path in canonical_closed_paths(6, 4):
+        assert has_marked_origin(path, trajectory_of(path)) == has_marked_origin(path)
+
+
+def test_tally_edges_counts_and_marks():
+    keys, counts, marks = tally_edges(NINE_PATH)
+    assert keys == NINE_PATH.edge_keys()
+    assert marks == classify_instants(NINE_PATH)
+    assert counts == {(1, 2): 2, (1, 3): 2, (3, 4): 1, (4, 5): 1, (5, 6): 1, (3, 6): 1}
+    assert list(counts) == list(dict.fromkeys(keys))  # first-traversal order
 
 
 def test_vertex_stats_examples():
