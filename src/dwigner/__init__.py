@@ -13,7 +13,6 @@ from .ensembles import (
 )
 from .spectral import (
     EigensolverError,
-    FluctuationSample,
     Spectrum,
     eigenvalues,
     interlacing_check,
@@ -24,16 +23,12 @@ from .spectral import (
 )
 from .path_model import (
     ClosedPath,
-    PathType,
     Trajectory,
     classify_instants,
     count_trajectories,
     enumerate_trajectories,
-    is_simple,
     last_step_split,
-    path_type,
     trajectory_of,
-    vertex_stats,
 )
 from .correspondence import (
     CorrespondenceResult,
@@ -51,7 +46,6 @@ from .dyck_stats import (
     bounded_path_count,
     class_count_bound_check,
     dyck_decompose,
-    level_returns,
     max_level_distribution,
     tail_bound_check,
 )

@@ -171,9 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rec['check']}: {'pass' if rec['pass'] else 'FAIL'}")
     else:
         for key in sorted(report["summary"]):
-            value = report["summary"][key]
-            if not isinstance(value, dict):
-                print(f"{key}: {value}")
+            print(f"{key}: {report['summary'][key]}")
     return report["exit_code"]
 
 

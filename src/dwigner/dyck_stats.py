@@ -24,7 +24,6 @@ __all__ = [
     "max_level_distribution",
     "tail_bound_check",
     "class_count_bound_check",
-    "level_returns",
 ]
 
 
@@ -61,12 +60,6 @@ class DyckDecomposition:
     def block_lengths(self) -> tuple[int, ...]:
         return tuple(b.length for b in self.blocks)
 
-    @property
-    def induced_class(self) -> tuple[int, ...]:
-        """Half-lengths of the nonempty blocks, in order (the class of the
-        concatenated Dyck path)."""
-        return tuple(b.length // 2 for b in self.blocks if b.length > 0)
-
     def reconstruct(self) -> Trajectory:
         steps: list[int] = list(self.blocks[0].steps)
         for rise, block in zip(self.rises, self.blocks[1:]):
@@ -77,33 +70,24 @@ class DyckDecomposition:
 
 def dyck_decompose(x: Trajectory) -> DyckDecomposition:
     """Split a trajectory at its rise levels: each rise climbs to the lowest
-    level the path never falls below afterwards."""
-    heights = x.levels()
-    length = x.length
-    last_zero = max(t for t in range(length + 1) if heights[t] == 0)
-    blocks = [Trajectory.from_steps(x.steps[:last_zero])]
+    level the path never falls below afterwards.
+
+    One pass records the last visit of every level. After leaving level
+    h - 1 for good the path steps up to h; the block at h runs from there to
+    the last visit of h. A rise passes every level whose block is empty and
+    ends at the first level with a nonempty block, or at the end level.
+    """
+    last_visit = {h: t for t, h in enumerate(x.levels())}
+    blocks = [Trajectory.from_steps(x.steps[:last_visit[0]])]
     rises: list[int] = []
-    cur_level = 0
-    cur_time = last_zero
-    total = x.end_level
-    while cur_time < length:
-        down_levels = [
-            heights[t]
-            for t in range(cur_time + 1, length + 1)
-            if x.steps[t - 1] == -1
-        ]
-        if not down_levels:
-            rises.append(total - cur_level)
-            blocks.append(Trajectory.from_steps(()))
-            cur_time = length
-            break
-        level = min(down_levels)
-        rises.append(level - cur_level)
-        t_first = next(t for t in range(cur_time, length + 1) if heights[t] == level)
-        t_last = max(t for t in range(cur_time, length + 1) if heights[t] == level)
-        blocks.append(Trajectory.from_steps(x.steps[t_first:t_last]))
-        cur_level = level
-        cur_time = t_last
+    rise = 0
+    for h in range(1, x.end_level + 1):
+        rise += 1
+        start = last_visit[h - 1] + 1
+        if last_visit[h] > start or h == x.end_level:
+            rises.append(rise)
+            blocks.append(Trajectory.from_steps(x.steps[start:last_visit[h]]))
+            rise = 0
     decomp = DyckDecomposition(p_prime=len(rises), rises=tuple(rises), blocks=tuple(blocks))
     assert decomp.reconstruct().steps == x.steps
     return decomp
@@ -322,29 +306,3 @@ def _log_fraction(x: Fraction) -> float:
     # log of a positive rational with huge terms, without overflowing floats
     return math.log(x.numerator) - math.log(x.denominator)
 
-
-def level_returns(x: Trajectory, j: int) -> tuple[bool, int]:
-    """Detect j-fold level returns from above, and count returns to zero.
-
-    The first component is True when some level is visited at least ``j``
-    times without the path going below it in between; the second counts the
-    strictly positive times at which the path sits at level zero.
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    heights = x.levels()
-    length = x.length
-    zeros = sum(1 for t in range(1, length + 1) if heights[t] == 0)
-    for start in range(1, length + 1):
-        base = heights[start]
-        visits = 1
-        if visits >= j:
-            return True, zeros
-        for t in range(start + 1, length + 1):
-            if heights[t] < base:
-                break
-            if heights[t] == base:
-                visits += 1
-                if visits >= j:
-                    return True, zeros
-    return False, zeros

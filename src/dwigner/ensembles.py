@@ -13,11 +13,10 @@ concurrently or in what order.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,23 +172,12 @@ class EnsembleConfig:
         base.update(kwargs)
         return EnsembleConfig.create(**base)
 
-    @cached_property
-    def config_hash(self) -> str:
-        canon = (
-            f"n={self.n};sigma={self.sigma!r};theta={self.theta!r};"
-            f"diag={self.diag_sigma!r};sym={self.symmetry.value};"
-            f"law={self.law.kind};seed={self.master_seed}"
-        )
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class MatrixSample:
-    """A sampled Hermitian/symmetric matrix with its provenance."""
+    """A sampled Hermitian/symmetric matrix."""
 
-    dim: int
     entries: np.ndarray = field(repr=False)
-    provenance: tuple[str, int]
 
     def is_hermitian(self) -> bool:
         return bool(np.array_equal(self.entries, self.entries.conj().T))
@@ -283,7 +271,7 @@ def sample_wigner(config: EnsembleConfig, sample_index: int) -> MatrixSample:
         w[_upper_indices(n)] = off
     w = w + w.conj().T
     w[_diag_indices(n)] = _draw_symmetric(kind, rng, n, config.diag_sigma)
-    return MatrixSample(dim=n, entries=w, provenance=(config.config_hash, sample_index))
+    return MatrixSample(entries=w)
 
 
 def sample_deformed(config: EnsembleConfig, sample_index: int) -> MatrixSample:
@@ -291,5 +279,5 @@ def sample_deformed(config: EnsembleConfig, sample_index: int) -> MatrixSample:
     w = sample_wigner(config, sample_index)
     # A has the constant entry theta / n, so adding it is a scalar shift.
     m = w.entries / math.sqrt(config.n) + config.theta / config.n
-    return MatrixSample(dim=config.n, entries=m, provenance=w.provenance)
+    return MatrixSample(entries=m)
 

@@ -29,7 +29,6 @@ from .ensembles import (
 from .moment_oracle import (
     MomentModel,
     exact_trace_expectation,
-    oracle_record,
     trace_universality_probe,
 )
 from .spectral import (
@@ -78,6 +77,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
         if self.top_k > self.base.n:
             raise ValueError("top_k must be <= n")
         if not self.t_scale > 0:
@@ -173,11 +174,9 @@ def _sample_records(rows, names) -> list[dict]:
 
 
 def _report(command: str, records: list[dict], summary: dict, exit_code: int) -> dict:
-    """Runner report: the records followed by the scalar summary records, sorted by key."""
+    """Runner report: the records followed by the summary records, sorted by key."""
     records.extend(
-        {"sample": "summary", "statistic": key, "value": summary[key]}
-        for key in sorted(summary)
-        if not isinstance(summary[key], dict)
+        {"sample": "summary", "statistic": key, "value": summary[key]} for key in sorted(summary)
     )
     return {
         "command": command,
@@ -210,6 +209,9 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
     transition: two-sample KS of n^{2/3}(lambda_j - 2 sigma) for j <= top_k
     against the Gaussian-law baseline ensemble, plus a pure Wigner (theta=0)
     baseline below the transition; the critical run is labeled descriptive.
+    Each baseline draws the sample indices that follow the previous
+    ensemble's (``n_samples + i``, then ``2 n_samples + i``), so no two
+    ensembles of a run share a stream.
     """
     base = cfg.base
     regime = regime_of(base.theta, base.sigma)
@@ -236,13 +238,13 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
         )
         worst = ks.statistic
     else:
-        def edge_stats(config: EnsembleConfig) -> list:
-            edge_regime = regime_of(config.theta, config.sigma)
+        def edge_stats(config: EnsembleConfig, first: int) -> list:
             return _draws(cfg, lambda i: rescaled_fluctuation(
-                eigenvalues(sample_deformed(config, i)), edge_regime, config.n, cfg.top_k).edge_u)
+                eigenvalues(sample_deformed(config, first + i)), config.sigma, config.n,
+                cfg.top_k))
 
-        primary = edge_stats(base)
-        second = edge_stats(cfg.baseline or base.with_params(law="gaussian"))
+        primary = edge_stats(base, 0)
+        second = edge_stats(cfg.baseline or base.with_params(law="gaussian"), cfg.n_samples)
         names = [f"edge_u_{j}" for j in range(1, cfg.top_k + 1)]
         records = _sample_records(primary, names) + _sample_records(
             second, [f"baseline_{name}" for name in names])
@@ -252,7 +254,7 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
             summary[f"ks_two_sample_{j + 1}"] = ks.statistic
             worst = max(worst, ks.statistic)
         if regime.label == "subcritical":
-            third = edge_stats(base.with_params(theta=0.0))
+            third = edge_stats(base.with_params(theta=0.0), 2 * cfg.n_samples)
             for j in range(cfg.top_k):
                 ks = ks_statistic([u[j] for u in primary], [u[j] for u in third])
                 summary[f"ks_vs_wigner_{j + 1}"] = ks.statistic
@@ -266,6 +268,14 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
 # trace growth
 
 
+TRACE_T_GRID = (0.5, 1.0, 2.0)
+
+
+def _even_trace(ratios: np.ndarray, s: int) -> float:
+    """Tr (M/rho)^{2s} from the eigenvalue ratios lambda_j / rho."""
+    return float(np.sum(ratios ** (2 * s)))
+
+
 def trace_exp_residual(
     spectrum: Spectrum, rho: float, n: int, t: float
 ) -> tuple[float, float, float]:
@@ -277,7 +287,7 @@ def trace_exp_residual(
     """
     s = math.floor(t * math.sqrt(n))
     ratios = spectrum.values / rho
-    even = float(np.sum(ratios ** (2 * s)))
+    even = _even_trace(ratios, s)
     odd = float(np.sum(ratios ** (2 * s + 1)))
     cutoff = float(n) ** (1.0 / 6.0)
     sqrt_n = math.sqrt(n)
@@ -290,8 +300,9 @@ def trace_exp_residual(
     return eps, exp_sum, even
 
 
-def run_trace_growth(cfg: ExperimentConfig, t_grid: tuple[float, ...] = (0.5, 1.0, 2.0)) -> dict:
-    """Trace-versus-exponential-sum residuals in the supercritical regime."""
+def run_trace_growth(cfg: ExperimentConfig) -> dict:
+    """Trace-versus-exponential-sum residuals in the supercritical regime, plus
+    the mean even trace at each scale of ``TRACE_T_GRID``."""
     base = cfg.base
     regime = regime_of(base.theta, base.sigma)
     if regime.label != "supercritical":
@@ -302,8 +313,9 @@ def run_trace_growth(cfg: ExperimentConfig, t_grid: tuple[float, ...] = (0.5, 1.
     def one(i: int):
         spec = eigenvalues(sample_deformed(base, i))
         eps, exp_sum, _ = trace_exp_residual(spec, rho, base.n, t_main)
+        ratios = spec.values / rho
         grid_traces = tuple(
-            trace_exp_residual(spec, rho, base.n, t)[2] for t in t_grid
+            _even_trace(ratios, math.floor(t * math.sqrt(base.n))) for t in TRACE_T_GRID
         )
         return eps, exp_sum, grid_traces
 
@@ -317,7 +329,7 @@ def run_trace_growth(cfg: ExperimentConfig, t_grid: tuple[float, ...] = (0.5, 1.
         "mean_exp_sum": mean_exp_sum,
         "residual_ratio": mean_abs_eps / mean_exp_sum,
     }
-    for k, t in enumerate(t_grid):
+    for k, t in enumerate(TRACE_T_GRID):
         summary[f"mean_trace_t_{t}"] = math.fsum(r[2][k] for r in rows) / len(rows)
     return _report("trace-growth", _sample_records(rows, ("eps", "exp_sum")), summary, 0)
 
@@ -334,20 +346,17 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
     shift = base.theta / base.n
 
     def one(i: int):
-        w = sample_wigner(base, i)
-        base_entries = w.entries / sqrt_n
-        base_spec = eigenvalues(MatrixSample(dim=w.dim, entries=base_entries,
-                                             provenance=w.provenance))
-        spec = eigenvalues(MatrixSample(dim=w.dim, entries=base_entries + shift,
-                                        provenance=w.provenance))
+        base_entries = sample_wigner(base, i).entries / sqrt_n
+        base_spec = eigenvalues(MatrixSample(entries=base_entries))
+        spec = eigenvalues(MatrixSample(entries=base_entries + shift))
         ks = ks_statistic(
             np.asarray(spec.values, dtype=np.float64),
             lambda x: semicircle_cdf(x, base.sigma),
             mode="one-sample-semicircle",
         )
-        inter = interlacing_check(spec, base_spec)
+        violations = interlacing_check(spec, base_spec)
         census = outlier_census(spec, base.theta, base.sigma, base.n) if supercritical else (0, 0)
-        return (ks.statistic, inter.violations, float(spec.values[0])) + census
+        return (ks.statistic, violations, float(spec.values[0])) + census
 
     rows = _draws(cfg, one)
     names = ["esd_ks", "interlacing_violations", "lambda_1"]
@@ -402,6 +411,8 @@ def mc_trace_moments(
 
 def run_oracle_compare(cfg: ExperimentConfig, power: int) -> dict:
     """Monte Carlo trace moments against the exact path-sum oracle."""
+    if cfg.n_samples < 2:
+        raise ValueError("oracle comparison needs at least 2 samples for a standard error")
     base = cfg.base
     model = MomentModel.from_config(base)
     oracle = exact_trace_expectation(base.n, power, model, base.theta)
@@ -430,10 +441,6 @@ def run_oracle_compare(cfg: ExperimentConfig, power: int) -> dict:
         "z_score": z,
         "within_4_se": z <= 4.0,
         "probe_decreasing": probe["decreasing"],
-        "record": oracle_record(
-            base.n, power, base.theta, base.sigma, base.law.kind,
-            base.symmetry.value, oracle,
-        ),
     }
     return _report("oracle-compare", records, summary, 0 if summary["within_4_se"] else 1)
 

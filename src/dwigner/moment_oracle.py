@@ -34,7 +34,6 @@ __all__ = [
     "AsymptoticPredictions",
     "asymptotic_predictions",
     "trace_universality_probe",
-    "oracle_record",
 ]
 
 SHAPE_SUM_GUARD = 100_000_000
@@ -66,10 +65,6 @@ class MomentModel:
             diag_sigma=config.diag_sigma,
             max_order=max_order,
         )
-
-    @property
-    def beta_bound(self) -> float:
-        return self.law.beta
 
     def offdiag_joint(self, a: int, b: int) -> float:
         """E[W**a * conj(W)**b] for one off-diagonal entry (real values).
@@ -389,17 +384,3 @@ def trace_universality_probe(
         "all_finite": all(math.isfinite(d) for d in deltas),
     }
 
-
-def oracle_record(
-    n: int, power: int, theta: float, sigma: float, law: str, symmetry: str, value: float
-) -> dict:
-    """JSON-ready record of one oracle evaluation."""
-    return {
-        "n": n,
-        "L": power,
-        "theta": theta,
-        "sigma": sigma,
-        "law": law,
-        "symmetry": symmetry,
-        "value": value,
-    }

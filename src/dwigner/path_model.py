@@ -15,13 +15,9 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
-import numpy as np
-
 __all__ = [
     "ClosedPath",
     "Trajectory",
-    "PathType",
-    "VertexStats",
     "EnumerationLimitError",
     "tally_edges",
     "classify_instants",
@@ -31,14 +27,9 @@ __all__ = [
     "nonneg_walks",
     "count_trajectories_factorial",
     "last_step_split",
-    "path_type",
-    "is_simple",
     "has_marked_origin",
-    "vertex_stats",
-    "random_closed_path",
     "canonical_closed_paths",
     "path_to_string",
-    "path_from_string",
     "trajectory_to_string",
     "trajectory_from_string",
 ]
@@ -111,34 +102,6 @@ class Trajectory:
     def levels(self) -> tuple[int, ...]:
         """Heights x(0), ..., x(L)."""
         return tuple(accumulate(self.steps, initial=0))
-
-
-@dataclass(frozen=True)
-class PathType:
-    """Self-intersection type: counts[k] = number of k-fold marked vertices."""
-
-    counts: tuple[int, ...]
-    ambient_n: int
-
-    @property
-    def max_type(self) -> int:
-        for k in range(len(self.counts) - 1, -1, -1):
-            if self.counts[k] > 0:
-                return k
-        return 0
-
-    @property
-    def total_self_intersections(self) -> int:
-        # M = sum_{k>=2} (k-1) N_k
-        return sum((k - 1) * c for k, c in enumerate(self.counts) if k >= 2)
-
-
-@dataclass(frozen=True)
-class VertexStats:
-    max_type: int
-    max_marked_out_degree: int
-    nonclosed: frozenset[int]
-    odd_edge_count: int
 
 
 def tally_edges(
@@ -226,98 +189,12 @@ def last_step_split(m: int, l: int) -> tuple[int, int]:
     return up, down
 
 
-def _marked_occurrences(path: ClosedPath) -> dict[int, int]:
-    """Vertex -> number of marked instants landing on it."""
-    marked = classify_instants(path)
-    counts: dict[int, int] = {}
-    for j, is_marked in enumerate(marked, start=1):
-        if is_marked:
-            v = path.vertices[j]
-            counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
-def path_type(path: ClosedPath) -> PathType:
-    """Type (N_0, ..., N_{l+m}); vertices never marked (origin included when
-    unmarked) land in N_0."""
-    occ = _marked_occurrences(path)
-    n_marked = sum(occ.values())
-    counts = [0] * (n_marked + 1)
-    for v in range(1, path.ambient_n + 1):
-        counts[occ.get(v, 0)] += 1
-    return PathType(counts=tuple(counts), ambient_n=path.ambient_n)
-
-
-def is_simple(path: ClosedPath) -> bool:
-    """True when no marked instant revisits an already-marked vertex."""
-    marked_vertices: set[int] = set()
-    for j, is_marked in enumerate(classify_instants(path), start=1):
-        if not is_marked:
-            continue
-        v = path.vertices[j]
-        if v in marked_vertices:
-            return False
-        marked_vertices.add(v)
-    return True
-
-
 def has_marked_origin(path: ClosedPath, traj: Trajectory | None = None) -> bool:
     """True when some marked instant lands on the origin. A caller holding
     ``traj = trajectory_of(path)`` passes it to skip classifying again."""
     marks = classify_instants(path) if traj is None else [s == 1 for s in traj.steps]
     origin = path.vertices[0]
     return any(is_marked and v == origin for is_marked, v in zip(marks, path.vertices[1:]))
-
-
-def vertex_stats(path: ClosedPath) -> VertexStats:
-    marked = classify_instants(path)
-    verts = path.vertices
-    occ = _marked_occurrences(path)
-    max_type = max(occ.values(), default=0)
-
-    out_degree: dict[int, int] = {}
-    for j, is_marked in enumerate(marked, start=1):
-        if is_marked:
-            v = verts[j - 1]
-            out_degree[v] = out_degree.get(v, 0) + 1
-    max_out = max(out_degree.values(), default=0)
-
-    # Non-closed vertices: at some unmarked instant leaving v, more than one
-    # odd-multiplicity incident edge was available to return along.
-    self_intersections = {v for v, c in occ.items() if c >= 2}
-    parity: dict[tuple[int, int], int] = {}
-    nonclosed: set[int] = set()
-    for a, is_marked, key in zip(verts, marked, path.edge_keys()):
-        if not is_marked and a in self_intersections:
-            open_here = sum(
-                1
-                for (x, y), c in parity.items()
-                if c % 2 == 1 and (x == a or y == a)
-            )
-            if open_here > 1:
-                nonclosed.add(a)
-        parity[key] = parity.get(key, 0) + 1
-
-    odd_edges = sum(1 for c in parity.values() if c % 2 == 1)
-    return VertexStats(
-        max_type=max_type,
-        max_marked_out_degree=max_out,
-        nonclosed=frozenset(nonclosed),
-        odd_edge_count=odd_edges,
-    )
-
-
-def random_closed_path(
-    n_vertices: int, length: int, rng: np.random.Generator, ambient_n: int | None = None
-) -> ClosedPath:
-    """Uniform closed path: free vertices i_0..i_{L-1}, rejected until closed."""
-    if length < 1 or n_vertices < 1:
-        raise ValueError("need length >= 1 and n_vertices >= 1")
-    ambient = n_vertices if ambient_n is None else ambient_n
-    while True:
-        verts = [int(v) + 1 for v in rng.integers(0, n_vertices, length + 1)]
-        if verts[-1] == verts[0]:
-            return ClosedPath(vertices=tuple(verts), ambient_n=ambient)
 
 
 def canonical_closed_paths(length: int, max_vertices: int):
@@ -345,11 +222,6 @@ def canonical_closed_paths(length: int, max_vertices: int):
 
 def path_to_string(path: ClosedPath) -> str:
     return ",".join(str(v) for v in path.vertices)
-
-
-def path_from_string(text: str, ambient_n: int | None = None) -> ClosedPath:
-    verts = tuple(int(tok) for tok in text.strip().split(","))
-    return ClosedPath(vertices=verts, ambient_n=max(verts) if ambient_n is None else ambient_n)
 
 
 def trajectory_to_string(traj: Trajectory) -> str:

@@ -2,7 +2,7 @@
 
 Everything downstream consumes eigenvalues only, so this module exposes a
 single full decomposition plus trace-of-power helpers, the rank-one
-interlacing check and the edge/outlier rescalings.
+interlacing check, the top-k edge rescaling and the outlier census.
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import MatrixSample, Regime, RegimeError
+from .ensembles import MatrixSample, RegimeError
 
 __all__ = [
     "Spectrum",
-    "FluctuationSample",
-    "InterlacingReport",
     "EigensolverError",
     "eigenvalues",
     "trace_power",
@@ -37,36 +35,6 @@ class Spectrum:
     """Eigenvalues sorted descending."""
 
     values: np.ndarray = field(repr=False)
-    dim: int
-
-
-@dataclass(frozen=True)
-class FluctuationSample:
-    """Rescaled eigenvalue statistics of one spectrum.
-
-    ``xi`` and ``sqrt_n_dev`` are populated only in the supercritical regime
-    (they rescale around the outlier location rho_theta); ``tau`` rescales the
-    negative eigenvalues around ``-2 sigma`` and ``edge_u`` the top ``k``
-    around ``+2 sigma``.
-    """
-
-    xi: tuple[float, ...] | None
-    sqrt_n_dev: tuple[float, ...] | None
-    tau: tuple[float, ...]
-    edge_u: tuple[float, ...]
-
-    def require_xi(self) -> tuple[float, ...]:
-        if self.xi is None:
-            raise RegimeError("supercritical statistics requested in non-supercritical regime")
-        return self.xi
-
-
-@dataclass(frozen=True)
-class InterlacingReport:
-    ok: bool
-    violations: int
-    max_violation: float
-    slack: float
 
 
 def _require_hermitian(m: MatrixSample) -> None:
@@ -86,7 +54,7 @@ def eigenvalues(m: MatrixSample) -> Spectrum:
         vals = np.linalg.eigvalsh(m.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return Spectrum(values=np.ascontiguousarray(vals[::-1]), dim=m.dim)
+    return Spectrum(values=np.ascontiguousarray(vals[::-1]))
 
 
 def trace_power(obj: Spectrum | MatrixSample, power: int) -> float:
@@ -107,59 +75,34 @@ def trace_power_dense(m: MatrixSample, power: int) -> float:
     return float(np.trace(acc).real)
 
 
-def interlacing_check(deformed: Spectrum, base: Spectrum) -> InterlacingReport:
-    """Check lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... for a rank-one shift.
+def interlacing_check(deformed: Spectrum, base: Spectrum) -> int:
+    """Count violations of lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... for a rank-one shift.
 
     ``deformed`` must come from ``W/sqrt(n) + A`` and ``base`` from the same
     draw's ``W/sqrt(n)``. Comparisons carry a slack proportional to the
     spectral radius to absorb eigensolver round-off.
     """
-    if deformed.dim != base.dim:
-        raise ValueError("spectra have different dimensions")
     lam = deformed.values
     mu = base.values
+    if lam.shape != mu.shape:
+        raise ValueError("spectra have different dimensions")
     radius = max(float(np.max(np.abs(lam))), float(np.max(np.abs(mu))), 0.0)
     slack = 1e-8 * (1.0 + radius)
-    worst = 0.0
     violations = 0
-    for i in range(deformed.dim):
-        gap = mu[i] - lam[i]  # require lam_i >= mu_i
-        if gap > slack:
+    for i in range(len(lam)):
+        if mu[i] - lam[i] > slack:  # require lam_i >= mu_i
             violations += 1
-        worst = max(worst, gap)
-        if i + 1 < deformed.dim:
-            gap = lam[i + 1] - mu[i]  # require mu_i >= lam_{i+1}
-            if gap > slack:
-                violations += 1
-            worst = max(worst, gap)
-    return InterlacingReport(ok=violations == 0, violations=violations,
-                             max_violation=max(worst, 0.0), slack=slack)
+        if i + 1 < len(lam) and lam[i + 1] - mu[i] > slack:  # require mu_i >= lam_{i+1}
+            violations += 1
+    return violations
 
 
-def rescaled_fluctuation(spectrum: Spectrum, regime: Regime, n: int, k: int) -> FluctuationSample:
-    """Rescale eigenvalues into the fluctuation coordinates of the regime.
-
-    Positive eigenvalues map to ``xi_j`` through
-    ``lambda_j = rho_theta (1 + xi_j / (2 sqrt(n)))`` (supercritical only),
-    negative ones to ``tau_j = n^{2/3} (lambda_j + 2 sigma)``, and the top
-    ``k`` to ``u_j = n^{2/3} (lambda_j - 2 sigma)``.
-    """
+def rescaled_fluctuation(spectrum: Spectrum, sigma: float, n: int, k: int) -> tuple[float, ...]:
+    """Top ``k`` edge statistics ``u_j = n^{2/3} (lambda_j - 2 sigma)``."""
     if k > n:
         raise ValueError("k must be <= n")
-    lam = spectrum.values
-    sqrt_n = math.sqrt(n)
     n23 = float(n) ** (2.0 / 3.0)
-    sigma = regime.sigma
-    xi = None
-    sqrt_n_dev = None
-    if regime.label == "supercritical":
-        rho = regime.rho_theta
-        positives = [float(v) for v in lam if v > 0]
-        xi = tuple(2.0 * sqrt_n * (v / rho - 1.0) for v in positives)
-        sqrt_n_dev = tuple(sqrt_n * (v - rho) for v in positives)
-    tau = tuple(n23 * (float(v) + 2.0 * sigma) for v in lam if v < 0)
-    edge_u = tuple(n23 * (float(lam[j]) - 2.0 * sigma) for j in range(min(k, spectrum.dim)))
-    return FluctuationSample(xi=xi, sqrt_n_dev=sqrt_n_dev, tau=tau, edge_u=edge_u)
+    return tuple(n23 * (float(v) - 2.0 * sigma) for v in spectrum.values[:k])
 
 
 def outlier_census(spectrum: Spectrum, theta: float, sigma: float, n: int) -> tuple[int, int]:

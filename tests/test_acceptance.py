@@ -263,7 +263,7 @@ def test_criterion_11_even_trace_leading_order():
 
     def one(i):
         w = sample_wigner(cfg, i)
-        m = MatrixSample(dim=n, entries=w.entries / math.sqrt(n), provenance=w.provenance)
+        m = MatrixSample(entries=w.entries / math.sqrt(n))
         spec = eigenvalues(m)
         return trace_power(spec, 16), trace_power(spec, 17)
 

@@ -10,11 +10,11 @@ from dwigner.dyck_stats import (
     class_count_bound_check,
     confined_dyck_count,
     dyck_decompose,
-    level_returns,
     max_level_distribution,
     tail_bound_check,
 )
 from dwigner.path_model import (
+    Trajectory,
     enumerate_trajectories,
     trajectory_from_string,
     trajectory_to_string,
@@ -48,9 +48,35 @@ def test_decompose_roundtrip_exhaustive():
                 assert all(r >= 1 for r in d.rises)
 
 
-def test_decompose_induced_class():
-    d = dyck_decompose(trajectory_from_string("UDUUDUD"))
-    assert sum(d.induced_class) * 2 == sum(d.block_lengths)
+def reference_dyck_decompose(x):
+    """Rises and blocks by rescanning the remaining heights at every rise."""
+    heights = x.levels()
+    length = x.length
+    last_zero = max(t for t in range(length + 1) if heights[t] == 0)
+    blocks = [Trajectory.from_steps(x.steps[:last_zero])]
+    rises = []
+    cur_level, cur_time = 0, last_zero
+    while cur_time < length:
+        down_levels = [heights[t] for t in range(cur_time + 1, length + 1) if x.steps[t - 1] == -1]
+        if not down_levels:
+            rises.append(x.end_level - cur_level)
+            blocks.append(Trajectory.from_steps(()))
+            break
+        level = min(down_levels)
+        rises.append(level - cur_level)
+        t_first = next(t for t in range(cur_time, length + 1) if heights[t] == level)
+        t_last = max(t for t in range(cur_time, length + 1) if heights[t] == level)
+        blocks.append(Trajectory.from_steps(x.steps[t_first:t_last]))
+        cur_level, cur_time = level, t_last
+    return tuple(rises), tuple(blocks)
+
+
+def test_decompose_matches_rescanning_reference():
+    for total in range(1, 17):
+        for m in range(0, total // 2 + 1):
+            for x in enumerate_trajectories(m, total - 2 * m):
+                d = dyck_decompose(x)
+                assert (d.rises, d.blocks) == reference_dyck_decompose(x)
 
 
 def test_bounded_count_examples():
@@ -162,14 +188,3 @@ def test_class_count_bound():
     # l = 0 term is an equality with prefactor 1, so c0 only binds for l >= 2
     r1 = class_count_bound_check(1)
     assert r1["pass"]
-
-
-def test_level_returns_examples():
-    assert level_returns(trajectory_from_string("UDUD"), 2) == (True, 2)
-    assert level_returns(trajectory_from_string("UUDD"), 2) == (True, 1)
-    held, zeros = level_returns(trajectory_from_string("UDUDUD"), 3)
-    assert held and zeros == 3
-    held, _ = level_returns(trajectory_from_string("UUUU"), 2)
-    assert not held
-    with pytest.raises(ValueError):
-        level_returns(trajectory_from_string("UD"), 0)

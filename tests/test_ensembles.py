@@ -28,7 +28,7 @@ def make_config(**kwargs):
 def test_one_by_one_is_real_and_symmetric(law, symmetry):
     cfg = make_config(n=1, law=law, symmetry=symmetry)
     w = sample_wigner(cfg, 0)
-    assert w.dim == 1
+    assert w.entries.shape == (1, 1)
     assert w.entries[0, 0].imag == 0.0 if np.iscomplexobj(w.entries) else True
     assert w.is_hermitian()
 

@@ -136,6 +136,9 @@ def test_experiment_config_validation():
         ExperimentConfig(base=base, n_samples=0)
     with pytest.raises(ValueError):
         ExperimentConfig(base=base, n_samples=5, top_k=11)
+    for top_k in (0, -1):
+        with pytest.raises(ValueError):
+            ExperimentConfig(base=base, n_samples=5, top_k=top_k)
     with pytest.raises(ValueError):
         ExperimentConfig(base=base, n_samples=5, output_format="xml")
 
@@ -144,7 +147,7 @@ def test_trace_exp_residual_single_outlier():
     # single eigenvalue at rho, the rest at zero: both routes give exactly 1
     rho = 2.5
     values = np.array([rho] + [0.0] * 9)
-    spec = Spectrum(values=values, dim=10)
+    spec = Spectrum(values=values)
     eps, exp_sum, even = trace_exp_residual(spec, rho, 10, 1.0)
     assert even == pytest.approx(1.0)
     assert exp_sum == pytest.approx(1.0)
@@ -156,7 +159,14 @@ def test_run_fluctuations_theta_zero_self_baseline():
                                  symmetry="complex", master_seed=12)
     cfg = ExperimentConfig(base=base, n_samples=40, baseline=base)
     rep = run_fluctuations(cfg)
-    assert rep["summary"]["ks_two_sample_1"] == 0.0
+    # the baseline draws its own streams, so an explicit self-baseline is an
+    # independent sample of the same law, not a copy of the primary
+    values = {}
+    for r in rep["records"]:
+        values.setdefault(r["statistic"], []).append(r["value"])
+    assert len(values["edge_u_1"]) == len(values["baseline_edge_u_1"]) == 40
+    assert not set(values["edge_u_1"]) & set(values["baseline_edge_u_1"])
+    assert rep["summary"]["ks_two_sample_1"] > 0.0
     assert rep["summary"]["regime"] == "subcritical"
 
 
@@ -184,8 +194,7 @@ def test_run_trace_growth_requires_supercritical():
 def test_trace_growth_bounded_over_t_grid():
     base = EnsembleConfig.create(n=100, sigma=1.0, theta=2.0, law="gaussian",
                                  symmetry="complex", master_seed=17)
-    rep = run_trace_growth(ExperimentConfig(base=base, n_samples=40),
-                           t_grid=(0.5, 1.0, 2.0))
+    rep = run_trace_growth(ExperimentConfig(base=base, n_samples=40))
     means = [rep["summary"][f"mean_trace_t_{t}"] for t in (0.5, 1.0, 2.0)]
     # a common constant bounds the normalized traces on the compact t-grid
     assert all(math.isfinite(v) and 0.0 < v < 20.0 for v in means)
@@ -223,7 +232,6 @@ def test_run_oracle_compare_smoke():
     assert rep["summary"]["within_4_se"]
     assert rep["summary"]["probe_decreasing"]
     assert rep["exit_code"] == 0
-    assert rep["summary"]["record"]["law"] == "uniform-symmetric"
 
 
 def test_verify_battery_empty_is_noop_pass():
@@ -397,7 +405,15 @@ def test_cli_verify_fast(tmp_path):
     ["trace-growth", "--theta", "0.5", "--n", "10", "--samples", "2"],
     ["oracle-compare", "--L", "0", "--n", "3", "--samples", "10"],
     ["oracle-compare", "--n", "100", "--L", "14", "--samples", "10"],
-], ids=["wrong-regime", "zero-power", "oracle-guard"])
+    # no KS test would run, so a pass would be vacuous
+    ["fluctuations", "--theta", "0.5", "--top-k", "0", "--ks-threshold", "0.01",
+     "--n", "10", "--samples", "2"],
+    ["fluctuations", "--theta", "0.5", "--top-k", "-1", "--ks-threshold", "0.01",
+     "--n", "10", "--samples", "2"],
+    # one sample has no standard error to compare against
+    ["oracle-compare", "--n", "3", "--samples", "1"],
+], ids=["wrong-regime", "zero-power", "oracle-guard", "top-k-zero", "top-k-negative",
+        "one-oracle-sample"])
 def test_cli_bad_input_exits_2_with_one_line(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(args)
@@ -405,6 +421,7 @@ def test_cli_bad_input_exits_2_with_one_line(args, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("dwigner: error: ")
+    assert sum(line.startswith("dwigner: error: ") for line in err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("args", [

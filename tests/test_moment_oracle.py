@@ -14,7 +14,6 @@ from dwigner.moment_oracle import (
     asymptotic_predictions,
     edge_moment,
     exact_trace_expectation,
-    oracle_record,
     symbolic_trace_expectation,
     trace_universality_probe,
 )
@@ -232,7 +231,3 @@ def test_asymptotic_even_term_forms():
     assert p.even_term / p.even_term_stirling == pytest.approx(1.0, abs=0.2)
     assert asymptotic_predictions(3, 0.0, 1.0, 100).rho_power is None
 
-
-def test_oracle_record_schema():
-    rec = oracle_record(3, 4, 2.0, 1.0, "gaussian", "complex-hermitian", 39.7)
-    assert set(rec) == {"n", "L", "theta", "sigma", "law", "symmetry", "value"}

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,20 +16,29 @@ from dwigner.path_model import (
     count_trajectories_factorial,
     enumerate_trajectories,
     has_marked_origin,
-    is_simple,
     last_step_split,
-    path_from_string,
     path_to_string,
-    path_type,
-    random_closed_path,
     tally_edges,
     trajectory_from_string,
     trajectory_of,
     trajectory_to_string,
-    vertex_stats,
 )
 
 NINE_PATH = ClosedPath(vertices=(1, 2, 1, 3, 4, 5, 6, 3, 1), ambient_n=6)
+
+
+def random_closed_path(n_vertices, length, rng):
+    """Uniform closed path: free vertices i_0..i_{L-1}, rejected until closed."""
+    while True:
+        verts = [int(v) + 1 for v in rng.integers(0, n_vertices, length + 1)]
+        if verts[-1] == verts[0]:
+            return ClosedPath(vertices=tuple(verts), ambient_n=n_vertices)
+
+
+def odd_edge_count(path):
+    """Edges traversed an odd number of times, counted over unordered vertex pairs."""
+    counts = Counter(frozenset(pair) for pair in zip(path.vertices, path.vertices[1:]))
+    return sum(1 for c in counts.values() if c % 2 == 1)
 
 
 def marks_of(path):
@@ -109,23 +119,6 @@ def test_last_step_split_matches_enumeration():
             assert last_step_split(m, l) == (ups, downs)
 
 
-def test_path_type_examples():
-    t = path_type(ClosedPath((1, 2, 1), 5))
-    assert t.counts[0] == 4 and t.counts[1] == 1
-
-    t2 = path_type(ClosedPath((1, 2, 3, 1), 5))
-    assert t2.counts[0] == 2 and t2.counts[1] == 3
-
-    t3 = path_type(NINE_PATH)
-    assert (t3.counts[0], t3.counts[1], t3.counts[2]) == (1, 4, 1)
-
-
-def test_is_simple():
-    assert is_simple(ClosedPath((1, 2, 3, 1), 3))
-    assert is_simple(ClosedPath((1, 2, 1), 2))
-    assert not is_simple(ClosedPath((1, 2, 1, 2, 1), 2))
-
-
 def test_marked_origin():
     # origin 1 is marked at instant 3 of the triangle
     assert has_marked_origin(ClosedPath((1, 2, 3, 1), 3))
@@ -145,19 +138,11 @@ def test_tally_edges_counts_and_marks():
     assert list(counts) == list(dict.fromkeys(keys))  # first-traversal order
 
 
-def test_vertex_stats_examples():
-    s = vertex_stats(ClosedPath((1, 2, 1), 2))
-    assert s.max_type == 1 and s.nonclosed == frozenset() and s.odd_edge_count == 0
-
-    assert vertex_stats(ClosedPath((1, 2, 3, 1), 3)).odd_edge_count == 3
-
-    s9 = vertex_stats(NINE_PATH)
-    assert s9.odd_edge_count == 4
-    assert s9.odd_edge_count == trajectory_of(NINE_PATH).end_level
-    # vertex 3 is hit twice at marked instants with several open edges at its
-    # unmarked departure
-    assert s9.max_type == 2
-    assert 3 in s9.nonclosed
+def test_odd_edge_count_examples():
+    # the end level l of the trajectory is the number of odd-multiplicity edges
+    for path, odd in ((ClosedPath((1, 2, 1), 2), 0), (ClosedPath((1, 2, 3, 1), 3), 3),
+                      (NINE_PATH, 4)):
+        assert odd_edge_count(path) == trajectory_of(path).end_level == odd
 
 
 def test_random_path_invariants_bulk():
@@ -167,13 +152,10 @@ def test_random_path_invariants_bulk():
         n_verts = int(rng.integers(1, 6))
         p = random_closed_path(n_verts, length, rng)
         traj = trajectory_of(p)
-        t = path_type(p)
         l, m = traj.end_level, traj.down_steps
         assert l + 2 * m == length
-        assert sum(t.counts) == p.ambient_n
-        assert sum(k * c for k, c in enumerate(t.counts)) == l + m
         assert sum(classify_instants(p)) == l + m
-        assert vertex_stats(p).odd_edge_count == l
+        assert odd_edge_count(p) == l
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=9))
@@ -182,16 +164,15 @@ def test_path_properties_hypothesis(interior):
     verts = tuple([1] + interior + [1])
     p = ClosedPath(vertices=verts, ambient_n=4)
     traj = trajectory_of(p)
-    assert traj.end_level >= 0
-    assert traj.end_level == vertex_stats(p).odd_edge_count
-    t = path_type(p)
-    assert sum(t.counts) == 4
-    assert sum(k * c for k, c in enumerate(t.counts)) == traj.end_level + traj.down_steps
+    l, m = traj.end_level, traj.down_steps
+    assert l >= 0
+    assert l + 2 * m == p.length
+    assert sum(classify_instants(p)) == l + m
+    assert odd_edge_count(p) == l
 
 
 def test_serialization_round_trips():
     assert path_to_string(NINE_PATH) == "1,2,1,3,4,5,6,3,1"
-    assert path_from_string("1,2,1", ambient_n=2).vertices == (1, 2, 1)
     t = trajectory_from_string("UUDU")
     assert trajectory_to_string(t) == "UUDU"
     with pytest.raises(ValueError):

@@ -24,12 +24,12 @@ from dwigner.spectral import (
 
 def matrix_of(arr):
     arr = np.asarray(arr, dtype=np.float64)
-    return MatrixSample(dim=arr.shape[0], entries=arr, provenance=("test", 0))
+    return MatrixSample(entries=arr)
 
 
 def spectrum_of(values):
     vals = np.asarray(sorted(values, reverse=True), dtype=np.float64)
-    return Spectrum(values=vals, dim=len(vals))
+    return Spectrum(values=vals)
 
 
 def test_swap_matrix_eigenvalues():
@@ -47,7 +47,7 @@ def test_trace_invariance_random_sample():
                                 symmetry="complex", master_seed=1)
     m = sample_deformed(cfg, 0)
     s = eigenvalues(m)
-    bound = 1e-10 * m.dim * float(np.max(np.abs(m.entries)))
+    bound = 1e-10 * m.entries.shape[0] * float(np.max(np.abs(m.entries)))
     assert abs(math.fsum(s.values) - float(np.trace(m.entries).real)) <= bound
     assert np.all(np.diff(s.values) <= 0)
 
@@ -83,8 +83,7 @@ def test_permutation_invariance():
     m = sample_deformed(cfg, 0)
     rng = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
     perm = rng.permutation(20)
-    permuted = MatrixSample(dim=20, entries=m.entries[np.ix_(perm, perm)],
-                            provenance=("test", 0))
+    permuted = MatrixSample(entries=m.entries[np.ix_(perm, perm)])
     assert np.allclose(eigenvalues(m).values, eigenvalues(permuted).values, atol=1e-10)
 
 
@@ -93,12 +92,12 @@ def test_interlacing_zero_wigner():
     n, theta = 5, 2.0
     deformed = eigenvalues(matrix_of(np.full((n, n), theta / n)))
     base = spectrum_of([0.0] * n)
-    assert interlacing_check(deformed, base).ok
+    assert interlacing_check(deformed, base) == 0
 
 
 def test_interlacing_identical_spectra():
     s = spectrum_of([3.0, 1.0, -2.0])
-    assert interlacing_check(s, s).ok
+    assert interlacing_check(s, s) == 0
 
 
 def test_interlacing_paired_draws():
@@ -106,17 +105,16 @@ def test_interlacing_paired_draws():
                                 symmetry="complex", master_seed=11)
     for i in range(20):
         w = sample_wigner(cfg, i)
-        scaled = MatrixSample(dim=50, entries=w.entries / math.sqrt(50), provenance=("t", i))
-        deformed = MatrixSample(dim=50, entries=scaled.entries + cfg.theta / 50,
-                                provenance=("t", i))
-        assert interlacing_check(eigenvalues(deformed), eigenvalues(scaled)).ok
+        scaled = MatrixSample(entries=w.entries / math.sqrt(50))
+        deformed = MatrixSample(entries=scaled.entries + cfg.theta / 50)
+        assert interlacing_check(eigenvalues(deformed), eigenvalues(scaled)) == 0
 
 
 def test_interlacing_detects_violation():
     deformed = spectrum_of([1.0, 0.5])
     base = spectrum_of([2.0, 0.0])
-    report = interlacing_check(deformed, base)
-    assert not report.ok and report.max_violation > 0.9
+    # mu_1 = 2.0 exceeds lam_1 = 1.0; every other inequality holds
+    assert interlacing_check(deformed, base) == 1
 
 
 def test_interlacing_dimension_mismatch():
@@ -126,32 +124,22 @@ def test_interlacing_dimension_mismatch():
 
 def test_rescaled_fluctuation_supercritical():
     n = 100
-    reg = regime_of(2.0, 1.0)
-    rho = reg.rho_theta
+    rho = regime_of(2.0, 1.0).rho_theta
     s = spectrum_of([rho] + [0.1] * (n - 1))
-    fl = rescaled_fluctuation(s, reg, n, 1)
-    assert fl.sqrt_n_dev[0] == pytest.approx(0.0, abs=1e-12)
-    assert fl.xi[0] == pytest.approx(0.0, abs=1e-12)
-
-    s2 = spectrum_of([rho * (1 + 1 / (2 * math.sqrt(n)))] + [0.1] * (n - 1))
-    fl2 = rescaled_fluctuation(s2, reg, n, 1)
-    assert fl2.xi[0] == pytest.approx(1.0)
-    # lambda recoverable from xi
-    lam = rho * (1 + fl2.xi[0] / (2 * math.sqrt(n)))
-    assert lam == pytest.approx(float(s2.values[0]), rel=1e-14)
+    (u,) = rescaled_fluctuation(s, 1.0, n, 1)
+    assert u == pytest.approx(n ** (2 / 3) * (rho - 2.0), rel=1e-14)
+    with pytest.raises(ValueError):
+        rescaled_fluctuation(s, 1.0, n, n + 1)
 
 
 def test_rescaled_fluctuation_subcritical():
     n = 64
-    reg = regime_of(0.5, 1.0)
     s = spectrum_of([2.0] + [0.0] * 3 + [-1.0])
-    fl = rescaled_fluctuation(s, reg, n, 2)
-    assert fl.edge_u[0] == pytest.approx(0.0, abs=1e-12)
-    assert fl.xi is None
-    with pytest.raises(RegimeError):
-        fl.require_xi()
-    # tau rescales negative eigenvalues around -2 sigma
-    assert fl.tau[0] == pytest.approx(n ** (2 / 3) * (-1.0 + 2.0))
+    u = rescaled_fluctuation(s, 1.0, n, 2)
+    # the top eigenvalue sits at the edge 2 sigma, the next one at 0
+    assert u == pytest.approx((0.0, n ** (2 / 3) * (0.0 - 2.0)), abs=1e-12)
+    # the sigma scale moves the edge
+    assert rescaled_fluctuation(s, 0.5, n, 1) == pytest.approx((n ** (2 / 3) * 1.0,))
 
 
 def test_outlier_census():
