@@ -116,8 +116,6 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         t_scale=settings.get("t_scale", 1.0),
         top_k=settings.get("top_k", 1),
         baseline=baseline,
-        output_path=settings.get("out"),
-        output_format=settings.get("format", "csv"),
         workers=settings.get("workers", 1),
         ks_threshold=settings.get("ks_threshold"),
     )
@@ -160,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                 report = run_spectrum_census(cfg)
             else:
                 report = run_oracle_compare(cfg, settings.get("L", 4))
-            out, fmt = cfg.output_path, cfg.output_format
+            out, fmt = settings.get("out"), settings.get("format", "csv")
         if out:
             write_report(report, out, fmt)
     except (ValueError, OSError) as exc:

@@ -135,7 +135,7 @@ def trajectory_surgery(x_prime: Trajectory, p: int, cut_time: int) -> Trajectory
     if any(h < l - 1 for h in heights[cut_time:]):
         raise ValueError("trajectory dips below l - 1 after the cut")
     out_steps = steps[:cut_time] + (1,) + tuple(-s for s in reversed(steps[cut_time:length - 1]))
-    out = Trajectory.from_steps(out_steps)
+    out = Trajectory(out_steps)
     # Sanity: class bookkeeping and the first-hitting marker property.
     assert out.end_level == l + 2 * p
     assert out.down_steps == x_prime.down_steps - p
@@ -278,4 +278,4 @@ def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:
             steps.append(-1)
             downs -= 1
             h -= 1
-    return Trajectory.from_steps(steps)
+    return Trajectory(tuple(steps))

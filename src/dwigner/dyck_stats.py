@@ -37,12 +37,11 @@ class DyckDecomposition:
     exact.
     """
 
-    p_prime: int
     rises: tuple[int, ...]
     blocks: tuple[Trajectory, ...]
 
     def __post_init__(self) -> None:
-        if len(self.rises) != self.p_prime or len(self.blocks) != self.p_prime + 1:
+        if len(self.blocks) != len(self.rises) + 1:
             raise ValueError("need p_prime rises and p_prime + 1 blocks")
         if any(r < 1 for r in self.rises):
             raise ValueError("rises must be positive")
@@ -51,6 +50,10 @@ class DyckDecomposition:
         for b in self.blocks[1:-1]:
             if b.length == 0:
                 raise ValueError("interior blocks must be nonempty")
+
+    @property
+    def p_prime(self) -> int:
+        return len(self.rises)
 
     @property
     def end_level(self) -> int:
@@ -65,7 +68,7 @@ class DyckDecomposition:
         for rise, block in zip(self.rises, self.blocks[1:]):
             steps.extend([1] * rise)
             steps.extend(block.steps)
-        return Trajectory.from_steps(steps)
+        return Trajectory(tuple(steps))
 
 
 def dyck_decompose(x: Trajectory) -> DyckDecomposition:
@@ -78,7 +81,7 @@ def dyck_decompose(x: Trajectory) -> DyckDecomposition:
     ends at the first level with a nonempty block, or at the end level.
     """
     last_visit = {h: t for t, h in enumerate(x.levels())}
-    blocks = [Trajectory.from_steps(x.steps[:last_visit[0]])]
+    blocks = [Trajectory(x.steps[:last_visit[0]])]
     rises: list[int] = []
     rise = 0
     for h in range(1, x.end_level + 1):
@@ -86,9 +89,9 @@ def dyck_decompose(x: Trajectory) -> DyckDecomposition:
         start = last_visit[h - 1] + 1
         if last_visit[h] > start or h == x.end_level:
             rises.append(rise)
-            blocks.append(Trajectory.from_steps(x.steps[start:last_visit[h]]))
+            blocks.append(Trajectory(x.steps[start:last_visit[h]]))
             rise = 0
-    decomp = DyckDecomposition(p_prime=len(rises), rises=tuple(rises), blocks=tuple(blocks))
+    decomp = DyckDecomposition(rises=tuple(rises), blocks=tuple(blocks))
     assert decomp.reconstruct().steps == x.steps
     return decomp
 
@@ -217,51 +220,51 @@ def max_level_distribution(
     return pmf
 
 
-def tail_bound_check(
-    m_grid: list[int],
-    c0: float = 1.0 / 96.0,
-    exp_constants: tuple[float, ...] = (0.5, 1.0, 2.0),
-    families: dict[str, object] | None = None,
-) -> dict:
+# The lemma reports' constants: the Gaussian-tail c0 and exponential-moment C
+# of the maximum-level report, and the c0 of the class-count bound.
+TAIL_C0 = 1.0 / 96.0
+EXP_MOMENT_C = 1.0
+CLASS_BOUND_C0 = 1.0 / 8.0
+
+# Block half-lengths of each maximum-level family: one block, two equal halves.
+_TAIL_FAMILIES = {
+    "single": lambda m: (m,),
+    "halves": lambda m: (m // 2, m - m // 2),
+}
+
+
+def tail_bound_check(m_grid: list[int]) -> dict:
     """Gaussian-tail and exponential-moment report for the maximum level.
 
-    For each m: Q(m) is the largest value of
+    For each m and block family: Q(m) is the largest value of
     ``P(max = k) * sqrt(m) * exp(c0 k^2 / (2 m))`` over ``k >= 4 c0 sqrt(m)``
-    (reported, not asserted against any fixed constant), and ``E[exp(C max /
-    sqrt(m))]`` is evaluated for each C. Families map names to callables
-    ``m -> block half-lengths``; the default runs the single-block family and
-    the two-equal-blocks family.
+    with ``c0 = TAIL_C0`` (reported, not asserted against any fixed
+    constant), and ``E[exp(C max / sqrt(m))]`` is evaluated at
+    ``C = EXP_MOMENT_C``. The families are the single Dyck block and two
+    equal blocks. Exponential moments and spreads are keyed by C.
     """
-    if families is None:
-        families = {
-            "single": lambda m: (m,),
-            "halves": lambda m: (m // 2, m - m // 2),
-        }
+    c0, c = TAIL_C0, EXP_MOMENT_C
     out: dict = {"c0": c0, "families": {}}
-    for name, block_fn in families.items():
+    for name, block_fn in _TAIL_FAMILIES.items():
         rows = []
         for m in m_grid:
-            pmf = max_level_distribution(m, blocks=tuple(block_fn(m)))
+            pmf = max_level_distribution(m, blocks=block_fn(m))
             sqrt_m = math.sqrt(m)
             q = 0.0
             for k, mass in pmf.items():
                 if k >= 4 * c0 * sqrt_m:
                     q = max(q, float(mass) * sqrt_m * math.exp(c0 * k * k / (2.0 * m)))
-            exps = {
-                c: math.fsum(float(mass) * math.exp(c * k / sqrt_m) for k, mass in pmf.items())
-                for c in exp_constants
-            }
-            rows.append({"m": m, "q": q, "exp_moments": exps})
-        ratios = {}
-        for c in exp_constants:
-            vals = [row["exp_moments"][c] for row in rows]
-            ratios[c] = max(vals) / min(vals)
-        out["families"][name] = {"rows": rows, "spread": ratios}
+            exp_moment = math.fsum(
+                float(mass) * math.exp(c * k / sqrt_m) for k, mass in pmf.items())
+            rows.append({"m": m, "q": q, "exp_moments": {c: exp_moment}})
+        vals = [row["exp_moments"][c] for row in rows]
+        out["families"][name] = {"rows": rows, "spread": {c: max(vals) / min(vals)}}
     return out
 
 
-def class_count_bound_check(s: int, c0: float = 1.0 / 8.0) -> dict:
-    """Check T_{m,l} <= (l+1) exp(-c0 l^2 / s) T_{s,0} for all even l <= 2s.
+def class_count_bound_check(s: int) -> dict:
+    """Check T_{m,l} <= (l+1) exp(-c0 l^2 / s) T_{s,0} for all even l <= 2s,
+    with c0 = ``CLASS_BOUND_C0``.
 
     Ratios are exact rationals converted to float only for the comparison
     against the exponential; the report carries the largest constant the
@@ -272,6 +275,7 @@ def class_count_bound_check(s: int, c0: float = 1.0 / 8.0) -> dict:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    c0 = CLASS_BOUND_C0
     t_even = count_trajectories(s, 0)
     best_c0 = math.inf
     ok = True

@@ -14,7 +14,7 @@ concurrently or in what order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -103,8 +103,9 @@ class EntryLaw:
 class EnsembleConfig:
     """Parameters of one deformed ensemble.
 
-    Prefer :meth:`create`, which builds the entry law with the component
-    variance implied by ``sigma`` and the symmetry class.
+    ``law`` names the entry law (one of ``LAW_KINDS``). Prefer
+    :meth:`create`, which accepts symmetry names and defaults ``diag_sigma``
+    to ``sigma``.
     """
 
     n: int
@@ -112,24 +113,23 @@ class EnsembleConfig:
     theta: float
     diag_sigma: float
     symmetry: SymmetryClass
-    law: EntryLaw
+    law: str
     master_seed: int
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        for name in ("sigma", "theta", "diag_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
         if not self.diag_sigma > 0:
             raise ValueError("diag_sigma must be positive")
-        expected = self.sigma**2 / 2 if self.symmetry.is_complex else self.sigma**2
-        if not math.isclose(self.law.component_variance, expected, rel_tol=1e-12):
-            raise ValueError(
-                f"law component variance {self.law.component_variance} does not match "
-                f"sigma={self.sigma} for {self.symmetry.value} (expected {expected})"
-            )
+        if self.law not in LAW_KINDS:
+            raise ValueError(f"unknown entry law {self.law!r}; expected one of {LAW_KINDS}")
 
     @classmethod
     def create(
@@ -147,30 +147,19 @@ class EnsembleConfig:
                 "complex": SymmetryClass.COMPLEX_HERMITIAN,
                 "real": SymmetryClass.REAL_SYMMETRIC,
             }.get(symmetry) or SymmetryClass(symmetry)
-        component_variance = sigma**2 / 2 if symmetry.is_complex else sigma**2
         return cls(
             n=n,
             sigma=sigma,
             theta=theta,
             diag_sigma=sigma if diag_sigma is None else diag_sigma,
             symmetry=symmetry,
-            law=EntryLaw(law, component_variance),
+            law=law,
             master_seed=master_seed,
         )
 
     def with_params(self, **kwargs) -> "EnsembleConfig":
-        """Derived config; rebuilds the law when sigma/symmetry/law change."""
-        base = dict(
-            n=self.n,
-            sigma=self.sigma,
-            theta=self.theta,
-            law=self.law.kind,
-            symmetry=self.symmetry,
-            master_seed=self.master_seed,
-            diag_sigma=self.diag_sigma,
-        )
-        base.update(kwargs)
-        return EnsembleConfig.create(**base)
+        """Copy with the given fields replaced."""
+        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -258,7 +247,7 @@ def sample_wigner(config: EnsembleConfig, sample_index: int) -> MatrixSample:
     """
     rng = _stream(config.master_seed, sample_index)
     n = config.n
-    kind = config.law.kind
+    kind = config.law
     n_off = n * (n - 1) // 2
     if config.symmetry.is_complex:
         comp_std = config.sigma / math.sqrt(2.0)

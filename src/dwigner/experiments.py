@@ -62,15 +62,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run: an ensemble, a sample budget and output wiring."""
+    """One experiment run: an ensemble, a sample budget and the KS gate."""
 
     base: EnsembleConfig
     n_samples: int
     t_scale: float = 1.0
     top_k: int = 1
     baseline: EnsembleConfig | None = None
-    output_path: str | None = None
-    output_format: str = "csv"
     workers: int = 1
     ks_threshold: float | None = None
 
@@ -81,10 +79,12 @@ class ExperimentConfig:
             raise ValueError("top_k must be >= 1")
         if self.top_k > self.base.n:
             raise ValueError("top_k must be <= n")
+        if not math.isfinite(self.t_scale):
+            raise ValueError(f"t_scale must be finite, got {self.t_scale}")
         if not self.t_scale > 0:
             raise ValueError("t_scale must be positive")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output_format must be csv or json")
+        if self.ks_threshold is not None and not math.isfinite(self.ks_threshold):
+            raise ValueError(f"ks_threshold must be finite, got {self.ks_threshold}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -93,7 +93,6 @@ class ExperimentConfig:
 class KSResult:
     statistic: float
     n_effective: int
-    mode: str
 
 
 def gaussian_cdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
@@ -116,7 +115,7 @@ def semicircle_cdf(x: float, sigma: float) -> float:
         + math.asin(u) / math.pi
 
 
-def ks_statistic(sample, reference, mode: str | None = None) -> KSResult:
+def ks_statistic(sample, reference) -> KSResult:
     """Exact sup-distance between empirical CDFs.
 
     ``reference`` is either a CDF callable (one-sample) or a second sample
@@ -133,7 +132,7 @@ def ks_statistic(sample, reference, mode: str | None = None) -> KSResult:
         for i in range(n1):
             f = reference(float(xs[i]))
             stat = max(stat, (i + 1) / n1 - f, f - i / n1)
-        return KSResult(statistic=stat, n_effective=n1, mode=mode or "one-sample")
+        return KSResult(statistic=stat, n_effective=n1)
     ys = np.sort(np.asarray(reference, dtype=np.float64))
     n2 = ys.size
     if n2 == 0:
@@ -145,7 +144,7 @@ def ks_statistic(sample, reference, mode: str | None = None) -> KSResult:
     c2 = np.searchsorted(ys, grid, side="right") / n2
     stat = float(np.max(np.abs(c1 - c2)))
     n_eff = int(round(n1 * n2 / (n1 + n2)))
-    return KSResult(statistic=stat, n_effective=n_eff, mode=mode or "two-sample")
+    return KSResult(statistic=stat, n_effective=n_eff)
 
 
 def _map_indices(fn, indices, workers: int) -> list:
@@ -227,10 +226,10 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
         devs = _draws(cfg, lambda i: math.sqrt(base.n)
                       * (float(eigenvalues(sample_deformed(base, i)).values[0]) - rho))
         records = _sample_records([(d,) for d in devs], ("sqrt_n_dev_1",))
-        ks = ks_statistic(devs, lambda x: gaussian_cdf(x, 0.0, var), mode="one-sample-gaussian")
+        ks = ks_statistic(devs, lambda x: gaussian_cdf(x, 0.0, var))
         summary.update(
             ks_statistic=ks.statistic,
-            ks_mode=ks.mode,
+            ks_mode="one-sample-gaussian",
             n_effective=ks.n_effective,
             limit_variance=var,
             label=label,
@@ -350,10 +349,7 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
         base_spec = eigenvalues(MatrixSample(entries=base_entries))
         spec = eigenvalues(MatrixSample(entries=base_entries + shift))
         ks = ks_statistic(
-            np.asarray(spec.values, dtype=np.float64),
-            lambda x: semicircle_cdf(x, base.sigma),
-            mode="one-sample-semicircle",
-        )
+            np.asarray(spec.values, dtype=np.float64), lambda x: semicircle_cdf(x, base.sigma))
         violations = interlacing_check(spec, base_spec)
         census = outlier_census(spec, base.theta, base.sigma, base.n) if supercritical else (0, 0)
         return (ks.statistic, violations, float(spec.values[0])) + census
@@ -377,19 +373,31 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
 # oracle comparison
 
 
+# Matrix entries stacked per Monte Carlo batch: 2**22 entries are 64 MiB of
+# complex128, and a batch is never more than MC_BATCH_MAX matrices.
+MC_BATCH_ENTRIES = 2**22
+MC_BATCH_MAX = 2048
+
+
+def _mc_batch(n: int) -> int:
+    """Matrices per batch at dimension n: MC_BATCH_MAX up to n = 45, then
+    as many as fit in MC_BATCH_ENTRIES (at least one)."""
+    return min(MC_BATCH_MAX, max(1, MC_BATCH_ENTRIES // n**2))
+
+
 def mc_trace_moments(
     config: EnsembleConfig,
     n_samples: int,
     powers: tuple[int, ...],
     workers: int = 1,
-    batch: int = 2048,
 ) -> dict[int, tuple[float, float]]:
     """Monte Carlo mean and standard error of Tr M**L for each power.
 
-    Samples are stacked per batch and decomposed with one batched eigenvalue
-    call; per-sample values stay tied to their sample index, so the result is
-    independent of batching and worker count.
+    Samples are stacked per batch of ``_mc_batch(n)`` matrices and decomposed
+    with one batched eigenvalue call; per-sample values stay tied to their
+    sample index, so the result is independent of batching and worker count.
     """
+    batch = _mc_batch(config.n)
     starts = list(range(0, n_samples, batch))
 
     def run_batch(start: int) -> np.ndarray:
@@ -571,7 +579,7 @@ def _check_gluing(length: int, vertices: int):
 
 
 def _check_lemma73(s_max: int):
-    params = {"s_max": s_max, "c0": 1.0 / 8.0}
+    params = {"s_max": s_max, "c0": dyck_stats.CLASS_BOUND_C0}
     worst_c0 = math.inf
     for s in range(1, s_max + 1):
         report = dyck_stats.class_count_bound_check(s)
@@ -589,7 +597,7 @@ def _check_lemma77(m_grid: tuple[int, ...]):
     report = dyck_stats.tail_bound_check(list(m_grid))
     params = {"m_grid": list(m_grid), "c0": report["c0"]}
     for family, data in report["families"].items():
-        spread = data["spread"][1.0]
+        spread = data["spread"][dyck_stats.EXP_MOMENT_C]
         params[f"spread_{family}"] = spread
         params[f"q_sup_{family}"] = max(row["q"] for row in data["rows"])
         if spread >= 2.0:

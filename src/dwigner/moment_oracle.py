@@ -17,11 +17,11 @@ variables and applies the moment map term by term.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import path_model
 from .ensembles import EnsembleConfig, EntryLaw, SymmetryClass
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 SHAPE_SUM_GUARD = 100_000_000
+MAX_MOMENT_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -45,25 +46,21 @@ class MomentModel:
 
     ``law`` carries the component law of an off-diagonal entry (complex
     case: each of Re and Im), ``diag_law`` the real diagonal law. Joint
-    moments above ``max_order`` are refused rather than silently computed.
+    moments above ``MAX_MOMENT_ORDER`` are refused rather than silently
+    computed.
     """
 
     symmetry: SymmetryClass
     law: EntryLaw
     diag_law: EntryLaw
-    sigma: float
-    diag_sigma: float
-    max_order: int = 32
 
     @classmethod
-    def from_config(cls, config: EnsembleConfig, max_order: int = 32) -> "MomentModel":
+    def from_config(cls, config: EnsembleConfig) -> "MomentModel":
+        is_complex = config.symmetry.is_complex
         return cls(
             symmetry=config.symmetry,
-            law=config.law,
-            diag_law=EntryLaw(config.law.kind, config.diag_sigma**2),
-            sigma=config.sigma,
-            diag_sigma=config.diag_sigma,
-            max_order=max_order,
+            law=EntryLaw(config.law, config.sigma**2 / 2 if is_complex else config.sigma**2),
+            diag_law=EntryLaw(config.law, config.diag_sigma**2),
         )
 
     def offdiag_joint(self, a: int, b: int) -> float:
@@ -73,49 +70,41 @@ class MomentModel:
         """
         if a < 0 or b < 0:
             raise ValueError("moment orders must be nonnegative")
-        if a + b > self.max_order:
-            raise ValueError(f"moment order {a + b} beyond the model table ({self.max_order})")
-        return self._offdiag_joint_cached(a, b)
-
-    def _offdiag_joint_cached(self, a: int, b: int) -> float:
-        cache = _JOINT_CACHE.setdefault((self.symmetry, self.law), {})
-        key = (a, b)
-        if key not in cache:
-            cache[key] = self._offdiag_joint_compute(a, b)
-        return cache[key]
-
-    def _offdiag_joint_compute(self, a: int, b: int) -> float:
-        if not self.symmetry.is_complex:
-            return self.law.moment(a + b)
-        if (a + b) % 2 == 1:
-            return 0.0
-        # W = X + iY with independent symmetric components:
-        # E[W^a conj(W)^b] = sum_{j,k} C(a,j) C(b,k) i^{a-j} (-i)^{b-k}
-        #                    E[X^{j+k}] E[Y^{(a-j)+(b-k)}]
-        total = 0.0
-        for j in range(a + 1):
-            for k in range(b + 1):
-                rest = (a - j) + (b - k)
-                if (j + k) % 2 == 1 or rest % 2 == 1:
-                    continue
-                phase = (-1) ** (rest // 2) * (-1) ** (b - k)
-                total += (
-                    math.comb(a, j)
-                    * math.comb(b, k)
-                    * phase
-                    * self.law.moment(j + k)
-                    * self.law.moment(rest)
-                )
-        return total
+        if a + b > MAX_MOMENT_ORDER:
+            raise ValueError(f"moment order {a + b} beyond the model table ({MAX_MOMENT_ORDER})")
+        return _offdiag_joint(self.symmetry, self.law, a, b)
 
     def diag_moment(self, order: int) -> float:
         """E[W_ii**order] for the real diagonal entry."""
-        if order > self.max_order:
-            raise ValueError(f"moment order {order} beyond the model table ({self.max_order})")
+        if order > MAX_MOMENT_ORDER:
+            raise ValueError(f"moment order {order} beyond the model table ({MAX_MOMENT_ORDER})")
         return self.diag_law.moment(order)
 
 
-_JOINT_CACHE: dict = {}
+@functools.cache
+def _offdiag_joint(symmetry: SymmetryClass, law: EntryLaw, a: int, b: int) -> float:
+    if not symmetry.is_complex:
+        return law.moment(a + b)
+    if (a + b) % 2 == 1:
+        return 0.0
+    # W = X + iY with independent symmetric components:
+    # E[W^a conj(W)^b] = sum_{j,k} C(a,j) C(b,k) i^{a-j} (-i)^{b-k}
+    #                    E[X^{j+k}] E[Y^{(a-j)+(b-k)}]
+    total = 0.0
+    for j in range(a + 1):
+        for k in range(b + 1):
+            rest = (a - j) + (b - k)
+            if (j + k) % 2 == 1 or rest % 2 == 1:
+                continue
+            phase = (-1) ** (rest // 2) * (-1) ** (b - k)
+            total += (
+                math.comb(a, j)
+                * math.comb(b, k)
+                * phase
+                * law.moment(j + k)
+                * law.moment(rest)
+            )
+    return total
 
 
 def edge_moment(
@@ -193,7 +182,7 @@ def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float
     for shape in path_model.canonical_closed_paths(power, max_vertices):
         signatures[_path_signature(shape.vertices[:-1])] += math.perm(n, shape.ambient_n)
 
-    @lru_cache(maxsize=None)
+    @functools.cache
     def edge_factor(a: int, b: int, diag: bool) -> float:
         if diag:
             return edge_moment(model, a + b, 0, True, theta, n)
@@ -304,11 +293,6 @@ class AsymptoticPredictions:
     even_term_stirling: float
     odd_edge_class_ratio: float
     odd_edge_marked_only_ratio: float
-    critical_target: float = 0.5
-    subcritical_target: float = 0.0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def asymptotic_predictions(s: int, theta: float, sigma: float, n: int) -> AsymptoticPredictions:

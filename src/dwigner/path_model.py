@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, pairwise
 
 __all__ = [
@@ -74,22 +75,16 @@ class Trajectory:
     """Nonnegative +-1 walk; +1 per marked instant, -1 per unmarked."""
 
     steps: tuple[int, ...]
-    end_level: int
 
     def __post_init__(self) -> None:
         if not {-1, 1}.issuperset(self.steps):
             raise ValueError("steps must be +-1")
-        heights = list(accumulate(self.steps, initial=0))
-        if min(heights) < 0:
+        if min(accumulate(self.steps, initial=0)) < 0:
             raise ValueError("trajectory dips below zero")
-        h = heights[-1]
-        if h != self.end_level:
-            raise ValueError(f"end level mismatch: sum {h} != declared {self.end_level}")
 
-    @classmethod
-    def from_steps(cls, steps) -> "Trajectory":
-        steps = tuple(steps)
-        return cls(steps=steps, end_level=sum(steps))
+    @cached_property
+    def end_level(self) -> int:
+        return sum(self.steps)
 
     @property
     def length(self) -> int:
@@ -126,7 +121,7 @@ def classify_instants(path: ClosedPath) -> list[bool]:
 
 def trajectory_of(path: ClosedPath) -> Trajectory:
     steps = tuple(1 if marked else -1 for marked in classify_instants(path))
-    return Trajectory.from_steps(steps)
+    return Trajectory(steps)
 
 
 def count_trajectories(m: int, l: int) -> int:
@@ -165,7 +160,7 @@ def enumerate_trajectories(m: int, l: int) -> list[Trajectory]:
 
     def rec(ups: int, downs: int, height: int) -> None:
         if ups == 0 and downs == 0:
-            out.append(Trajectory(steps=tuple(steps), end_level=l))
+            out.append(Trajectory(tuple(steps)))
             return
         if ups > 0:
             steps.append(1)
@@ -189,12 +184,11 @@ def last_step_split(m: int, l: int) -> tuple[int, int]:
     return up, down
 
 
-def has_marked_origin(path: ClosedPath, traj: Trajectory | None = None) -> bool:
-    """True when some marked instant lands on the origin. A caller holding
-    ``traj = trajectory_of(path)`` passes it to skip classifying again."""
-    marks = classify_instants(path) if traj is None else [s == 1 for s in traj.steps]
+def has_marked_origin(path: ClosedPath, traj: Trajectory) -> bool:
+    """True when some marked instant lands on the origin; ``traj`` is
+    ``trajectory_of(path)``."""
     origin = path.vertices[0]
-    return any(is_marked and v == origin for is_marked, v in zip(marks, path.vertices[1:]))
+    return any(step == 1 and v == origin for step, v in zip(traj.steps, path.vertices[1:]))
 
 
 def canonical_closed_paths(length: int, max_vertices: int):
@@ -232,4 +226,4 @@ def trajectory_from_string(text: str) -> Trajectory:
     text = text.strip().upper()
     if any(ch not in "UD" for ch in text):
         raise ValueError("trajectory string must contain only U and D")
-    return Trajectory.from_steps(1 if ch == "U" else -1 for ch in text)
+    return Trajectory(tuple(1 if ch == "U" else -1 for ch in text))

@@ -88,13 +88,9 @@ def interlacing_check(deformed: Spectrum, base: Spectrum) -> int:
         raise ValueError("spectra have different dimensions")
     radius = max(float(np.max(np.abs(lam))), float(np.max(np.abs(mu))), 0.0)
     slack = 1e-8 * (1.0 + radius)
-    violations = 0
-    for i in range(len(lam)):
-        if mu[i] - lam[i] > slack:  # require lam_i >= mu_i
-            violations += 1
-        if i + 1 < len(lam) and lam[i + 1] - mu[i] > slack:  # require mu_i >= lam_{i+1}
-            violations += 1
-    return violations
+    below = np.count_nonzero(mu - lam > slack)  # require lam_i >= mu_i
+    above = np.count_nonzero(lam[1:] - mu[:-1] > slack)  # require mu_i >= lam_{i+1}
+    return int(below + above)
 
 
 def rescaled_fluctuation(spectrum: Spectrum, sigma: float, n: int, k: int) -> tuple[float, ...]:

@@ -38,7 +38,7 @@ def test_worked_example():
     assert r.level_p == 1
     image_traj = trajectory_of(r.image)
     assert image_traj.steps[-1] == 1
-    assert has_marked_origin(r.image)
+    assert has_marked_origin(r.image, image_traj)
     assert (image_traj.down_steps, image_traj.end_level) == (2, 4)
     assert edge_multiset(r.image) == edge_multiset(NINE_PATH)
     assert from_marked_origin(r).vertices == NINE_PATH.vertices
@@ -95,7 +95,7 @@ def test_exhaustive_roundtrip_small():
             src_traj = trajectory_of(path)
             img_traj = trajectory_of(r.image)
             assert img_traj.steps[-1] == 1
-            assert has_marked_origin(r.image)
+            assert has_marked_origin(r.image, img_traj)
             assert (img_traj.end_level, img_traj.down_steps) == (
                 src_traj.end_level, src_traj.down_steps)
             assert edge_multiset(r.image) == edge_multiset(path)
@@ -104,7 +104,7 @@ def test_exhaustive_roundtrip_small():
             assert key not in seen
             seen[key] = path.vertices
             # unmarked origin forces level_p >= 1
-            if not has_marked_origin(path):
+            if not has_marked_origin(path, src_traj):
                 assert r.level_p >= 1
             else:
                 assert r.level_p >= 0

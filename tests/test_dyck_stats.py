@@ -53,20 +53,20 @@ def reference_dyck_decompose(x):
     heights = x.levels()
     length = x.length
     last_zero = max(t for t in range(length + 1) if heights[t] == 0)
-    blocks = [Trajectory.from_steps(x.steps[:last_zero])]
+    blocks = [Trajectory(x.steps[:last_zero])]
     rises = []
     cur_level, cur_time = 0, last_zero
     while cur_time < length:
         down_levels = [heights[t] for t in range(cur_time + 1, length + 1) if x.steps[t - 1] == -1]
         if not down_levels:
             rises.append(x.end_level - cur_level)
-            blocks.append(Trajectory.from_steps(()))
+            blocks.append(Trajectory(()))
             break
         level = min(down_levels)
         rises.append(level - cur_level)
         t_first = next(t for t in range(cur_time, length + 1) if heights[t] == level)
         t_last = max(t for t in range(cur_time, length + 1) if heights[t] == level)
-        blocks.append(Trajectory.from_steps(x.steps[t_first:t_last]))
+        blocks.append(Trajectory(x.steps[t_first:t_last]))
         cur_level, cur_time = level, t_last
     return tuple(rises), tuple(blocks)
 
@@ -167,22 +167,24 @@ def test_max_level_guard():
 
 
 def test_tail_bound_report():
-    rep = tail_bound_check([25, 100], exp_constants=(1.0,))
+    rep = tail_bound_check([25, 100])
+    assert rep["c0"] == 1.0 / 96.0
     for family in ("single", "halves"):
         rows = rep["families"][family]["rows"]
         assert all(math.isfinite(r["q"]) for r in rows)
         spread = rep["families"][family]["spread"][1.0]
         assert spread < 2.0
-    # degenerate m=1: the maximum is 1 with probability one
-    one = tail_bound_check([1], exp_constants=(0.5, 1.0, 2.0))
-    row = one["families"]["single"]["rows"][0]
-    for c in (0.5, 1.0, 2.0):
-        assert row["exp_moments"][c] == pytest.approx(math.exp(c))
+    # degenerate m=1: the maximum is 1 with probability one, so E[exp(C max)] = e at C = 1
+    one = tail_bound_check([1])
+    for family in ("single", "halves"):
+        (row,) = one["families"][family]["rows"]
+        assert row["exp_moments"] == {1.0: pytest.approx(math.e)}
 
 
 def test_class_count_bound():
     r = class_count_bound_check(50)
     assert r["pass"] and not r["failures"]
+    assert r["c0"] == 1.0 / 8.0
     assert r["largest_supported_c0"] >= 1.0 / 8.0
     assert r["monotone_normalized"]
     # l = 0 term is an equality with prefactor 1, so c0 only binds for l >= 2

@@ -8,7 +8,6 @@ from dwigner.ensembles import (
     EnsembleConfig,
     EntryLaw,
     RegimeError,
-    SymmetryClass,
     regime_of,
     sample_deformed,
     sample_wigner,
@@ -156,11 +155,17 @@ def test_validation_errors():
         make_config(sigma=-1.0)
     with pytest.raises(ValueError):
         make_config(theta=-0.1)
-    with pytest.raises(ValueError):
-        # component variance inconsistent with sigma for the symmetry class
-        EnsembleConfig(n=3, sigma=1.0, theta=0.0, diag_sigma=1.0,
-                       symmetry=SymmetryClass.COMPLEX_HERMITIAN,
-                       law=EntryLaw("gaussian", 1.0), master_seed=0)
+    with pytest.raises(ValueError, match="unknown entry law 'poisson'"):
+        make_config(law="poisson")
+    with pytest.raises(ValueError, match="unknown entry law 'poisson'"):
+        make_config().with_params(law="poisson")
+
+
+@pytest.mark.parametrize("name", ["sigma", "theta", "diag_sigma"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_rejected(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+        make_config(**{name: bad})
 
 
 def test_diag_sigma_default_and_override():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dwigner.correspondence
+import dwigner.experiments
 import dwigner.path_model
 from dwigner.cli import main as cli_main
 from dwigner.correspondence import CorrespondenceResult
@@ -16,10 +17,13 @@ from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of
 from dwigner.experiments import (
     _CHECKS,
     DEFAULT_VERIFY_LIMITS,
+    MC_BATCH_ENTRIES,
     ExperimentConfig,
+    _mc_batch,
     gaussian_cdf,
     ks_statistic,
     load_config_file,
+    mc_trace_moments,
     render_csv,
     render_json,
     run_combinatorics_verify,
@@ -88,7 +92,7 @@ def test_ks_statistic_basics():
     assert ks_statistic(xs, xs).statistic == 0.0
     single = ks_statistic([0.0], lambda x: gaussian_cdf(x))
     assert single.statistic == pytest.approx(0.5)
-    assert single.mode == "one-sample"
+    assert single.n_effective == 1
     with pytest.raises(ValueError):
         ks_statistic([], xs)
 
@@ -139,8 +143,11 @@ def test_experiment_config_validation():
     for top_k in (0, -1):
         with pytest.raises(ValueError):
             ExperimentConfig(base=base, n_samples=5, top_k=top_k)
-    with pytest.raises(ValueError):
-        ExperimentConfig(base=base, n_samples=5, output_format="xml")
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_scale must be finite"):
+            ExperimentConfig(base=base, n_samples=5, t_scale=bad)
+        with pytest.raises(ValueError, match="ks_threshold must be finite"):
+            ExperimentConfig(base=base, n_samples=5, ks_threshold=bad)
 
 
 def test_trace_exp_residual_single_outlier():
@@ -232,6 +239,26 @@ def test_run_oracle_compare_smoke():
     assert rep["summary"]["within_4_se"]
     assert rep["summary"]["probe_decreasing"]
     assert rep["exit_code"] == 0
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_mc_trace_moments_bit_identical_across_batch_sizes(monkeypatch, symmetry):
+    cfg = EnsembleConfig.create(n=4, sigma=1.0, theta=2.0, law="rademacher",
+                                symmetry=symmetry, master_seed=8)
+    results = []
+    for batch, workers in ((2048, 1), (1, 1), (7, 2), (4096, 1), (5000, 1)):
+        monkeypatch.setattr(dwigner.experiments, "_mc_batch", lambda n, b=batch: b)
+        results.append(mc_trace_moments(cfg, 300, (2, 3, 4), workers=workers))
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_mc_batch_is_bounded_by_the_entry_budget():
+    # small matrices keep the full batch, large ones shrink it to the budget
+    assert _mc_batch(4) == _mc_batch(45) == 2048
+    assert _mc_batch(46) < 2048
+    for n in (46, 100, 1000, 2048):
+        assert 1 <= _mc_batch(n) and _mc_batch(n) * n * n <= MC_BATCH_ENTRIES
+    assert _mc_batch(10_000) == 1
 
 
 def test_verify_battery_empty_is_noop_pass():
@@ -334,6 +361,9 @@ def run_cli(*args):
 def test_cli_usage_error_exit_code():
     proc = run_cli("fluctuations", "--law", "cauchy")
     assert proc.returncode == 2
+    # the output format is checked by the command line alone
+    proc = run_cli("census", "--format", "xml")
+    assert proc.returncode == 2
 
 
 def test_cli_census_with_config_file(tmp_path):
@@ -422,6 +452,25 @@ def test_cli_bad_input_exits_2_with_one_line(args, capsys):
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("dwigner: error: ")
     assert sum(line.startswith("dwigner: error: ") for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args,name", [
+    (["trace-growth", "--theta", "2", "--t-scale", "inf"], "t_scale"),
+    (["fluctuations", "--theta", "inf"], "theta"),
+    (["fluctuations", "--theta", "nan"], "theta"),
+    (["census", "--sigma", "inf"], "sigma"),
+    (["fluctuations", "--theta", "2", "--ks-threshold", "nan"], "ks_threshold"),
+    (["fluctuations", "--theta", "2", "--ks-threshold", "inf"], "ks_threshold"),
+], ids=["t-scale-inf", "theta-inf", "theta-nan", "sigma-inf", "ks-threshold-nan",
+        "ks-threshold-inf"])
+def test_cli_non_finite_value_exits_2_naming_it(args, name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args + ["--n", "10", "--samples", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert not any("Traceback" in line for line in err)
+    assert [line for line in err if "error:" in line] == [
+        f"dwigner: error: {name} must be finite, got {args[-1]}"]
 
 
 @pytest.mark.parametrize("args", [

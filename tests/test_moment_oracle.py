@@ -49,7 +49,7 @@ def test_joint_moment_symmetries():
             assert m.offdiag_joint(2, 1) == pytest.approx(0.0, abs=1e-12)
             assert m.offdiag_joint(1, 1) == pytest.approx(1.0, rel=1e-12)  # sigma^2
             assert m.diag_moment(1) == 0.0
-            assert m.diag_moment(2) == pytest.approx(m.diag_sigma**2, rel=1e-12)
+            assert m.diag_moment(2) == pytest.approx(1.0, rel=1e-12)  # diag_sigma^2
 
 
 def test_moment_order_guard():

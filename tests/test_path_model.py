@@ -62,9 +62,13 @@ def test_trajectory_examples():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        Trajectory(steps=(-1, 1), end_level=0)  # dips below zero
+        Trajectory((-1, 1))  # dips below zero
     with pytest.raises(ValueError):
-        Trajectory(steps=(1, 1), end_level=0)  # wrong end level
+        Trajectory((1, 0))  # not a +-1 step
+    # the end level is derived from the steps, never declared
+    assert Trajectory((1, 1)).end_level == 2
+    assert Trajectory((1, -1, 1)).end_level == 1
+    assert Trajectory(()).end_level == 0
 
 
 def test_enumerate_small_classes():
@@ -119,15 +123,24 @@ def test_last_step_split_matches_enumeration():
             assert last_step_split(m, l) == (ups, downs)
 
 
+def marked_origin_reference(path):
+    """Some instant j with i_j equal to the origin is marked (from the instant marks)."""
+    origin = path.vertices[0]
+    return any(marked and v == origin
+               for marked, v in zip(classify_instants(path), path.vertices[1:]))
+
+
 def test_marked_origin():
+    def marked(path):
+        return has_marked_origin(path, trajectory_of(path))
+
     # origin 1 is marked at instant 3 of the triangle
-    assert has_marked_origin(ClosedPath((1, 2, 3, 1), 3))
+    assert marked(ClosedPath((1, 2, 3, 1), 3))
     # {1,2,1}: instants land on 2 (marked) and 1 (unmarked)
-    assert not has_marked_origin(ClosedPath((1, 2, 1), 2))
-    assert not has_marked_origin(NINE_PATH)
-    # a held trajectory gives the same answer
+    assert not marked(ClosedPath((1, 2, 1), 2))
+    assert not marked(NINE_PATH)
     for path in canonical_closed_paths(6, 4):
-        assert has_marked_origin(path, trajectory_of(path)) == has_marked_origin(path)
+        assert marked(path) == marked_origin_reference(path)
 
 
 def test_tally_edges_counts_and_marks():

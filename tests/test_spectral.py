@@ -117,6 +117,34 @@ def test_interlacing_detects_violation():
     assert interlacing_check(deformed, base) == 1
 
 
+def interlacing_loop_reference(deformed, base):
+    """Violation count by one Python comparison per inequality, same slack."""
+    lam, mu = deformed.values, base.values
+    slack = 1e-8 * (1.0 + max(float(np.max(np.abs(lam))), float(np.max(np.abs(mu))), 0.0))
+    violations = 0
+    for i in range(len(lam)):
+        if mu[i] - lam[i] > slack:
+            violations += 1
+        if i + 1 < len(lam) and lam[i + 1] - mu[i] > slack:
+            violations += 1
+    return violations
+
+
+def test_interlacing_matches_loop_reference_on_random_spectra():
+    rng = np.random.default_rng(5)
+    counts = set()
+    for size in (1, 2, 3, 8, 50):
+        for _ in range(40):
+            lam = rng.normal(size=size)
+            # shifts below the slack, and both ways beyond it
+            mu = lam - rng.choice([0.0, 1e-9, 0.3, -0.3], size=size) * rng.random(size)
+            deformed, base = spectrum_of(lam), spectrum_of(mu)
+            count = interlacing_check(deformed, base)
+            assert count == interlacing_loop_reference(deformed, base)
+            counts.add(count)
+    assert 0 in counts and max(counts) > 3
+
+
 def test_interlacing_dimension_mismatch():
     with pytest.raises(ValueError):
         interlacing_check(spectrum_of([1.0]), spectrum_of([1.0, 0.0]))
