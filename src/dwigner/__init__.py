@@ -8,6 +8,7 @@ from .ensembles import (
     RegimeError,
     SymmetryClass,
     regime_of,
+    sample_batch,
     sample_deformed,
     sample_wigner,
 )

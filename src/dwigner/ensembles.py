@@ -5,10 +5,11 @@ symmetric) matrix with independent, symmetric, sub-Gaussian entries above the
 diagonal and ``A`` is the deterministic rank-one matrix whose every entry is
 ``theta / n`` (so its nonzero eigenvalue is exactly ``theta``).
 
-Sampling is counter-based: every ``(master_seed, sample_index)`` pair opens
-its own Philox stream and fills the matrix in a fixed order, so a sample is a
+Sampling is counter-based: every ``(master_seed, sample_index)`` pair keys its
+own Philox stream and fills the matrix in a fixed order, so a sample is a
 pure function of its index and never depends on how many samples are drawn
-concurrently or in what order.
+concurrently, in what order or in what batches. ``sample_batch`` draws a
+whole stack with one generator per call, reset to each index's key.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "MatrixSample",
     "Regime",
     "RegimeError",
+    "sample_batch",
     "sample_wigner",
     "sample_deformed",
     "regime_of",
@@ -212,19 +214,53 @@ def regime_of(theta: float, sigma: float) -> Regime:
     return Regime(label=label, theta=theta, sigma=sigma)
 
 
-def _stream(master_seed: int, sample_index: int) -> np.random.Generator:
-    # One Philox stream per (seed, index): sampling order can never leak in.
-    key = np.array([master_seed & _MASK64, sample_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _law_draws(config: EnsembleConfig, indices, blocks) -> np.ndarray:
+    """Draws of the configured law, row b from the stream of ``indices[b]`` in
+    one call; ``blocks`` lists the ``(width, std)`` column blocks in order.
 
-
-def _draw_symmetric(kind: str, rng: np.random.Generator, size: int, std: float) -> np.ndarray:
-    if kind == "gaussian":
-        return std * rng.standard_normal(size)
-    if kind == "rademacher":
-        return std * (2.0 * rng.integers(0, 2, size) - 1.0)
-    half_width = std * math.sqrt(3.0)
-    return rng.uniform(-half_width, half_width, size)
+    The arithmetic is that of ``std * standard_normal``, ``std * (2 k - 1)``
+    for ``k = integers(0, 2)`` and ``uniform(-hw, hw)``, which is
+    ``-hw + (hw - -hw) * random()``, bit for bit.
+    """
+    width = sum(size for size, _ in blocks)
+    # One Philox per call, never shared across threads. Each index gets the
+    # state of a fresh one (counter 0, empty buffer, no half-used uint32) under
+    # its own key, so no draw of one index leaks into the next. Seeding with 0
+    # skips an entropy read that the first reset overrides anyway.
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    out = np.empty((len(indices), width))
+    for row, index in zip(out, indices):
+        fresh["state"]["key"][:] = (config.master_seed & _MASK64, index & _MASK64)
+        bitgen.state = fresh
+        if config.law == "gaussian":
+            rng.standard_normal(out=row)
+        elif config.law == "rademacher":
+            row[:] = rng.integers(0, 2, width)
+        else:
+            rng.random(out=row)
+    if config.law == "rademacher":
+        out *= 2.0
+        out -= 1.0
+    start = 0
+    for size, std in blocks:
+        block = out[:, start:start + size]
+        start += size
+        if config.law == "uniform-symmetric":
+            half_width = std * math.sqrt(3.0)
+            block *= half_width - -half_width
+            block += -half_width
+        else:
+            block *= std
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -232,9 +268,44 @@ def _upper_indices(n: int):
     return np.triu_indices(n, 1)
 
 
-@lru_cache(maxsize=64)
-def _diag_indices(n: int):
-    return np.diag_indices(n)
+def _wigner_stack(config: EnsembleConfig, indices) -> np.ndarray:
+    """The ``(len(indices), n, n)`` stack of ``W``, slice b drawn for ``indices[b]``.
+
+    The draws of one index are the off-diagonal components (complex case:
+    all real parts, then all imaginary parts), then the diagonal.
+    """
+    n = config.n
+    n_off = n * (n - 1) // 2
+    is_complex = config.symmetry.is_complex
+    k_off = 2 * n_off if is_complex else n_off
+    off_std = config.sigma / math.sqrt(2.0) if is_complex else config.sigma
+    draws = _law_draws(config, indices, ((k_off, off_std), (n, config.diag_sigma)))
+    upper = draws[:, :n_off] + 1j * draws[:, n_off:k_off] if is_complex else draws[:, :n_off]
+    w = np.zeros((len(indices), n, n), dtype=upper.dtype)
+    rows, cols = _upper_indices(n)
+    w[:, rows, cols] = upper
+    del upper  # the complex values are copied into w; free them before the mirror
+    # w + conj(w^T), summed as conj(w^T) + w into one new C-ordered array
+    # (addition commutes bit for bit), so the mirror holds two stacks, not three.
+    m = np.conjugate(w.swapaxes(1, 2), order="C")
+    m += w
+    del w
+    d = np.arange(n)
+    m[:, d, d] = draws[:, k_off:]
+    return m
+
+
+def sample_batch(config: EnsembleConfig, indices) -> np.ndarray:
+    """The ``(len(indices), n, n)`` stack of ``M = W / sqrt(n) + A``.
+
+    Slice b is the matrix of sample index ``indices[b]``, bit for bit, however
+    the indices are batched.
+    """
+    m = _wigner_stack(config, indices)
+    # A has the constant entry theta / n, so adding it is a scalar shift.
+    m /= math.sqrt(config.n)
+    m += config.theta / config.n
+    return m
 
 
 def sample_wigner(config: EnsembleConfig, sample_index: int) -> MatrixSample:
@@ -245,28 +316,9 @@ def sample_wigner(config: EnsembleConfig, sample_index: int) -> MatrixSample:
     each); the diagonal is real with variance ``diag_sigma**2``; the lower
     triangle is the exact conjugate mirror of the upper one.
     """
-    rng = _stream(config.master_seed, sample_index)
-    n = config.n
-    kind = config.law
-    n_off = n * (n - 1) // 2
-    if config.symmetry.is_complex:
-        comp_std = config.sigma / math.sqrt(2.0)
-        parts = _draw_symmetric(kind, rng, 2 * n_off, comp_std)
-        w = np.zeros((n, n), dtype=np.complex128)
-        w[_upper_indices(n)] = parts[:n_off] + 1j * parts[n_off:]
-    else:
-        off = _draw_symmetric(kind, rng, n_off, config.sigma)
-        w = np.zeros((n, n), dtype=np.float64)
-        w[_upper_indices(n)] = off
-    w = w + w.conj().T
-    w[_diag_indices(n)] = _draw_symmetric(kind, rng, n, config.diag_sigma)
-    return MatrixSample(entries=w)
+    return MatrixSample(entries=_wigner_stack(config, (sample_index,))[0])
 
 
 def sample_deformed(config: EnsembleConfig, sample_index: int) -> MatrixSample:
     """Draw ``M = W / sqrt(n) + A`` for the given sample index."""
-    w = sample_wigner(config, sample_index)
-    # A has the constant entry theta / n, so adding it is a scalar shift.
-    m = w.entries / math.sqrt(config.n) + config.theta / config.n
-    return MatrixSample(entries=m)
-
+    return MatrixSample(entries=sample_batch(config, (sample_index,))[0])

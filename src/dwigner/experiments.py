@@ -23,6 +23,7 @@ from .ensembles import (
     MatrixSample,
     RegimeError,
     regime_of,
+    sample_batch,
     sample_deformed,
     sample_wigner,
 )
@@ -393,17 +394,17 @@ def mc_trace_moments(
 ) -> dict[int, tuple[float, float]]:
     """Monte Carlo mean and standard error of Tr M**L for each power.
 
-    Samples are stacked per batch of ``_mc_batch(n)`` matrices and decomposed
-    with one batched eigenvalue call; per-sample values stay tied to their
-    sample index, so the result is independent of batching and worker count.
+    Each batch of ``_mc_batch(n)`` matrices is drawn with one ``sample_batch``
+    call and decomposed with one batched eigenvalue call; per-sample values
+    stay tied to their sample index, so the result is independent of batching
+    and worker count.
     """
     batch = _mc_batch(config.n)
     starts = list(range(0, n_samples, batch))
 
     def run_batch(start: int) -> np.ndarray:
         stop = min(start + batch, n_samples)
-        mats = np.stack([sample_deformed(config, i).entries for i in range(start, stop)])
-        lam = np.linalg.eigvalsh(mats)
+        lam = np.linalg.eigvalsh(sample_batch(config, range(start, stop)))
         return np.stack([np.sum(lam**p, axis=1) for p in powers], axis=0)
 
     chunks = _map_indices(run_batch, starts, workers)

@@ -9,6 +9,7 @@ from dwigner.ensembles import (
     EntryLaw,
     RegimeError,
     regime_of,
+    sample_batch,
     sample_deformed,
     sample_wigner,
 )
@@ -53,6 +54,57 @@ def test_reproducibility_and_independence_of_order():
     assert not np.array_equal(a, sample_wigner(cfg, 6).entries)
     other_seed = make_config(n=12, master_seed=43)
     assert not np.array_equal(a, sample_wigner(other_seed, 5).entries)
+
+
+def _reference_wigner(cfg, sample_index):
+    """Per-draw reference: a fresh Philox keyed by (seed, index), one draw
+    call for the off-diagonal components and one for the diagonal, the
+    uniform law through ``Generator.uniform``."""
+    key = np.array([cfg.master_seed & 2**64 - 1, sample_index & 2**64 - 1], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+
+    def draw(size, std):
+        if cfg.law == "gaussian":
+            return std * rng.standard_normal(size)
+        if cfg.law == "rademacher":
+            return std * (2.0 * rng.integers(0, 2, size) - 1.0)
+        return rng.uniform(-std * math.sqrt(3.0), std * math.sqrt(3.0), size)
+
+    n = cfg.n
+    n_off = n * (n - 1) // 2
+    if cfg.symmetry.is_complex:
+        parts = draw(2 * n_off, cfg.sigma / math.sqrt(2.0))
+        w = np.zeros((n, n), dtype=np.complex128)
+        w[np.triu_indices(n, 1)] = parts[:n_off] + 1j * parts[n_off:]
+    else:
+        w = np.zeros((n, n), dtype=np.float64)
+        w[np.triu_indices(n, 1)] = draw(n_off, cfg.sigma)
+    w = w + w.conj().T
+    w[np.diag_indices(n)] = draw(n, cfg.diag_sigma)
+    return w
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform-symmetric"])
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_sample_batch_bit_equal_to_per_draw_reference(law, symmetry):
+    # n = 2 and 3 (real) draw an odd number of off-diagonal components, which
+    # leaves half of a uint32 buffered; indices past 2**32 and 2**63 and a
+    # negative seed exercise the 64-bit key words.
+    indices = [0, 17, 2**32 + 3, 2**63 + 11]
+    for n in (1, 2, 3, 5):
+        for seed in (42, -9):
+            for diag_sigma in (None, 0.37):
+                cfg = make_config(n=n, law=law, symmetry=symmetry, master_seed=seed,
+                                  sigma=1.3, diag_sigma=diag_sigma)
+                stack = sample_batch(cfg, indices)
+                assert stack.shape == (len(indices), n, n)
+                for entries, i in zip(stack, indices):
+                    w = _reference_wigner(cfg, i)
+                    m = w / math.sqrt(n) + cfg.theta / n
+                    assert entries.dtype == m.dtype
+                    assert entries.tobytes() == m.tobytes()
+                    assert sample_deformed(cfg, i).entries.tobytes() == m.tobytes()
+                    assert sample_wigner(cfg, i).entries.tobytes() == w.tobytes()
 
 
 def test_deformed_theta_zero_is_scaled_wigner():

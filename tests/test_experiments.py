@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -13,7 +14,7 @@ import dwigner.experiments
 import dwigner.path_model
 from dwigner.cli import main as cli_main
 from dwigner.correspondence import CorrespondenceResult
-from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of
+from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of, sample_deformed
 from dwigner.experiments import (
     _CHECKS,
     DEFAULT_VERIFY_LIMITS,
@@ -250,6 +251,45 @@ def test_mc_trace_moments_bit_identical_across_batch_sizes(monkeypatch, symmetry
         monkeypatch.setattr(dwigner.experiments, "_mc_batch", lambda n, b=batch: b)
         results.append(mc_trace_moments(cfg, 300, (2, 3, 4), workers=workers))
     assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_trace_moments_matches_per_sample_draws(monkeypatch, workers):
+    # batches of 7 over 100 samples: two workers split fifteen batches
+    cfg = EnsembleConfig.create(n=3, sigma=1.0, theta=2.0, law="uniform-symmetric",
+                                symmetry="complex", master_seed=-4)
+    monkeypatch.setattr(dwigner.experiments, "_mc_batch", lambda n: 7)
+    lam = np.linalg.eigvalsh(np.stack([sample_deformed(cfg, i).entries for i in range(100)]))
+    expected = {}
+    for p in (2, 5):
+        vals = np.sum(lam**p, axis=1)
+        expected[p] = (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(100)))
+    assert mc_trace_moments(cfg, 100, (2, 5), workers=workers) == expected
+
+
+def test_oracle_compare_report_bytes_are_pinned(tmp_path):
+    # sha256 of this report as written at commit c006e97, before sampling was
+    # batched: any change of stream layout, fill order or arithmetic shows here
+    # even when it is consistent across batch sizes. The value depends on the
+    # numpy build (Philox, Generator and LAPACK), here numpy 2.4.6.
+    out = tmp_path / "oracle.json"
+    assert cli_main(["oracle-compare", "--n", "3", "--L", "4", "--law", "uniform",
+                     "--symmetry", "real", "--samples", "3000", "--seed", "5",
+                     "--out", str(out), "--format", "json"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "032a6ce9d5733d0159a16a2cc2c2ebc13da4c98799db19b19d7d3d5f0d4775b5")
+
+
+def test_oracle_compare_probe_passes_vacuously_below_power_four(tmp_path):
+    # at L = 2 the Gaussian and Rademacher oracles agree exactly, so every
+    # probe delta is 0.0 and the probe must not read as failed
+    out = tmp_path / "oracle.json"
+    assert cli_main(["oracle-compare", "--n", "100", "--L", "2", "--samples", "2048",
+                     "--out", str(out), "--format", "json"]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert [r["value"] for r in records if r["sample"] == "probe"] == [0.0] * 4
+    summary = {r["statistic"]: r["value"] for r in records if r["sample"] == "summary"}
+    assert summary["probe_decreasing"] is True
 
 
 def test_mc_batch_is_bounded_by_the_entry_budget():

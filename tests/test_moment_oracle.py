@@ -199,6 +199,7 @@ def test_universality_probe():
         (model_for("gaussian", "complex", n=3), model_for("rademacher", "complex", n=3)),
     )
     assert all(row["delta"] == 0.0 for row in probe2["rows"])
+    assert probe2["decreasing"]  # all-zero deltas pass vacuously
     # identical models differ by nothing at any power
     probe3 = trace_universality_probe(
         [3, 4], 4, 2.0,
