@@ -220,9 +220,13 @@ def _law_draws(config: EnsembleConfig, indices, blocks) -> np.ndarray:
 
     The arithmetic is that of ``std * standard_normal``, ``std * (2 k - 1)``
     for ``k = integers(0, 2)`` and ``uniform(-hw, hw)``, which is
-    ``-hw + (hw - -hw) * random()``, bit for bit.
+    ``-hw + (hw - -hw) * random()``, bit for bit. ``integers(0, 2)`` maps each
+    32-bit draw to its bit 31 (Lemire's method with range 2), and Philox hands
+    out the low half of each 64-bit word first, so the Rademacher bits are read
+    straight from ``random_raw`` words: bit 31, then bit 63, of each word.
     """
     width = sum(size for size, _ in blocks)
+    rademacher = config.law == "rademacher"
     # One Philox per call, never shared across threads. Each index gets the
     # state of a fresh one (counter 0, empty buffer, no half-used uint32) under
     # its own key, so no draw of one index leaks into the next. Seeding with 0
@@ -238,16 +242,24 @@ def _law_draws(config: EnsembleConfig, indices, blocks) -> np.ndarray:
         "uinteger": 0,
     }
     out = np.empty((len(indices), width))
-    for row, index in zip(out, indices):
+    if rademacher:
+        words = np.empty((len(indices), (width + 1) // 2), np.uint64)
+    for b, index in enumerate(indices):
         fresh["state"]["key"][:] = (config.master_seed & _MASK64, index & _MASK64)
         bitgen.state = fresh
         if config.law == "gaussian":
-            rng.standard_normal(out=row)
-        elif config.law == "rademacher":
-            row[:] = rng.integers(0, 2, width)
+            rng.standard_normal(out=out[b])
+        elif rademacher:
+            words[b] = bitgen.random_raw(words.shape[1])
         else:
-            rng.random(out=row)
-    if config.law == "rademacher":
+            rng.random(out=out[b])
+    if rademacher:
+        # Shifts on the 64-bit words, so the order of the halves does not
+        # depend on the byte order of the machine; an odd width leaves the
+        # high half of the last word unused.
+        np.right_shift(words[:, : width // 2], 63, out=out[:, 1::2])
+        words >>= 31
+        np.bitwise_and(words, 1, out=out[:, 0::2])
         out *= 2.0
         out -= 1.0
     start = 0

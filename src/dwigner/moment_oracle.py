@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from . import path_model
@@ -163,6 +162,18 @@ def _shape_count(length: int, max_vertices: int) -> int:
     return sum(row[: max_vertices + 1])
 
 
+@functools.lru_cache(maxsize=16)
+def _shape_table(power: int, max_vertices: int) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    """The closed-path shapes of a length on at most ``max_vertices`` vertices,
+    grouped by edge-multiplicity signature: (signature, counts) pairs in order
+    of first occurrence, ``counts[k - 1]`` shapes having k distinct vertices."""
+    table: dict = {}
+    for shape in path_model.canonical_closed_paths(power, max_vertices):
+        counts = table.setdefault(_path_signature(shape.vertices[:-1]), [0] * max_vertices)
+        counts[shape.ambient_n - 1] += 1
+    return tuple((sig, tuple(counts)) for sig, counts in table.items())
+
+
 def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float) -> float:
     """E[Tr M**power] as an exact sum over closed-path shapes.
 
@@ -170,7 +181,8 @@ def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float
     paths of equal expectation. Shapes are grouped by their edge-multiplicity
     signature, so each distinct product of edge moments is evaluated once and
     weighted by the summed falling factorials; the final reduction is
-    compensated. The cost grows with the shape count, not with n.
+    compensated. The cost grows with the shape count, not with n, and the
+    grouping is shared by every call with the same power and vertex bound.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -178,9 +190,7 @@ def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float
     shapes = _shape_count(power, max_vertices)
     if shapes > SHAPE_SUM_GUARD:
         raise ValueError(f"{shapes} path shapes exceed the oracle guard {SHAPE_SUM_GUARD}")
-    signatures: Counter = Counter()
-    for shape in path_model.canonical_closed_paths(power, max_vertices):
-        signatures[_path_signature(shape.vertices[:-1])] += math.perm(n, shape.ambient_n)
+    perms = [math.perm(n, k) for k in range(1, max_vertices + 1)]
 
     @functools.cache
     def edge_factor(a: int, b: int, diag: bool) -> float:
@@ -189,7 +199,8 @@ def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float
         return edge_moment(model, a, b, False, theta, n)
 
     terms = []
-    for sig, mult in signatures.items():
+    for sig, counts in _shape_table(power, max_vertices):
+        mult = sum(c * p for c, p in zip(counts, perms))
         w = 1.0
         for a, b, diag in sig:
             w *= edge_factor(a, b, diag)

@@ -8,6 +8,8 @@ from dwigner.ensembles import (
     EnsembleConfig,
     EntryLaw,
     RegimeError,
+    _law_draws,
+    _wigner_stack,
     regime_of,
     sample_batch,
     sample_deformed,
@@ -107,6 +109,23 @@ def test_sample_batch_bit_equal_to_per_draw_reference(law, symmetry):
                     assert sample_wigner(cfg, i).entries.tobytes() == w.tobytes()
 
 
+def test_rademacher_draws_equal_bounded_integers():
+    # the signs are read from raw Philox words; they must equal
+    # 2 * integers(0, 2, width) - 1 drawn from the same fresh state, for odd
+    # widths (half of the last word unused) and even ones, negative seeds and
+    # indices past 2**32 and 2**63
+    indices = [0, 5, 2**32 + 3, 2**63 + 11]
+    for seed in (42, -9, -(2**63)):
+        cfg = make_config(law="rademacher", master_seed=seed)
+        for width in range(1, 66):
+            draws = _law_draws(cfg, indices, ((width, 1.0),))
+            assert draws.shape == (len(indices), width)
+            for row, i in zip(draws, indices):
+                key = np.array([seed & 2**64 - 1, i & 2**64 - 1], dtype=np.uint64)
+                rng = np.random.Generator(np.random.Philox(key=key))
+                assert np.array_equal(row, 2 * rng.integers(0, 2, width) - 1)
+
+
 def test_deformed_theta_zero_is_scaled_wigner():
     cfg = make_config(n=6, theta=0.0)
     w = sample_wigner(cfg, 2)
@@ -155,9 +174,9 @@ def test_empirical_entry_moments_n50():
     # the components within 4 SE of 0, component variance within 4 SE of 1/2.
     cfg = make_config(n=50, law="gaussian", master_seed=2024)
     draws = 100_000
-    w12 = np.empty(draws, dtype=np.complex128)
-    for i in range(draws):
-        w12[i] = sample_wigner(cfg, i).entries[0, 1]
+    # slices of _wigner_stack are bit-equal to sample_wigner of their index
+    w12 = np.concatenate([_wigner_stack(cfg, range(start, start + 50))[:, 0, 1]
+                          for start in range(0, draws, 50)])
     mod2 = np.abs(w12) ** 2
     se = np.std(mod2, ddof=1) / math.sqrt(draws)
     assert abs(mod2.mean() - 1.0) <= 4 * se

@@ -280,6 +280,19 @@ def test_oracle_compare_report_bytes_are_pinned(tmp_path):
         "032a6ce9d5733d0159a16a2cc2c2ebc13da4c98799db19b19d7d3d5f0d4775b5")
 
 
+def test_oracle_compare_rademacher_report_bytes_are_pinned(tmp_path):
+    # sha256 of this report as written at commit df1bb03, when the Rademacher
+    # signs still came from Generator.integers(0, 2): reading them from the
+    # raw Philox words must leave every draw, and so the report, unchanged.
+    # The value depends on the numpy build, here numpy 2.4.6.
+    out = tmp_path / "oracle.json"
+    assert cli_main(["oracle-compare", "--n", "4", "--L", "7", "--theta", "2",
+                     "--law", "rademacher", "--symmetry", "complex", "--samples", "3000",
+                     "--seed", "5", "--out", str(out), "--format", "json"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d9ec4b6c8b6b222f9afe7614d83136e656031c268b2941ff7429f88403804791")
+
+
 def test_oracle_compare_probe_passes_vacuously_below_power_four(tmp_path):
     # at L = 2 the Gaussian and Rademacher oracles agree exactly, so every
     # probe delta is 0.0 and the probe must not read as failed

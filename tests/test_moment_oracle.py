@@ -11,6 +11,7 @@ from dwigner.moment_oracle import (
     MomentModel,
     _path_signature,
     _shape_count,
+    _shape_table,
     asymptotic_predictions,
     edge_moment,
     exact_trace_expectation,
@@ -113,6 +114,37 @@ def test_shape_sum_matches_brute_force(law, symmetry):
                 expected = brute_force_trace_expectation(n, power, m, theta)
                 assert exact_trace_expectation(n, power, m, theta) == pytest.approx(
                     expected, rel=1e-12)
+
+
+def test_shape_table_cache_is_bit_equal_to_cold_evaluation():
+    # a warm shape table, filled by other calls in any order, must give the
+    # same float as a table built for this call alone
+    cases = [(n, power, law, symmetry, theta)
+             for n in range(1, 9) for power in range(1, 9) for law in ALL_LAWS
+             for symmetry in ("complex", "real") for theta in (0.0, 0.5, 2.0)]
+    # (3, 3) and (100, 3) share max_vertices = 3 at different n
+    cases += [(100, 3, law, "complex", 2.0) for law in ALL_LAWS]
+
+    def evaluate(case):
+        n, power, law, symmetry, theta = case
+        return exact_trace_expectation(n, power, model_for(law, symmetry, n=n, theta=theta),
+                                       theta)
+
+    # cold: the only table in the cache is the one built for this (n, power)
+    cold = {}
+    for power in range(1, 9):
+        for n in [*range(1, 9), 100]:
+            _shape_table.cache_clear()
+            for case in cases:
+                if case[:2] == (n, power):
+                    cold[case] = evaluate(case)
+    assert len(cold) == len(cases)
+    # forward, (3, 3) fills the table that (100, 3) reuses; reversed, the other way
+    for order in (cases, cases[::-1]):
+        _shape_table.cache_clear()
+        for case in order:
+            assert evaluate(case) == cold[case], case
+    _shape_table.cache_clear()
 
 
 def test_shape_count_is_partial_bell_sum():
