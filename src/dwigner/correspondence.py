@@ -60,18 +60,15 @@ class CorrespondenceResult:
 
 def _rotate(path: ClosedPath, r: int) -> ClosedPath:
     """Closed path whose edge sequence starts at edge r+1 of ``path``."""
-    base = list(path.vertices[:-1])
-    length = len(base)
-    r %= length
-    rotated = base[r:] + base[:r]
-    return ClosedPath(vertices=tuple(rotated) + (rotated[0],), ambient_n=path.ambient_n)
+    verts = path.vertices
+    r %= len(verts) - 1
+    # i_r, ..., i_{L-1} then i_0, ..., i_r: the closing repeat is i_r itself.
+    return ClosedPath(verts[r:-1] + verts[:r + 1], path.ambient_n)
 
 
 def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for key in path.edge_keys():
-        out[key] = out.get(key, 0) + 1
-    return out
+    """Traversal count of each edge: a copy of the path's one edge tally."""
+    return dict(tally_edges(path)[1])
 
 
 def to_marked_origin(path: ClosedPath) -> CorrespondenceResult:
@@ -86,11 +83,12 @@ def to_marked_origin(path: ClosedPath) -> CorrespondenceResult:
     keys, counts, marks = tally_edges(path)
     if marks[-1]:
         raise ValueError("path has a last step up; the rotation applies to last-step-down paths")
-    # counts keeps first-traversal order, so this is the first odd edge.
-    odd = next((key for key, c in counts.items() if c % 2 == 1), None)
-    if odd is None:
+    # The first instant on an odd edge is the first traversal of the first odd edge.
+    for j, key in enumerate(keys, 1):
+        if counts[key] % 2:
+            break
+    else:
         raise ValueError("path has no odd edge (l = 0)")
-    j = keys.index(odd) + 1  # instant of its first traversal
     level_p = 2 * sum(marks[: j - 1]) - (j - 1)  # height before instant j
     image = _rotate(path, j)
     return CorrespondenceResult(image=image, shift_k=path.length - j, level_p=level_p)
@@ -137,8 +135,10 @@ def trajectory_surgery(x_prime: Trajectory, p: int, cut_time: int) -> Trajectory
     out_steps = steps[:cut_time] + (1,) + tuple(-s for s in reversed(steps[cut_time:length - 1]))
     out = Trajectory(out_steps)
     # Sanity: class bookkeeping and the first-hitting marker property.
-    assert out.end_level == l + 2 * p
-    assert out.down_steps == x_prime.down_steps - p
+    if out.end_level != l + 2 * p:
+        raise AssertionError("surgery output does not end at l + 2p")
+    if out.down_steps != x_prime.down_steps - p:
+        raise AssertionError("surgery output does not have p fewer down steps")
     out_heights = out.levels()
     target = l + p
     hit = next(
@@ -146,7 +146,8 @@ def trajectory_surgery(x_prime: Trajectory, p: int, cut_time: int) -> Trajectory
         for t in range(length + 1)
         if out_heights[t] == target and all(h >= target for h in out_heights[t:])
     )
-    assert hit == cut_time + 1, "first-hitting instant does not mark the cut"
+    if hit != cut_time + 1:
+        raise AssertionError("first-hitting instant does not mark the cut")
     return out
 
 
@@ -192,7 +193,8 @@ def glue_paths(p1: ClosedPath, p2: ClosedPath) -> ClosedPath:
         walk = list(reversed(order))  # same orientation: read p2 backwards, v -> w
     else:
         walk = order  # opposite orientation: forward read already goes v -> w
-    assert walk[0] == v and walk[-1] == w
+    if walk[0] != v or walk[-1] != w:
+        raise AssertionError("inserted walk does not run between the shared edge's endpoints")
     glued = list(p1.vertices[: t1 + 1]) + walk[1:] + list(p1.vertices[t1 + 2:])
     return ClosedPath(vertices=tuple(glued), ambient_n=max(p1.ambient_n, p2.ambient_n))
 

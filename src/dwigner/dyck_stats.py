@@ -63,12 +63,13 @@ class DyckDecomposition:
     def block_lengths(self) -> tuple[int, ...]:
         return tuple(b.length for b in self.blocks)
 
-    def reconstruct(self) -> Trajectory:
+    def reconstructed_steps(self) -> tuple[int, ...]:
+        """Steps of the trajectory the rises and blocks spell out."""
         steps: list[int] = list(self.blocks[0].steps)
         for rise, block in zip(self.rises, self.blocks[1:]):
             steps.extend([1] * rise)
             steps.extend(block.steps)
-        return Trajectory(tuple(steps))
+        return tuple(steps)
 
 
 def dyck_decompose(x: Trajectory) -> DyckDecomposition:
@@ -92,7 +93,8 @@ def dyck_decompose(x: Trajectory) -> DyckDecomposition:
             blocks.append(Trajectory(x.steps[start:last_visit[h]]))
             rise = 0
     decomp = DyckDecomposition(rises=tuple(rises), blocks=tuple(blocks))
-    assert decomp.reconstruct().steps == x.steps
+    if decomp.reconstructed_steps() != x.steps:
+        raise AssertionError("decomposition does not reconstruct the trajectory")
     return decomp
 
 
@@ -216,7 +218,8 @@ def max_level_distribution(
         if mass:
             pmf[k] = mass
         prev = cur
-    assert prev == 1
+    if prev != 1:
+        raise AssertionError(f"P(max <= {top}) is {prev}, not 1")
     return pmf
 
 
@@ -266,12 +269,14 @@ def class_count_bound_check(s: int) -> dict:
     """Check T_{m,l} <= (l+1) exp(-c0 l^2 / s) T_{s,0} for all even l <= 2s,
     with c0 = ``CLASS_BOUND_C0``.
 
-    Ratios are exact rationals converted to float only for the comparison
-    against the exponential; the report carries the largest constant the
-    grid actually supports and whether the bound-normalized ratio
-    T_{m,l} / ((l+1) T_{s,0}) decays monotonely in l. (The un-normalized
-    ratio is not monotone: the (l+1) prefactor makes it rise until l is of
-    order sqrt(s).)
+    Counts stay exact integers. Each ratio T_{m,l} / T_{s,0} enters the
+    comparison against the exponential as its correctly rounded float (one
+    integer true division), the monotonicity of the bound-normalized ratio
+    T_{m,l} / ((l+1) T_{s,0}) is decided by cross-multiplied integers, and
+    only the log of the largest supported constant reads the reduced
+    fraction. The report carries that constant and whether the normalized
+    ratio decays monotonely in l. (The un-normalized ratio is not monotone:
+    the (l+1) prefactor makes it rise until l is of order sqrt(s).)
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -280,21 +285,21 @@ def class_count_bound_check(s: int) -> dict:
     best_c0 = math.inf
     ok = True
     failures = []
-    prev_normalized: Fraction | None = None
     monotone = True
+    prev_count, prev_l = t_even, 0  # the l = 0 term: T_{s,0} itself
     for l in range(0, 2 * s + 1, 2):
-        m = s - l // 2
-        ratio = Fraction(count_trajectories(m, l), t_even)
+        count = count_trajectories(s - l // 2, l)
+        ratio = count / t_even
         bound = (l + 1) * math.exp(-c0 * l * l / s)
-        if float(ratio) > bound:
+        if ratio > bound:
             ok = False
-            failures.append({"l": l, "ratio": float(ratio), "bound": bound})
-        normalized = ratio / (l + 1)
-        if prev_normalized is not None and normalized > prev_normalized:
+            failures.append({"l": l, "ratio": ratio, "bound": bound})
+        # count / (l + 1) > prev_count / (prev_l + 1), without dividing
+        if count * (prev_l + 1) > prev_count * (l + 1):
             monotone = False
-        prev_normalized = normalized
+        prev_count, prev_l = count, l
         if l >= 2:
-            supported = (math.log(l + 1) - _log_fraction(ratio)) * s / (l * l)
+            supported = (math.log(l + 1) - _log_fraction(Fraction(count, t_even))) * s / (l * l)
             best_c0 = min(best_c0, supported)
     return {
         "s": s,

@@ -374,14 +374,15 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
 # oracle comparison
 
 
-# Matrix entries stacked per Monte Carlo batch: 2**22 entries are 64 MiB of
-# complex128, and a batch is never more than MC_BATCH_MAX matrices.
-MC_BATCH_ENTRIES = 2**22
+# Matrix entries stacked per Monte Carlo batch: 256 matrices at n = 40, or
+# 6.25 MiB of complex128; larger stacks fall out of cache and sample slower
+# per matrix. A batch is never more than MC_BATCH_MAX matrices.
+MC_BATCH_ENTRIES = 256 * 40**2
 MC_BATCH_MAX = 2048
 
 
 def _mc_batch(n: int) -> int:
-    """Matrices per batch at dimension n: MC_BATCH_MAX up to n = 45, then
+    """Matrices per batch at dimension n: MC_BATCH_MAX up to n = 14, then
     as many as fit in MC_BATCH_ENTRIES (at least one)."""
     return min(MC_BATCH_MAX, max(1, MC_BATCH_ENTRIES // n**2))
 
@@ -510,11 +511,12 @@ def _check_correspondence(max_length: int, max_vertices: int):
     seen: dict[tuple, tuple] = {}
     for length in range(1, max_length + 1):
         for path in path_model.canonical_closed_paths(length, max_vertices):
-            traj = path_model.trajectory_of(path)
-            if traj.end_level == 0 or traj.steps[-1] == 1:
+            # admissible: last step down and end level 2 * (marked instants) - L > 0
+            marks = path_model.tally_edges(path)[2]
+            if marks[-1] or 2 * sum(marks) == length:
                 continue
             checked += 1
-            fail = _correspondence_case_fails(path, traj, seen)
+            fail = _correspondence_case_fails(path, path_model.trajectory_of(path), seen)
             if fail is not None:
                 return params, {"path": path_model.path_to_string(path), "reason": fail}
     params["cases"] = checked
@@ -611,7 +613,7 @@ def _check_dyck_roundtrip(max_steps: int):
     for m, l in _classes_up_to(max_steps):
         for x in path_model.enumerate_trajectories(m, l):
             decomp = dyck_stats.dyck_decompose(x)
-            if decomp.reconstruct().steps != x.steps:
+            if decomp.reconstructed_steps() != x.steps:
                 return params, {"trajectory": path_model.trajectory_to_string(x)}
             if decomp.end_level != l or sum(decomp.block_lengths) != 2 * m:
                 return params, {"trajectory": path_model.trajectory_to_string(x),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, pairwise
 
 __all__ = [
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 ENUMERATION_STEP_CAP = 30
+_UNIT_STEPS = frozenset((-1, 1))
 
 
 class EnumerationLimitError(ValueError):
@@ -47,7 +47,10 @@ class ClosedPath:
     """A closed vertex walk ``i_0, ..., i_L = i_0`` on ``{1, ..., n}``.
 
     Loops (``i_{j+1} == i_j``) are allowed. ``vertices`` stores the closed
-    sequence including the final repeat of the origin.
+    sequence including the final repeat of the origin. The edge tally of
+    :func:`tally_edges` is computed on first use and kept on the instance,
+    outside the dataclass fields, so equality, hash and repr see only
+    ``vertices`` and ``ambient_n``.
     """
 
     vertices: tuple[int, ...]
@@ -72,19 +75,24 @@ class ClosedPath:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Nonnegative +-1 walk; +1 per marked instant, -1 per unmarked."""
+    """Nonnegative +-1 walk; +1 per marked instant, -1 per unmarked.
+
+    Validation computes the heights once; they and ``end_level`` are kept on
+    the instance outside the dataclass fields, so equality, hash and repr see
+    only ``steps``.
+    """
 
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not {-1, 1}.issuperset(self.steps):
+        if not _UNIT_STEPS.issuperset(self.steps):
             raise ValueError("steps must be +-1")
-        if min(accumulate(self.steps, initial=0)) < 0:
+        levels = tuple(accumulate(self.steps, initial=0))
+        if min(levels) < 0:
             raise ValueError("trajectory dips below zero")
-
-    @cached_property
-    def end_level(self) -> int:
-        return sum(self.steps)
+        stored = self.__dict__  # frozen: store past the dataclass __setattr__
+        stored["_levels"] = levels
+        stored["end_level"] = levels[-1]
 
     @property
     def length(self) -> int:
@@ -96,32 +104,39 @@ class Trajectory:
 
     def levels(self) -> tuple[int, ...]:
         """Heights x(0), ..., x(L)."""
-        return tuple(accumulate(self.steps, initial=0))
+        return self._levels
 
 
 def tally_edges(
     path: ClosedPath,
 ) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int], list[bool]]:
     """One pass over the edge keys: the keys of instants j = 1..L, each edge's
-    traversal count (in first-traversal order) and the marks of the instants."""
-    keys = path.edge_keys()
-    counts: dict[tuple[int, int], int] = {}
-    marks = []
-    for key in keys:
-        c = counts.get(key, 0) + 1
-        counts[key] = c
-        marks.append(c % 2 == 1)
-    return keys, counts, marks
+    traversal count (in first-traversal order) and the marks of the instants.
+
+    The pass runs once per path; later calls return the same stored objects,
+    which callers must not mutate.
+    """
+    tally = path.__dict__.get("_tally")
+    if tally is None:
+        keys = path.edge_keys()
+        counts: dict[tuple[int, int], int] = {}
+        marks = []
+        for key in keys:
+            c = counts.get(key, 0) + 1
+            counts[key] = c
+            marks.append(c % 2 == 1)
+        tally = keys, counts, marks
+        path.__dict__["_tally"] = tally
+    return tally
 
 
 def classify_instants(path: ClosedPath) -> list[bool]:
     """True for marked instants j = 1..L, False for unmarked ones."""
-    return tally_edges(path)[2]
+    return list(tally_edges(path)[2])
 
 
 def trajectory_of(path: ClosedPath) -> Trajectory:
-    steps = tuple(1 if marked else -1 for marked in classify_instants(path))
-    return Trajectory(steps)
+    return Trajectory(tuple([1 if marked else -1 for marked in tally_edges(path)[2]]))
 
 
 def count_trajectories(m: int, l: int) -> int:
@@ -187,8 +202,7 @@ def last_step_split(m: int, l: int) -> tuple[int, int]:
 def has_marked_origin(path: ClosedPath, traj: Trajectory) -> bool:
     """True when some marked instant lands on the origin; ``traj`` is
     ``trajectory_of(path)``."""
-    origin = path.vertices[0]
-    return any(step == 1 and v == origin for step, v in zip(traj.steps, path.vertices[1:]))
+    return (1, path.vertices[0]) in zip(traj.steps, path.vertices[1:])
 
 
 def canonical_closed_paths(length: int, max_vertices: int):
@@ -204,7 +218,7 @@ def canonical_closed_paths(length: int, max_vertices: int):
 
     def rec(pos: int, used: int):
         if pos == length:
-            yield ClosedPath(vertices=tuple(seq) + (1,), ambient_n=used)
+            yield ClosedPath(tuple(seq) + (1,), used)
             return
         for v in range(1, min(used + 1, max_vertices) + 1):
             seq.append(v)

@@ -56,6 +56,22 @@ def test_identity_rotation():
     assert _rotate(NINE_PATH, 0).vertices == NINE_PATH.vertices
 
 
+def test_rotation_matches_list_reference():
+    base = list(NINE_PATH.vertices[:-1])
+    for r in range(-9, 18):
+        k = r % len(base)
+        expected = tuple(base[k:] + base[:k] + [base[k]])
+        assert _rotate(NINE_PATH, r) == ClosedPath(expected, NINE_PATH.ambient_n)
+
+
+def test_edge_multiset_is_a_copy_of_the_tally():
+    path = ClosedPath(NINE_PATH.vertices, NINE_PATH.ambient_n)
+    counts = edge_multiset(path)
+    counts[(1, 2)] = 99
+    assert edge_multiset(path) == edge_multiset(NINE_PATH)
+    assert edge_multiset(path)[(1, 2)] == 2
+
+
 def test_from_marked_origin_rejects_inconsistent_pairs():
     r = to_marked_origin(NINE_PATH)
     # shift 1 rotates to a last-step-up walk, which no source can produce

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import dwigner.dyck_stats
 from dwigner.dyck_stats import (
     _binomial_row,
     ballot_count,
@@ -15,6 +16,7 @@ from dwigner.dyck_stats import (
 )
 from dwigner.path_model import (
     Trajectory,
+    count_trajectories,
     enumerate_trajectories,
     trajectory_from_string,
     trajectory_to_string,
@@ -42,7 +44,7 @@ def test_decompose_roundtrip_exhaustive():
             l = total - 2 * m
             for x in enumerate_trajectories(m, l):
                 d = dyck_decompose(x)
-                assert d.reconstruct().steps == x.steps
+                assert d.reconstructed_steps() == x.steps
                 assert d.end_level == l
                 assert sum(d.block_lengths) == 2 * m
                 assert all(r >= 1 for r in d.rises)
@@ -179,6 +181,34 @@ def test_tail_bound_report():
     for family in ("single", "halves"):
         (row,) = one["families"][family]["rows"]
         assert row["exp_moments"] == {1.0: pytest.approx(math.e)}
+
+
+def reference_class_count_bound(s, c0):
+    """The class-count report computed on exact rationals throughout."""
+    t_even = count_trajectories(s, 0)
+    best_c0, failures, prev, monotone = math.inf, [], None, True
+    for l in range(0, 2 * s + 1, 2):
+        ratio = Fraction(count_trajectories(s - l // 2, l), t_even)
+        bound = (l + 1) * math.exp(-c0 * l * l / s)
+        if float(ratio) > bound:
+            failures.append({"l": l, "ratio": float(ratio), "bound": bound})
+        if prev is not None and ratio / (l + 1) > prev:
+            monotone = False
+        prev = ratio / (l + 1)
+        if l >= 2:
+            log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+            best_c0 = min(best_c0, (math.log(l + 1) - log_ratio) * s / (l * l))
+    return {"s": s, "c0": c0, "pass": not failures, "failures": failures,
+            "largest_supported_c0": best_c0, "monotone_normalized": monotone}
+
+
+@pytest.mark.parametrize("c0", [1.0 / 8.0, 1.0, 3.0])
+def test_class_count_bound_equals_rational_reference(monkeypatch, c0):
+    # integer cross-multiplication and true division give the rational
+    # route's report to the last bit, failures included (c0 = 3 fails)
+    monkeypatch.setattr(dwigner.dyck_stats, "CLASS_BOUND_C0", c0)
+    for s in (*range(1, 61), 200):
+        assert repr(class_count_bound_check(s)) == repr(reference_class_count_bound(s, c0))
 
 
 def test_class_count_bound():

@@ -307,11 +307,12 @@ def test_oracle_compare_probe_passes_vacuously_below_power_four(tmp_path):
 
 def test_mc_batch_is_bounded_by_the_entry_budget():
     # small matrices keep the full batch, large ones shrink it to the budget
-    assert _mc_batch(4) == _mc_batch(45) == 2048
-    assert _mc_batch(46) < 2048
-    for n in (46, 100, 1000, 2048):
+    assert _mc_batch(4) == _mc_batch(14) == 2048
+    assert _mc_batch(15) < 2048
+    assert _mc_batch(40) == 256
+    for n in (15, 46, 100, 640):
         assert 1 <= _mc_batch(n) and _mc_batch(n) * n * n <= MC_BATCH_ENTRIES
-    assert _mc_batch(10_000) == 1
+    assert _mc_batch(641) == _mc_batch(10_000) == 1
 
 
 def test_verify_battery_empty_is_noop_pass():
@@ -371,6 +372,63 @@ def test_verify_battery_catches_a_wrong_rotation_shift(monkeypatch):
     (rec,) = report["records"]
     assert rec["check"] == "correspondence_roundtrip"
     assert rec["pass"] is False
+
+
+def test_verify_default_report_bytes_are_pinned(tmp_path):
+    # sha256 of the default battery's report as written at commit c545bab,
+    # before each path's edge tally was kept on the path: every count,
+    # parameter and float of the ten checks must come out unchanged.
+    out = tmp_path / "verify.json"
+    assert cli_main(["verify-combinatorics", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8b8d58679b3b7dbe49b28f45eb4fe95911e96e25653ff0ff5dbe51824cb55dbf")
+
+
+def test_verify_passes_under_python_optimize(tmp_path):
+    # -O strips assert statements; the battery's guards are explicit raises
+    out = tmp_path / "verify.json"
+    proc = subprocess.run([sys.executable, "-O", "-m", "dwigner", "verify-combinatorics",
+                           "--format", "json", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert all(rec["pass"] for rec in json.loads(out.read_text())["records"])
+
+
+# Each case breaks one step of an exact routine and expects its guard to fire.
+_GUARD_CASES = """
+import dwigner.correspondence as c
+import dwigner.dyck_stats as d
+from dwigner.path_model import ClosedPath, Trajectory, trajectory_from_string as traj
+
+def fires(call, owner, name, fake):
+    real = getattr(owner, name, None)  # None: a builtin the module does not define
+    setattr(owner, name, fake)
+    try:
+        call()
+    except AssertionError:
+        return True
+    finally:
+        if real is None:
+            delattr(owner, name)
+        else:
+            setattr(owner, name, real)
+    return False
+
+print(fires(lambda: d.dyck_decompose(traj("UUDU")),
+            d.DyckDecomposition, "reconstructed_steps", lambda self: ()),
+      fires(lambda: d.max_level_distribution(4), d, "confined_dyck_count", lambda m, k: 0),
+      fires(lambda: c.trajectory_surgery(traj("UUDU"), 1, 2),
+            c, "Trajectory", lambda steps: Trajectory(steps + (1, -1))),
+      fires(lambda: c.glue_paths(ClosedPath((1, 2, 3, 1), 4), ClosedPath((1, 2, 4, 1), 4)),
+            c, "reversed", lambda seq: iter(list(seq))))
+"""
+
+
+def test_exact_guards_fire_under_python_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _GUARD_CASES],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 4
 
 
 def test_verify_check_table_uses_every_limit():

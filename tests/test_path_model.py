@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -149,6 +151,51 @@ def test_tally_edges_counts_and_marks():
     assert marks == classify_instants(NINE_PATH)
     assert counts == {(1, 2): 2, (1, 3): 2, (3, 4): 1, (4, 5): 1, (5, 6): 1, (3, 6): 1}
     assert list(counts) == list(dict.fromkeys(keys))  # first-traversal order
+
+
+def restricted_growth_reference(length, max_vertices):
+    """Closed-path shapes in lexicographic order: every vertex word starting
+    at 1 whose letters exceed the running maximum by at most one."""
+    out = []
+    for word in itertools.product(range(1, max_vertices + 1), repeat=length - 1):
+        seq = (1, *word)
+        if all(v <= max(seq[:j]) + 1 for j, v in enumerate(seq) if j):
+            out.append((seq + (1,), max(seq)))
+    return out
+
+
+def test_one_tally_per_path_and_canonical_order():
+    for length in range(1, 9):
+        paths = list(canonical_closed_paths(length, 4))
+        assert [(p.vertices, p.ambient_n) for p in paths] == \
+            restricted_growth_reference(length, 4)
+        for path in paths:
+            traj = trajectory_of(path)
+            marks = classify_instants(path)
+            tally = tally_edges(path)
+            assert tally_edges(path) is tally  # computed once, then read back
+            fresh = ClosedPath(vertices=path.vertices, ambient_n=path.ambient_n)
+            assert tally == tally_edges(fresh)
+            assert list(tally[1]) == list(tally_edges(fresh)[1])  # first-traversal order
+            assert marks == tally[2] and traj.steps == tuple(1 if b else -1 for b in marks)
+            marks.append(None)  # a caller's copy, not the stored marks
+            assert len(tally[2]) == length
+            assert fresh == path and hash(fresh) == hash(path) and repr(fresh) == repr(path)
+
+
+def test_stored_values_are_not_dataclass_fields():
+    assert [f.name for f in dataclasses.fields(ClosedPath)] == ["vertices", "ambient_n"]
+    assert [f.name for f in dataclasses.fields(Trajectory)] == ["steps"]
+    tallied = ClosedPath((1, 2, 1), 2)
+    tally_edges(tallied)
+    assert repr(tallied) == "ClosedPath(vertices=(1, 2, 1), ambient_n=2)"
+    assert tallied == ClosedPath((1, 2, 1), 2) and hash(tallied) == hash(((1, 2, 1), 2))
+    t = Trajectory((1, -1, 1))
+    assert repr(t) == "Trajectory(steps=(1, -1, 1))"
+    assert t == Trajectory((1, -1, 1)) and hash(t) == hash(((1, -1, 1),))
+    assert t.levels() == (0, 1, 0, 1) and t.end_level == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.end_level = 3
 
 
 def test_odd_edge_count_examples():
