@@ -281,14 +281,18 @@ def class_count_bound_check(s: int) -> dict:
     if s < 1:
         raise ValueError("s must be >= 1")
     c0 = CLASS_BOUND_C0
-    t_even = count_trajectories(s, 0)
+    # Every class has 2s steps: T_{m,l} = C(2s, m) - C(2s, m-1) with
+    # m = s - l/2, read from the one row C(2s, .).
+    row = _binomial_row(2 * s)
+    t_even = row[s] - row[s - 1]
     best_c0 = math.inf
     ok = True
     failures = []
     monotone = True
     prev_count, prev_l = t_even, 0  # the l = 0 term: T_{s,0} itself
     for l in range(0, 2 * s + 1, 2):
-        count = count_trajectories(s - l // 2, l)
+        m = s - l // 2
+        count = row[m] - row[m - 1] if m else row[0]
         ratio = count / t_even
         bound = (l + 1) * math.exp(-c0 * l * l / s)
         if ratio > bound:

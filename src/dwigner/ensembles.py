@@ -9,7 +9,10 @@ Sampling is counter-based: every ``(master_seed, sample_index)`` pair keys its
 own Philox stream and fills the matrix in a fixed order, so a sample is a
 pure function of its index and never depends on how many samples are drawn
 concurrently, in what order or in what batches. ``sample_batch`` draws a
-whole stack with one generator per call, reset to each index's key.
+whole stack. Short Rademacher and uniform streams of large batches come from
+a vectorized Philox4x64-10 kernel that computes every index's words at once;
+all other draws come from one generator per call, reset to each index's key.
+Both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -214,6 +217,101 @@ def regime_of(theta: float, sigma: float) -> Regime:
     return Regime(label=label, theta=theta, sigma=sigma)
 
 
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC 2011),
+# the constants of numpy's Philox.
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+# Rademacher and uniform streams of at most KERNEL_MAX_WORDS words per index,
+# drawn for at least KERNEL_MIN_BATCH indices at once, come from _philox_words;
+# all others from the per-index loop. Per word the kernel costs 55-110 ns
+# against about 7 ns in the C generator, but it saves the loop's 2-3.5 us per
+# index; its 10 rounds of numpy calls cost about 0.25 ms per call, whatever
+# the batch. Measured on 2,048 indices the two cross between 24 and 48 words,
+# and at 8 to 32 words between 128 and 512 indices.
+KERNEL_MAX_WORDS = 32
+KERNEL_MIN_BATCH = 256
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit products ``m * x``, from the
+    32-bit halves of ``x`` and of the constant ``m`` (every partial product
+    and sum fits in 64 bits)."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo = x & _MASK32
+    x_hi = x >> _SHIFT32
+    t = x_hi * m_lo
+    t += (x_lo * m_lo) >> _SHIFT32
+    mid = t & _MASK32
+    mid += x_lo * m_hi
+    hi = x_hi * m_hi
+    hi += t >> _SHIFT32
+    hi += mid >> _SHIFT32
+    return x * np.uint64(m), hi
+
+
+def _philox_words(seed: int, indices, n_words: int) -> np.ndarray:
+    """The ``(len(indices), n_words)`` uint64 array whose row b holds the first
+    ``n_words`` words of the Philox4x64-10 stream keyed
+    ``(seed mod 2^64, indices[b] mod 2^64)``, as ``random_raw`` returns them.
+
+    numpy's Philox increments its counter before each 4-word block, so a fresh
+    stream's blocks sit at counters 1, 2, ...; the words come in block order.
+    The key is a scalar and a ``(B, 1)`` column; only the counters are full
+    ``(B, blocks)`` arrays.
+    """
+    blocks = -(-n_words // 4)
+    k0 = seed & _MASK64
+    k1 = np.fromiter((i & _MASK64 for i in indices), np.uint64, len(indices))[:, None]
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, blocks), np.uint64)
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0 = (k0 + _PHILOX_BUMP[0]) & _MASK64
+                k1 = k1 + np.uint64(_PHILOX_BUMP[1])
+            lo0, hi0 = _mulhilo(_PHILOX_MUL[0], c0)
+            lo1, hi1 = _mulhilo(_PHILOX_MUL[1], c2)
+            hi1 ^= c1
+            hi1 ^= np.uint64(k0)
+            hi0 ^= c3
+            c0, c1, c2, c3 = hi1, lo1, hi0 ^ k1, lo0
+    words = np.empty((len(indices), blocks, 4), np.uint64)
+    for j, c in enumerate((c0, c1, c2, c3)):
+        words[:, :, j] = c
+    return words.reshape(len(indices), 4 * blocks)[:, :n_words]
+
+
+def _fresh_generators(seed: int, indices):
+    """Yield, for each index in turn, one Generator whose Philox is reset to
+    the fresh state keyed ``(seed, index mod 2^64)``.
+
+    Fresh means counter 0, an empty buffer and no half-used uint32, so no draw
+    of one index leaks into the next. The state is built from plain ints (the
+    ``state`` setter reads each field by index), with the key a list whose
+    second entry is updated in place. Seeding with 0 skips an entropy read that
+    the first reset overrides anyway. One Philox per call, never shared across
+    threads.
+    """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    key = [seed, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for index in indices:
+        key[1] = index & _MASK64
+        bitgen.state = fresh
+        yield rng
+
+
 def _law_draws(config: EnsembleConfig, indices, blocks) -> np.ndarray:
     """Draws of the configured law, row b from the stream of ``indices[b]`` in
     one call; ``blocks`` lists the ``(width, std)`` column blocks in order.
@@ -223,36 +321,29 @@ def _law_draws(config: EnsembleConfig, indices, blocks) -> np.ndarray:
     ``-hw + (hw - -hw) * random()``, bit for bit. ``integers(0, 2)`` maps each
     32-bit draw to its bit 31 (Lemire's method with range 2), and Philox hands
     out the low half of each 64-bit word first, so the Rademacher bits are read
-    straight from ``random_raw`` words: bit 31, then bit 63, of each word.
+    straight from the raw words: bit 31, then bit 63, of each word.
+    ``random()`` is ``(word >> 11) * 2**-53``, one word per draw.
     """
     width = sum(size for size, _ in blocks)
+    seed = config.master_seed & _MASK64
     rademacher = config.law == "rademacher"
-    # One Philox per call, never shared across threads. Each index gets the
-    # state of a fresh one (counter 0, empty buffer, no half-used uint32) under
-    # its own key, so no draw of one index leaks into the next. Seeding with 0
-    # skips an entropy read that the first reset overrides anyway.
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    n_words = (width + 1) // 2 if rademacher else width
+    # The Gaussian ziggurat takes a variable number of words per draw, so it
+    # always runs on the per-index loop.
+    kernel = (config.law != "gaussian" and n_words <= KERNEL_MAX_WORDS
+              and len(indices) >= KERNEL_MIN_BATCH)
     out = np.empty((len(indices), width))
-    if rademacher:
-        words = np.empty((len(indices), (width + 1) // 2), np.uint64)
-    for b, index in enumerate(indices):
-        fresh["state"]["key"][:] = (config.master_seed & _MASK64, index & _MASK64)
-        bitgen.state = fresh
-        if config.law == "gaussian":
-            rng.standard_normal(out=out[b])
-        elif rademacher:
-            words[b] = bitgen.random_raw(words.shape[1])
-        else:
-            rng.random(out=out[b])
+    if kernel:
+        words = _philox_words(seed, indices, n_words)
+    elif rademacher:
+        words = np.empty((len(indices), n_words), np.uint64)
+        for row, rng in zip(words, _fresh_generators(seed, indices)):
+            row[:] = rng.bit_generator.random_raw(n_words)
+    else:
+        fill = (np.random.Generator.standard_normal if config.law == "gaussian"
+                else np.random.Generator.random)
+        for row, rng in zip(out, _fresh_generators(seed, indices)):
+            fill(rng, out=row)
     if rademacher:
         # Shifts on the 64-bit words, so the order of the halves does not
         # depend on the byte order of the machine; an odd width leaves the
@@ -262,6 +353,9 @@ def _law_draws(config: EnsembleConfig, indices, blocks) -> np.ndarray:
         np.bitwise_and(words, 1, out=out[:, 0::2])
         out *= 2.0
         out -= 1.0
+    elif kernel:
+        words >>= 11
+        np.multiply(words, 2.0**-53, out=out)
     start = 0
     for size, std in blocks:
         block = out[:, start:start + size]

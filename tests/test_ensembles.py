@@ -1,14 +1,19 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dwigner.ensembles import (
+    KERNEL_MAX_WORDS,
+    KERNEL_MIN_BATCH,
     EnsembleConfig,
     EntryLaw,
     RegimeError,
     _law_draws,
+    _philox_words,
     _wigner_stack,
     regime_of,
     sample_batch,
@@ -91,22 +96,76 @@ def _reference_wigner(cfg, sample_index):
 def test_sample_batch_bit_equal_to_per_draw_reference(law, symmetry):
     # n = 2 and 3 (real) draw an odd number of off-diagonal components, which
     # leaves half of a uint32 buffered; indices past 2**32 and 2**63 and a
-    # negative seed exercise the 64-bit key words.
+    # negative seed exercise the 64-bit key words. The same indices at the head
+    # of a batch of KERNEL_MIN_BATCH + 4 take short Rademacher and uniform
+    # streams from the vectorized kernel; n = 6, 8, 9 and 11 put every law and
+    # symmetry on both sides of KERNEL_MAX_WORDS (complex Rademacher: kernel up
+    # to n = 8; complex uniform: up to 5; real uniform: up to 7; real
+    # Rademacher: up to 10).
     indices = [0, 17, 2**32 + 3, 2**63 + 11]
-    for n in (1, 2, 3, 5):
+    batch = indices + list(range(1000, 1000 + KERNEL_MIN_BATCH))
+    for n in (1, 2, 3, 5, 6, 8, 9, 11):
         for seed in (42, -9):
             for diag_sigma in (None, 0.37):
                 cfg = make_config(n=n, law=law, symmetry=symmetry, master_seed=seed,
                                   sigma=1.3, diag_sigma=diag_sigma)
                 stack = sample_batch(cfg, indices)
                 assert stack.shape == (len(indices), n, n)
-                for entries, i in zip(stack, indices):
+                in_batch = sample_batch(cfg, batch)[: len(indices)]
+                for entries, batched, i in zip(stack, in_batch, indices):
                     w = _reference_wigner(cfg, i)
                     m = w / math.sqrt(n) + cfg.theta / n
                     assert entries.dtype == m.dtype
                     assert entries.tobytes() == m.tobytes()
+                    assert batched.tobytes() == m.tobytes()
                     assert sample_deformed(cfg, i).entries.tobytes() == m.tobytes()
                     assert sample_wigner(cfg, i).entries.tobytes() == w.tobytes()
+
+
+def test_philox_words_equal_random_raw():
+    # the kernel against numpy's Philox keyed directly (not through the state
+    # setter), on both sides of a block boundary and past KERNEL_MAX_WORDS
+    indices = [0, 2**32 + 1, 2**63 + 11, 2**64 - 1, -3]
+    for seed in (0, -9, 2**70 + 3, -(2**63)):
+        for k in range(1, KERNEL_MAX_WORDS + 6):
+            words = _philox_words(seed, indices, k)
+            assert words.dtype == np.uint64 and words.shape == (len(indices), k)
+            for row, i in zip(words, indices):
+                key = np.array([seed & 2**64 - 1, i & 2**64 - 1], dtype=np.uint64)
+                assert np.array_equal(row, np.random.Philox(key=key).random_raw(k))
+
+
+@pytest.mark.parametrize("law, symmetry, n", [
+    ("rademacher", "complex", 8), ("rademacher", "real", 10),
+    ("uniform-symmetric", "complex", 5), ("uniform-symmetric", "real", 7),
+])
+def test_index_bytes_do_not_depend_on_the_batch_at_the_crossover(law, symmetry, n):
+    # the largest n whose stream still fits in KERNEL_MAX_WORDS words: batches
+    # of 1 and 7 take the per-index loop, a batch of 2,048 the kernel
+    cfg = make_config(n=n, law=law, symmetry=symmetry, master_seed=-9)
+    i = 2**63 + 11
+    alone = sample_deformed(cfg, i).entries.tobytes()
+    assert sample_batch(cfg, [i])[0].tobytes() == alone
+    assert sample_batch(cfg, range(i - 3, i + 4))[3].tobytes() == alone
+    assert sample_batch(cfg, range(i - 1000, i + 1048))[1000].tobytes() == alone
+
+
+def test_kernel_path_leaves_numpy_random_unloaded():
+    # the per-index loop is the only user of numpy.random, whose first import
+    # adds about 6 MB to the peak RSS of a run
+    script = (
+        "import sys; from dwigner.ensembles import EnsembleConfig, sample_batch; "
+        "before = 'numpy.random' in sys.modules; "
+        "cfg = EnsembleConfig.create(n=4, sigma=1.0, theta=2.0, law='rademacher'); "
+        "sample_batch(cfg, range(2048)); "
+        "print(before, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert out == ["False", "False"]
 
 
 def test_rademacher_draws_equal_bounded_integers():
