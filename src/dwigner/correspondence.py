@@ -3,7 +3,10 @@
 ``to_marked_origin`` rotates a closed path with at least one odd edge and a
 last step down so that it ends with the first traversal of its first odd
 edge; the rotated path has a marked origin and a last step up, the same edge
-multiplicities, and the same (m, l) class. ``trajectory_surgery`` is the
+multiplicities, and the same (m, l) class. The rotation and its inverse work
+on arrays of paths, one path per row (``to_marked_origin_rows``,
+``from_marked_origin_rows``); the functions on one ``ClosedPath`` are their
+one-row case. ``trajectory_surgery`` is the
 companion transform on trajectories, mapping the (rotated trajectory, cut
 instant) pair into the class with ``p`` fewer down steps and end level
 ``l + 2p``. ``glue_paths`` merges two closed paths across their first shared
@@ -24,6 +27,8 @@ from .path_model import (
     ClosedPath,
     Trajectory,
     count_trajectories,
+    edge_codes,
+    instant_marks,
     nonneg_walks,
     tally_edges,
     trajectory_of,
@@ -31,6 +36,10 @@ from .path_model import (
 
 __all__ = [
     "CorrespondenceResult",
+    "ROW_ERRORS",
+    "raise_row_error",
+    "to_marked_origin_rows",
+    "from_marked_origin_rows",
     "to_marked_origin",
     "from_marked_origin",
     "trajectory_surgery",
@@ -58,12 +67,28 @@ class CorrespondenceResult:
     level_p: int
 
 
-def _rotate(path: ClosedPath, r: int) -> ClosedPath:
-    """Closed path whose edge sequence starts at edge r+1 of ``path``."""
-    verts = path.vertices
-    r %= len(verts) - 1
+# Messages of the per-row error codes of the rows forms; code 0 is no error.
+ROW_ERRORS = (
+    "",
+    "path has a last step up; the rotation applies to last-step-down paths",
+    "path has no odd edge (l = 0)",
+    "shift_k outside [0, L)",
+    "inconsistent (image, shift_k): not produced by to_marked_origin",
+)
+
+
+def raise_row_error(code: int) -> None:
+    """Raise the ``ValueError`` of a nonzero rows-form error code."""
+    if code:
+        raise ValueError(ROW_ERRORS[code])
+
+
+def _rotate_rows(verts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Closed paths whose edge sequences start at edge ``r + 1`` of each row."""
+    length = verts.shape[1] - 1
     # i_r, ..., i_{L-1} then i_0, ..., i_r: the closing repeat is i_r itself.
-    return ClosedPath(verts[r:-1] + verts[:r + 1], path.ambient_n)
+    index = (np.asarray(r)[:, None] + np.arange(length + 1)) % length
+    return np.take_along_axis(verts[:, :length], index, axis=1)
 
 
 def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
@@ -71,39 +96,66 @@ def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
     return dict(tally_edges(path)[1])
 
 
+def to_marked_origin_rows(verts: np.ndarray):
+    """Rows form of :func:`to_marked_origin` on an ``(N, L + 1)`` label array.
+
+    Returns ``(images, shift_k, level_p, error)``, one entry per row. A row
+    the rotation does not apply to gets the nonzero code of its first
+    failing precondition in ``error`` (see ``ROW_ERRORS``) and meaningless
+    values elsewhere; no row raises.
+    """
+    verts = np.asarray(verts)
+    length = verts.shape[1] - 1
+    marks, odd = instant_marks(edge_codes(verts))
+    # The first instant on an odd edge is the first traversal of the first odd edge.
+    j = odd.argmax(axis=1)  # that instant is j + 1
+    error = np.where(marks[:, -1], 1, np.where(odd.any(axis=1), 0, 2))
+    ups_before = (marks & (np.arange(length) < j[:, None])).sum(axis=1)
+    level_p = 2 * ups_before - j  # height before instant j + 1
+    return _rotate_rows(verts, j + 1), length - 1 - j, level_p, error
+
+
+def from_marked_origin_rows(images: np.ndarray, shift_k: np.ndarray):
+    """Rows form of :func:`from_marked_origin`: ``(sources, error)``.
+
+    Each source is the image rotated back by its ``shift_k``; the forward map
+    is applied to it again, and a row whose result differs from its
+    ``(image, shift_k)`` gets an error code, as does a shift outside
+    ``[0, L)`` or a source the forward map rejects (first failing check).
+    """
+    images, shift_k = np.asarray(images), np.asarray(shift_k)
+    length = images.shape[1] - 1
+    sources = _rotate_rows(images, shift_k)
+    check_images, check_k, _, check_error = to_marked_origin_rows(sources)
+    consistent = (check_images == images).all(axis=1) & (check_k == shift_k)
+    error = np.where((shift_k < 0) | (shift_k >= length), 3,
+                     np.where(check_error != 0, check_error, np.where(consistent, 0, 4)))
+    return sources, error
+
+
 def to_marked_origin(path: ClosedPath) -> CorrespondenceResult:
     """Rotate a last-step-down path to the marked-origin, last-step-up form.
 
     Requires at least one odd-multiplicity edge. The image visits the same
     edges with the same multiplicities and stays in the same (m, l) class;
-    the pair (image, shift_k) determines the source exactly. One
-    ``tally_edges`` pass gives the last step, the first odd edge and
-    ``level_p``.
+    the pair (image, shift_k) determines the source exactly. This is the
+    one-row case of :func:`to_marked_origin_rows`.
     """
-    keys, counts, marks = tally_edges(path)
-    if marks[-1]:
-        raise ValueError("path has a last step up; the rotation applies to last-step-down paths")
-    # The first instant on an odd edge is the first traversal of the first odd edge.
-    for j, key in enumerate(keys, 1):
-        if counts[key] % 2:
-            break
-    else:
-        raise ValueError("path has no odd edge (l = 0)")
-    level_p = 2 * sum(marks[: j - 1]) - (j - 1)  # height before instant j
-    image = _rotate(path, j)
-    return CorrespondenceResult(image=image, shift_k=path.length - j, level_p=level_p)
+    images, shift_k, level_p, error = to_marked_origin_rows(np.array([path.vertices]))
+    raise_row_error(error[0])
+    image = ClosedPath(tuple(images[0].tolist()), path.ambient_n)
+    return CorrespondenceResult(image=image, shift_k=int(shift_k[0]), level_p=int(level_p[0]))
 
 
 def from_marked_origin(result: CorrespondenceResult) -> ClosedPath:
-    """Invert :func:`to_marked_origin`; rejects inconsistent inputs."""
-    length = result.image.length
-    if not 0 <= result.shift_k < length:
-        raise ValueError("shift_k outside [0, L)")
-    source = _rotate(result.image, result.shift_k)
-    check = to_marked_origin(source)
-    if check.image.vertices != result.image.vertices or check.shift_k != result.shift_k:
-        raise ValueError("inconsistent (image, shift_k): not produced by to_marked_origin")
-    return source
+    """Invert :func:`to_marked_origin`; rejects inconsistent inputs. This is
+    the one-row case of :func:`from_marked_origin_rows`."""
+    # out-of-range shifts stay out of range but within int64
+    shift_k = max(-1, min(result.shift_k, result.image.length))
+    sources, error = from_marked_origin_rows(np.array([result.image.vertices]),
+                                             np.array([shift_k]))
+    raise_row_error(error[0])
+    return ClosedPath(tuple(sources[0].tolist()), result.image.ambient_n)
 
 
 def trajectory_surgery(x_prime: Trajectory, p: int, cut_time: int) -> Trajectory:

@@ -303,8 +303,10 @@ def class_count_bound_check(s: int) -> dict:
             monotone = False
         prev_count, prev_l = count, l
         if l >= 2:
-            supported = (math.log(l + 1) - _log_fraction(Fraction(count, t_even))) * s / (l * l)
-            best_c0 = min(best_c0, supported)
+            # log of the reduced fraction count / t_even, whose terms overflow floats
+            g = math.gcd(count, t_even)
+            log_ratio = math.log(count // g) - math.log(t_even // g)
+            best_c0 = min(best_c0, (math.log(l + 1) - log_ratio) * s / (l * l))
     return {
         "s": s,
         "c0": c0,
@@ -313,9 +315,3 @@ def class_count_bound_check(s: int) -> dict:
         "largest_supported_c0": best_c0,
         "monotone_normalized": monotone,
     }
-
-
-def _log_fraction(x: Fraction) -> float:
-    # log of a positive rational with huge terms, without overflowing floats
-    return math.log(x.numerator) - math.log(x.denominator)
-

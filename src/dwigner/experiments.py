@@ -9,6 +9,7 @@ counterexamples.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -505,45 +506,105 @@ def _check_sum_identity(max_steps: int):
     return params, None
 
 
+# Paths per numpy pass of the correspondence check. The check's time is flat
+# from 1,024 to 8,192; larger chunks raise the battery's peak RSS (CHANGES.md
+# logs both per size).
+CORRESPONDENCE_CHUNK = 2048
+# What an admissible path can fail, in the order the check tests it. None is
+# a precondition of a rows call, which fails as that call's ValueError.
+_CORRESPONDENCE_FAILURES = (
+    None,
+    "image does not end with an up step",
+    "image origin is not marked",
+    "class not preserved",
+    "edge multiset not preserved",
+    None,
+    "round trip failed",
+)
+
+
 def _check_correspondence(max_length: int, max_vertices: int):
     params = {"max_length": max_length, "max_vertices": max_vertices}
     checked = 0
-    seen: dict[tuple, tuple] = {}
     for length in range(1, max_length + 1):
-        for path in path_model.canonical_closed_paths(length, max_vertices):
-            # admissible: last step down and end level 2 * (marked instants) - L > 0
-            marks = path_model.tally_edges(path)[2]
-            if marks[-1] or 2 * sum(marks) == length:
-                continue
-            checked += 1
-            fail = _correspondence_case_fails(path, path_model.trajectory_of(path), seen)
-            if fail is not None:
-                return params, {"path": path_model.path_to_string(path), "reason": fail}
+        paths = path_model.canonical_closed_paths(length, max_vertices)
+        # admissible paths of this length so far and their (image, shift_k) rows
+        admitted = [np.empty((0, length + 1), np.int8)]
+        keys = [np.empty((0, length + 2), np.int8)]
+        end, row = 0, None
+        for chunk in _path_chunks(paths, length):
+            verts, key, failures = _correspondence_chunk(chunk)
+            admitted.append(verts)
+            keys.append(key)
+            failing = np.flatnonzero(failures.any(axis=1))
+            if failing.size:
+                row = int(failing[0])
+                end += row
+                break
+            end += len(verts)
+        # (image, shift_k) must not repeat among the paths before the first failure
+        repeat = _first_repeat(np.concatenate(keys)[:end])
+        if repeat is not None:
+            return params, _counterexample(np.concatenate(admitted)[repeat], "injectivity failure")
+        if row is not None:
+            stage = int(np.flatnonzero(failures[row])[0])
+            reason = _CORRESPONDENCE_FAILURES[stage]
+            if reason is None:
+                correspondence.raise_row_error(int(failures[row, stage]))
+            return params, _counterexample(verts[row], reason)
+        checked += end
     params["cases"] = checked
     return params, None
 
 
-def _correspondence_case_fails(path, source_traj, seen) -> str | None:
-    result = correspondence.to_marked_origin(path)
-    image = result.image
-    image_traj = path_model.trajectory_of(image)  # the one classification of the image
-    if image_traj.steps[-1] != 1:
-        return "image does not end with an up step"
-    if not path_model.has_marked_origin(image, image_traj):
-        return "image origin is not marked"
-    if (image_traj.end_level, image_traj.down_steps) != (
-        source_traj.end_level, source_traj.down_steps
-    ):
-        return "class not preserved"
-    if correspondence.edge_multiset(image) != correspondence.edge_multiset(path):
-        return "edge multiset not preserved"
-    if correspondence.from_marked_origin(result).vertices != path.vertices:
-        return "round trip failed"
-    key = (image.vertices, result.shift_k)
-    if key in seen and seen[key] != path.vertices:
-        return "injectivity failure"
-    seen[key] = path.vertices
-    return None
+def _path_chunks(paths, length: int):
+    """The paths as int8 arrays of up to ``CORRESPONDENCE_CHUNK`` rows, in order."""
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(
+            p.vertices for p in itertools.islice(paths, CORRESPONDENCE_CHUNK)), np.int8)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, length + 1)
+
+
+def _correspondence_chunk(verts: np.ndarray):
+    """Admissible rows of a chunk of paths, their (image, shift_k) rows, and
+    per row the failures in the order of ``_CORRESPONDENCE_FAILURES`` (nonzero
+    where failed; error codes for the rows calls)."""
+    length = verts.shape[1] - 1
+    codes = path_model.edge_codes(verts)
+    marks = path_model.instant_marks(codes)[0]
+    ups = marks.sum(axis=1)
+    # admissible: last step down and end level 2 * (marked instants) - L > 0
+    admissible = ~marks[:, -1] & (2 * ups != length)
+    verts, codes, ups = verts[admissible], codes[admissible], ups[admissible]
+    images, shift_k, _, error = correspondence.to_marked_origin_rows(verts)
+    image_codes = path_model.edge_codes(images)
+    image_marks = path_model.instant_marks(image_codes)[0]
+    sources, back_error = correspondence.from_marked_origin_rows(images, shift_k)
+    failures = np.column_stack((
+        error,
+        ~image_marks[:, -1],
+        ~(image_marks & (images[:, 1:] == images[:, :1])).any(axis=1),
+        image_marks.sum(axis=1) != ups,
+        (np.sort(image_codes, axis=1) != np.sort(codes, axis=1)).any(axis=1),
+        back_error,
+        (sources != verts).any(axis=1),
+    ))
+    return verts, np.column_stack((images, shift_k)).astype(np.int8), failures
+
+
+def _first_repeat(rows: np.ndarray) -> int | None:
+    """Index of the first row equal to an earlier row, or None."""
+    rows = np.ascontiguousarray(rows)
+    whole = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    repeated = np.ones(len(rows), dtype=bool)
+    repeated[np.unique(whole, return_index=True)[1]] = False
+    return int(np.argmax(repeated)) if repeated.any() else None
+
+
+def _counterexample(path_row: np.ndarray, reason: str) -> dict:
+    return {"path": ",".join(map(str, path_row.tolist())), "reason": reason}
 
 
 def _check_surgery(max_steps: int):

@@ -15,11 +15,15 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
+import numpy as np
+
 __all__ = [
     "ClosedPath",
     "Trajectory",
     "EnumerationLimitError",
     "tally_edges",
+    "edge_codes",
+    "instant_marks",
     "classify_instants",
     "trajectory_of",
     "enumerate_trajectories",
@@ -130,6 +134,39 @@ def tally_edges(
     return tally
 
 
+def edge_codes(verts: np.ndarray) -> np.ndarray:
+    """Codes of the unordered edges of instants j = 1..L of closed paths given
+    as the rows of an ``(N, L + 1)`` integer array of vertex labels.
+
+    Edge ``{lo, hi}`` with ``1 <= lo <= hi`` gets ``hi (hi - 1) / 2 + lo - 1``,
+    so the edges on labels ``1..v`` take the codes ``0..v (v + 1) / 2 - 1`` and
+    two rows traverse the same edge multiset exactly when their sorted codes
+    are equal.
+    """
+    verts = np.asarray(verts, dtype=np.int64)
+    a, b = verts[:, :-1], verts[:, 1:]
+    hi = np.maximum(a, b)
+    return hi * (hi - 1) // 2 + np.minimum(a, b) - 1
+
+
+def instant_marks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows form of the marks of :func:`tally_edges`, from :func:`edge_codes`.
+
+    Returns two ``(N, L)`` bool arrays: entry ``[r, j - 1]`` of the first is
+    True when instant j of path r is marked, of the second when the edge of
+    instant j has an odd total count. Each edge is one bit of a word; the
+    prefix XOR of the instants' one-hot words holds every edge's parity after
+    each instant, so mark j is the bit of edge j after instant j and the odd
+    edges are the bits of the last prefix. The word is a ``uint16`` for labels
+    up to 5, a ``uint64`` up to 10 and a Python int beyond.
+    """
+    codes = np.asarray(codes)
+    top = int(codes.max(initial=0))
+    bit = codes.astype(np.uint16 if top < 16 else np.uint64 if top < 64 else object)
+    parity = np.bitwise_xor.accumulate(np.ones_like(bit) << bit, axis=1)
+    return ((parity >> bit) & 1).astype(bool), ((parity[:, -1:] >> bit) & 1).astype(bool)
+
+
 def classify_instants(path: ClosedPath) -> list[bool]:
     """True for marked instants j = 1..L, False for unmarked ones."""
     return list(tally_edges(path)[2])
@@ -210,22 +247,27 @@ def canonical_closed_paths(length: int, max_vertices: int):
 
     Every closed path over at most ``max_vertices`` labels is a relabeling of
     exactly one path yielded here (restricted-growth sequences), which makes
-    exhaustive checks of label-equivariant properties affordable.
+    exhaustive checks of label-equivariant properties affordable. The
+    sequences come in lexicographic order, advanced in place like an odometer.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    seq = [1]
-
-    def rec(pos: int, used: int):
-        if pos == length:
-            yield ClosedPath(tuple(seq) + (1,), used)
+    if length > 1 and max_vertices < 1:
+        return  # no label may follow the origin
+    seq = [1] * length
+    used = [1] * length  # used[i]: the largest label in seq[: i + 1]
+    while True:
+        yield ClosedPath(tuple(seq) + (1,), used[-1])
+        # advance the last position that can still grow, then reset the rest to 1
+        i = length - 1
+        while i and (seq[i] > used[i - 1] or seq[i] >= max_vertices):
+            i -= 1
+        if i == 0:
             return
-        for v in range(1, min(used + 1, max_vertices) + 1):
-            seq.append(v)
-            yield from rec(pos + 1, max(used, v))
-            seq.pop()
-
-    yield from rec(1, 1)
+        seq[i] += 1
+        used[i] = max(used[i - 1], seq[i])
+        seq[i + 1:] = [1] * (length - 1 - i)
+        used[i + 1:] = [used[i]] * (length - 1 - i)
 
 
 def path_to_string(path: ClosedPath) -> str:

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from dwigner.correspondence import (
+    ROW_ERRORS,
     CorrespondenceResult,
-    _rotate,
+    _rotate_rows,
     edge_multiset,
     from_marked_origin,
+    from_marked_origin_rows,
     glue_paths,
     k_statistic,
     preimage_bound_check,
     sample_trajectory,
     to_marked_origin,
+    to_marked_origin_rows,
     trajectory_surgery,
     verify_count_identity,
 )
+from dwigner.experiments import CORRESPONDENCE_CHUNK
 from dwigner.path_model import (
     ClosedPath,
     Trajectory,
@@ -51,6 +55,11 @@ def test_precondition_failures():
         to_marked_origin(ClosedPath((1, 2, 1), 2))  # no odd edge (l = 0)
 
 
+def _rotate(path, r):
+    return ClosedPath(tuple(_rotate_rows(np.array([path.vertices]), [r])[0].tolist()),
+                      path.ambient_n)
+
+
 def test_identity_rotation():
     # rotating by zero steps is the identity on any closed path
     assert _rotate(NINE_PATH, 0).vertices == NINE_PATH.vertices
@@ -78,8 +87,9 @@ def test_from_marked_origin_rejects_inconsistent_pairs():
     bad = CorrespondenceResult(image=r.image, shift_k=1, level_p=r.level_p)
     with pytest.raises(ValueError):
         from_marked_origin(bad)
-    with pytest.raises(ValueError):
-        from_marked_origin(CorrespondenceResult(image=r.image, shift_k=99, level_p=0))
+    for shift_k in (99, -1, 2**70, -2**70):
+        with pytest.raises(ValueError, match="shift_k outside"):
+            from_marked_origin(CorrespondenceResult(image=r.image, shift_k=shift_k, level_p=0))
 
 
 def test_same_image_different_shift_is_another_source():
@@ -152,6 +162,46 @@ def test_one_pass_rotation_matches_reference():
             image, shift_k, level_p = _reference_to_marked_origin(path)
             assert (r.image.vertices, r.shift_k, r.level_p) == (image.vertices, shift_k, level_p)
     assert checked > 1000
+
+
+def _rows_outputs(verts):
+    images, shift_k, level_p, error = to_marked_origin_rows(verts)
+    sources, back_error = from_marked_origin_rows(images, shift_k)
+    return images, shift_k, level_p, error, sources, back_error
+
+
+def test_rows_do_not_depend_on_the_batch():
+    # a path alone, at both edges of a battery chunk and inside a full one
+    # (with a wide-label row in the batch) gives the same outputs
+    fill = np.array([p.vertices for p in canonical_closed_paths(8, 5)], dtype=np.int8)
+    full = np.resize(fill, (CORRESPONDENCE_CHUNK, 9))
+    full[7] = (1, 2, 3, 4, 5, 6, 7, 9, 1)  # labels past 5 widen the mark words
+    for probe in (fill[0], fill[5], fill[-1], fill[1234]):  # admissible and not
+        alone = _rows_outputs(probe[None, :])
+        for at in (0, CORRESPONDENCE_CHUNK - 1, CORRESPONDENCE_CHUNK // 2):
+            batch = full.copy()
+            batch[at] = probe
+            for got, want in zip(_rows_outputs(batch), alone):
+                assert np.array_equal(got[at], want[0])
+
+
+def test_rows_flag_what_the_scalar_form_raises():
+    # the error codes carry the scalar form's messages, first failing check first
+    verts = np.array([(1, 2, 3, 1, 1), (1, 2, 3, 2, 1), (1, 1, 2, 2, 1)])
+    assert [ROW_ERRORS[e] for e in to_marked_origin_rows(verts)[3]] == [
+        "path has a last step up; the rotation applies to last-step-down paths",
+        "path has no odd edge (l = 0)", ""]
+    r = to_marked_origin(NINE_PATH)
+    images = np.array([r.image.vertices] * 4)
+    error = from_marked_origin_rows(images, np.array([r.shift_k, 1, 99, -1]))[1]
+    assert [ROW_ERRORS[e] for e in error] == [
+        "", "path has a last step up; the rotation applies to last-step-down paths",
+        "shift_k outside [0, L)", "shift_k outside [0, L)"]
+    # an admissible source whose own image is another path
+    error = from_marked_origin_rows(np.array([(1, 1, 1, 1, 2, 2, 1)]), np.array([0]))[1]
+    assert ROW_ERRORS[error[0]] == "inconsistent (image, shift_k): not produced by to_marked_origin"
+    with pytest.raises(ValueError, match="inconsistent"):
+        from_marked_origin(CorrespondenceResult(ClosedPath((1, 1, 1, 1, 2, 2, 1), 2), 0, 0))
 
 
 def test_roundtrip_commutes_with_relabeling():

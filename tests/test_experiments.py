@@ -13,7 +13,6 @@ import dwigner.correspondence
 import dwigner.experiments
 import dwigner.path_model
 from dwigner.cli import main as cli_main
-from dwigner.correspondence import CorrespondenceResult
 from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of, sample_deformed
 from dwigner.experiments import (
     _CHECKS,
@@ -359,19 +358,130 @@ def test_verify_battery_reports_a_crashed_check():
 
 def test_verify_battery_catches_a_wrong_rotation_shift(monkeypatch):
     # an off-by-one shift_k from the rotation must fail the round-trip check
-    real = dwigner.correspondence.to_marked_origin
+    real = dwigner.correspondence.to_marked_origin_rows
 
-    def shifted(path):
-        r = real(path)
-        return CorrespondenceResult(image=r.image, shift_k=r.shift_k + 1, level_p=r.level_p)
+    def shifted(verts):
+        images, shift_k, level_p, error = real(verts)
+        return images, shift_k + 1, level_p, error
 
-    monkeypatch.setattr(dwigner.correspondence, "to_marked_origin", shifted)
+    monkeypatch.setattr(dwigner.correspondence, "to_marked_origin_rows", shifted)
     code, report = run_combinatorics_verify(
         {"correspondence_length": 6, "correspondence_vertices": 3})
     assert code == 1
     (rec,) = report["records"]
     assert rec["check"] == "correspondence_roundtrip"
     assert rec["pass"] is False
+
+
+def _reference_correspondence(max_length, max_vertices):
+    """The correspondence check path by path, through the one-row forms: the
+    order and reasons the battery must reproduce on its arrays."""
+    c, pm = dwigner.correspondence, dwigner.path_model
+
+    def marks_of(path):
+        return pm.instant_marks(pm.edge_codes(np.array([path.vertices])))[0][0].tolist()
+
+    seen = {}
+    checked = 0
+    for length in range(1, max_length + 1):
+        for path in pm.canonical_closed_paths(length, max_vertices):
+            marks = marks_of(path)
+            if marks[-1] or 2 * sum(marks) == length:
+                continue
+            checked += 1
+            r = c.to_marked_origin(path)
+            image = r.image.vertices
+            image_marks = marks_of(r.image)
+            if not image_marks[-1]:
+                reason = "image does not end with an up step"
+            elif not any(m and v == image[0] for m, v in zip(image_marks, image[1:])):
+                reason = "image origin is not marked"
+            elif sum(image_marks) != sum(marks):
+                reason = "class not preserved"
+            elif c.edge_multiset(r.image) != c.edge_multiset(path):
+                reason = "edge multiset not preserved"
+            elif c.from_marked_origin(r).vertices != path.vertices:
+                reason = "round trip failed"
+            elif seen.setdefault((image, r.shift_k), path.vertices) != path.vertices:
+                reason = "injectivity failure"
+            else:
+                continue
+            return {"path": pm.path_to_string(path), "reason": reason}
+    return {"cases": checked}
+
+
+def _battery_correspondence(max_length, max_vertices):
+    code, report = run_combinatorics_verify(
+        {"correspondence_length": max_length, "correspondence_vertices": max_vertices})
+    (rec,) = report["records"]
+    return rec["counterexample"] if code else {"cases": rec["params"]["cases"]}
+
+
+def _reference_or_error(max_length, max_vertices):
+    try:
+        return _reference_correspondence(max_length, max_vertices)
+    except ValueError as exc:  # the battery records a raising check the same way
+        return {"error": repr(exc)}
+
+
+def _hit(rows):
+    # the mutations below break only some paths of length >= 6, so the first
+    # failure sits deep in the canonical order and in mid-chunk
+    rows = np.asarray(rows)
+    return (rows.shape[1] >= 6) & (rows.sum(axis=1) % 5 == 0)
+
+
+def _shift_plus_one(real):
+    def mutated(verts):
+        images, shift_k, level_p, error = real(verts)
+        in_range = shift_k + 1 < np.asarray(verts).shape[1] - 1
+        return images, shift_k + (_hit(verts) & in_range), level_p, error
+    return mutated
+
+
+def _rotate_one_early(real):
+    def mutated(verts):
+        verts = np.asarray(verts)
+        images, shift_k, level_p, error = real(verts)
+        first_odd = verts.shape[1] - 1 - shift_k  # the rotation's instant j
+        early = dwigner.correspondence._rotate_rows(verts, first_odd - 1)
+        return np.where(_hit(verts)[:, None], early, images), shift_k, level_p, error
+    return mutated
+
+
+def _flip_second_mark(real):
+    def mutated(codes):
+        marks, odd = real(codes)
+        if marks.shape[1] > 1:
+            marks[:, 1] ^= _hit(codes) & odd.any(axis=1)
+        return marks, odd
+    return mutated
+
+
+@pytest.mark.parametrize("module, name, mutate", [
+    ("correspondence", "to_marked_origin_rows", _shift_plus_one),
+    ("correspondence", "to_marked_origin_rows", _rotate_one_early),
+    ("path_model", "instant_marks", _flip_second_mark),
+])
+def test_correspondence_counterexample_matches_per_path_reference(monkeypatch, module, name,
+                                                                  mutate):
+    assert _battery_correspondence(8, 4) == _reference_correspondence(8, 4) == {"cases": 1166}
+    mutated = mutate(getattr(getattr(dwigner, module), name))
+    monkeypatch.setattr(getattr(dwigner, module), name, mutated)
+    if name == "instant_marks":  # the rotation reads the kernel through its own import
+        monkeypatch.setattr(dwigner.correspondence, name, mutated)
+    got = _battery_correspondence(8, 4)
+    assert "cases" not in got
+    assert got == _reference_or_error(8, 4)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_correspondence_check_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(dwigner.experiments, "CORRESPONDENCE_CHUNK", chunk)
+    assert _battery_correspondence(7, 4) == _reference_correspondence(7, 4) == {"cases": 366}
+    monkeypatch.setattr(dwigner.correspondence, "to_marked_origin_rows",
+                        _shift_plus_one(dwigner.correspondence.to_marked_origin_rows))
+    assert _battery_correspondence(7, 4) == _reference_or_error(7, 4)
 
 
 def test_verify_default_report_bytes_are_pinned(tmp_path):
@@ -384,6 +494,24 @@ def test_verify_default_report_bytes_are_pinned(tmp_path):
         "8b8d58679b3b7dbe49b28f45eb4fe95911e96e25653ff0ff5dbe51824cb55dbf")
 
 
+def test_verify_exact_report_bytes_are_pinned(tmp_path):
+    # sha256 of the battery's report at the verify-exact benchmark shape
+    # (perfbench/workloads.py), as written at commit 699c539, before the
+    # correspondence check moved to int8 path arrays. It reaches what the
+    # default pin does not: correspondence at L = 10 on 5 vertices (38,765
+    # cases) and lemma73 up to s = 200.
+    out = tmp_path / "verify.json"
+    assert cli_main([
+        "verify-combinatorics", "--trajectory-steps", "16", "--sum-identity-steps", "24",
+        "--correspondence-length", "10", "--correspondence-vertices", "5",
+        "--surgery-steps", "12", "--lemma73-s", "200",
+        "--lemma77-grid", "25", "100", "400", "900",
+        "--dyck-roundtrip-steps", "16", "--ballot-steps", "24", "--max-pmf-m", "10",
+        "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "868cb51136a7d2e0f75a6e6c78548b65aa01fd0c7158b0b0b10a08408aaa15dc")
+
+
 def test_verify_passes_under_python_optimize(tmp_path):
     # -O strips assert statements; the battery's guards are explicit raises
     out = tmp_path / "verify.json"
@@ -394,7 +522,8 @@ def test_verify_passes_under_python_optimize(tmp_path):
     assert all(rec["pass"] for rec in json.loads(out.read_text())["records"])
 
 
-# Each case breaks one step of an exact routine and expects its guard to fire.
+# Each `rejects` case hands the rotation an input its explicit checks must refuse;
+# each `fires` case breaks one step of an exact routine and expects its guard to fire.
 _GUARD_CASES = """
 import dwigner.correspondence as c
 import dwigner.dyck_stats as d
@@ -414,6 +543,16 @@ def fires(call, owner, name, fake):
             setattr(owner, name, real)
     return False
 
+def rejects(call):
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+image = ClosedPath((1, 1, 1, 1, 2, 2, 1), 2)  # admissible, but its own image is another path
+print(rejects(lambda: c.from_marked_origin(c.CorrespondenceResult(image, 0, 0))),
+      rejects(lambda: c.to_marked_origin(ClosedPath((1, 2, 3, 1), 3))))
 print(fires(lambda: d.dyck_decompose(traj("UUDU")),
             d.DyckDecomposition, "reconstructed_steps", lambda self: ()),
       fires(lambda: d.max_level_distribution(4), d, "confined_dyck_count", lambda m, k: 0),
@@ -428,7 +567,7 @@ def test_exact_guards_fire_under_python_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", _GUARD_CASES],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 4
+    assert proc.stdout.split() == ["True"] * 6
 
 
 def test_verify_check_table_uses_every_limit():

@@ -16,8 +16,10 @@ from dwigner.path_model import (
     classify_instants,
     count_trajectories,
     count_trajectories_factorial,
+    edge_codes,
     enumerate_trajectories,
     has_marked_origin,
+    instant_marks,
     last_step_split,
     path_to_string,
     tally_edges,
@@ -181,6 +183,63 @@ def test_one_tally_per_path_and_canonical_order():
             marks.append(None)  # a caller's copy, not the stored marks
             assert len(tally[2]) == length
             assert fresh == path and hash(fresh) == hash(path) and repr(fresh) == repr(path)
+
+
+def recursive_closed_paths(length, max_vertices):
+    """The generator as a recursion over positions: the reference for the walk."""
+    seq = [1]
+
+    def rec(pos, used):
+        if pos == length:
+            yield ClosedPath(tuple(seq) + (1,), used)
+            return
+        for v in range(1, min(used + 1, max_vertices) + 1):
+            seq.append(v)
+            yield from rec(pos + 1, max(used, v))
+            seq.pop()
+
+    yield from rec(1, 1)
+
+
+def test_canonical_paths_match_the_recursive_reference():
+    for length in range(1, 9):
+        for max_vertices in range(0, 6):
+            got = list(canonical_closed_paths(length, max_vertices))
+            want = list(recursive_closed_paths(length, max_vertices))
+            assert [(p.vertices, p.ambient_n) for p in got] == \
+                [(p.vertices, p.ambient_n) for p in want]
+
+
+def test_marks_kernel_matches_tally_edges():
+    # the rows kernel against the dict route, every canonical path with
+    # L <= 8 on <= 5 vertices, one array per length
+    for length in range(1, 9):
+        paths = list(canonical_closed_paths(length, 5))
+        codes = edge_codes(np.array([p.vertices for p in paths], dtype=np.int8))
+        marks, odd = instant_marks(codes)
+        assert marks.dtype == odd.dtype == bool
+        for path, code_row, mark_row, odd_row in zip(paths, codes, marks, odd):
+            keys, counts, tallied = tally_edges(path)
+            assert mark_row.tolist() == tallied
+            assert odd_row.tolist() == [counts[key] % 2 == 1 for key in keys]
+            # equal codes exactly for equal unordered edges
+            assert len(set(code_row.tolist())) == len(counts)
+
+
+def test_marks_kernel_word_widths_agree():
+    # labels up to 5 take uint16 words, up to 10 uint64 and beyond Python
+    # ints; adding a row with wider labels must not change any other row
+    rng = np.random.Generator(np.random.Philox(key=np.array([6, 1], dtype=np.uint64)))
+    paths = [random_closed_path(5, 9, rng) for _ in range(50)]
+    rows = np.array([p.vertices for p in paths])
+    alone = instant_marks(edge_codes(rows))
+    for top in (10, 40):
+        wide = np.vstack([rows, np.array([[1, top, 2, top, 3, 1, 4, 2, 5, 1]])])
+        marks, odd = instant_marks(edge_codes(wide))
+        assert (marks[:-1] == alone[0]).all() and (odd[:-1] == alone[1]).all()
+        keys, counts, tallied = tally_edges(ClosedPath(tuple(wide[-1].tolist()), top))
+        assert marks[-1].tolist() == tallied
+        assert odd[-1].tolist() == [counts[key] % 2 == 1 for key in keys]
 
 
 def test_stored_values_are_not_dataclass_fields():
