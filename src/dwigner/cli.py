@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
+from .correspondence import GLUE_CENSUS_GUARD
+from .dyck_stats import PMF_M_GUARD
 from .ensembles import EnsembleConfig
 from .experiments import (
     DEFAULT_VERIFY_LIMITS,
@@ -23,6 +26,7 @@ from .experiments import (
     run_trace_growth,
     write_report,
 )
+from .path_model import ENUMERATION_STEP_CAP
 
 _LAWS = ("gaussian", "rademacher", "uniform")
 
@@ -56,12 +60,29 @@ def _add_options(parser: argparse.ArgumentParser, with_power: bool) -> None:
                                 choices=choices, help=text)
 
 
-def positive_int(text: str) -> int:
-    """argparse type for the verify limits: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+# Verify limits that a library guard caps: a larger value would only crash
+# the check on that guard after every smaller case had run.
+_VERIFY_MAXIMA = {
+    "trajectory_steps": ENUMERATION_STEP_CAP,
+    "surgery_steps": ENUMERATION_STEP_CAP,
+    "dyck_roundtrip_steps": ENUMERATION_STEP_CAP,
+    "max_pmf_m": ENUMERATION_STEP_CAP // 2,  # enumerates the Dyck paths of 2m steps
+    "glue_length": GLUE_CENSUS_GUARD,
+    "glue_vertices": GLUE_CENSUS_GUARD,
+    "lemma77_grid": PMF_M_GUARD,
+}
+
+
+def verify_limit(maximum: int | None):
+    """argparse type for a verify limit: an integer >= 1, and <= maximum if given."""
+    def positive_int(text: str) -> int:  # argparse names it in "invalid positive_int value"
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
+        return value
+    return positive_int
 
 
 def _gather(args: argparse.Namespace) -> dict:
@@ -106,7 +127,8 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     )
     baseline = None
     if "baseline_theta" in settings or "baseline_law" in settings:
-        baseline = base.with_params(
+        baseline = replace(
+            base,
             theta=settings.get("baseline_theta", base.theta),
             law=_canonical_law(settings["baseline_law"]) if "baseline_law" in settings else law,
         )
@@ -133,12 +155,12 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument("--out", help="output file path")
     verify.add_argument("--format", choices=["csv", "json"], default="json")
     for key, default in DEFAULT_VERIFY_LIMITS.items():
+        kind = verify_limit(_VERIFY_MAXIMA.get(key))
         if isinstance(default, tuple):
-            verify.add_argument(f"--{key.replace('_', '-')}", type=positive_int, nargs="+",
+            verify.add_argument(f"--{key.replace('_', '-')}", type=kind, nargs="+",
                                 default=list(default))
         else:
-            verify.add_argument(f"--{key.replace('_', '-')}", type=positive_int,
-                                default=default)
+            verify.add_argument(f"--{key.replace('_', '-')}", type=kind, default=default)
 
     args = parser.parse_args(argv)
 

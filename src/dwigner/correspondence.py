@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .path_model import (
     count_trajectories,
     edge_codes,
     instant_marks,
-    nonneg_walks,
     tally_edges,
     trajectory_of,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "glue_paths",
     "k_statistic",
     "preimage_bound_check",
-    "sample_trajectory",
     "edge_multiset",
 ]
 
@@ -92,8 +89,8 @@ def _rotate_rows(verts: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
-    """Traversal count of each edge: a copy of the path's one edge tally."""
-    return dict(tally_edges(path)[1])
+    """Traversal count of each edge, in first-traversal order."""
+    return tally_edges(path)[1]
 
 
 def to_marked_origin_rows(verts: np.ndarray):
@@ -269,9 +266,8 @@ def k_statistic(x: Trajectory, window: int) -> int:
     return count
 
 
-def _all_closed_paths(length: int, n_vertices: int):
-    for combo in itertools.product(range(1, n_vertices + 1), repeat=length):
-        yield ClosedPath(vertices=combo + (combo[0],), ambient_n=n_vertices)
+# Largest length and vertex budget of the exhaustive gluing census.
+GLUE_CENSUS_GUARD = 5
 
 
 def preimage_bound_check(length: int, vertex_budget: int) -> dict:
@@ -282,17 +278,19 @@ def preimage_bound_check(length: int, vertex_budget: int) -> dict:
     path has more preimage pairs than ``2 L * k_statistic(x, L)`` evaluated
     on its trajectory.
     """
-    if length > 5 or vertex_budget > 5:
-        raise ValueError("census guard: length <= 5 and vertex_budget <= 5")
+    if length > GLUE_CENSUS_GUARD or vertex_budget > GLUE_CENSUS_GUARD:
+        raise ValueError(f"census guard: length <= {GLUE_CENSUS_GUARD} "
+                         f"and vertex_budget <= {GLUE_CENSUS_GUARD}")
     if length < 2:
         raise ValueError("gluing needs length >= 2")
-    paths = list(_all_closed_paths(length, vertex_budget))
+    paths = [ClosedPath(vertices=combo + (combo[0],), ambient_n=vertex_budget)
+             for combo in itertools.product(range(1, vertex_budget + 1), repeat=length)]
+    edge_sets = [set(edge_multiset(p)) for p in paths]
     counts: dict[tuple[int, ...], int] = {}
     pairs = 0
-    for pa in paths:
-        keys_a = set(edge_multiset(pa))
-        for pb in paths:
-            if keys_a.isdisjoint(edge_multiset(pb)):
+    for pa, keys_a in zip(paths, edge_sets):
+        for pb, keys_b in zip(paths, edge_sets):
+            if keys_a.isdisjoint(keys_b):
                 continue
             pairs += 1
             glued = glue_paths(pa, pb)
@@ -315,21 +313,3 @@ def preimage_bound_check(length: int, vertex_budget: int) -> dict:
         "pass": not violations,
     }
 
-
-def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:
-    """Uniform draw from the (m, l) class by exact sequential counting."""
-    ups, downs, h = l + m, m, 0
-    steps = []
-    while ups + downs > 0:
-        n_up = nonneg_walks(h + 1, ups - 1, downs) if ups > 0 else 0
-        n_down = nonneg_walks(h - 1, ups, downs - 1) if downs > 0 and h > 0 else 0
-        p_up = float(Fraction(n_up, n_up + n_down))
-        if rng.random() < p_up:
-            steps.append(1)
-            ups -= 1
-            h += 1
-        else:
-            steps.append(-1)
-            downs -= 1
-            h -= 1
-    return Trajectory(tuple(steps))

@@ -181,6 +181,10 @@ def confined_dyck_count(m: int, ceiling: int) -> int:
     return total
 
 
+# Largest m for which max_level_distribution computes its exact law.
+PMF_M_GUARD = 2000
+
+
 def max_level_distribution(
     m: int, blocks: tuple[int, ...] | None = None
 ) -> dict[int, Fraction]:
@@ -192,8 +196,8 @@ def max_level_distribution(
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m > 2000:
-        raise ValueError("m exceeds the exact-pmf feasibility guard (2000)")
+    if m > PMF_M_GUARD:
+        raise ValueError(f"m exceeds the exact-pmf feasibility guard ({PMF_M_GUARD})")
     if blocks is None:
         blocks = (m,)
     if sum(blocks) != m or any(b < 0 for b in blocks):

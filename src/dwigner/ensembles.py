@@ -18,7 +18,7 @@ Both routes give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -97,12 +97,6 @@ class EntryLaw:
         # uniform on [-sqrt(3 v), sqrt(3 v)]: E[X^{2k}] = (3v)^k / (2k + 1)
         return 3**k * v**k / (2 * k + 1)
 
-    @property
-    def beta(self) -> float:
-        """Sub-Gaussian constant: E[X^{2k}] <= (beta * k)^k for all k >= 1."""
-        v = self.component_variance
-        return {"gaussian": 2.0 * v, "rademacher": v, "uniform-symmetric": 3.0 * v}[self.kind]
-
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -161,10 +155,6 @@ class EnsembleConfig:
             law=law,
             master_seed=master_seed,
         )
-
-    def with_params(self, **kwargs) -> "EnsembleConfig":
-        """Copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -327,35 +317,32 @@ def _law_draws(config: EnsembleConfig, indices, blocks) -> np.ndarray:
     width = sum(size for size, _ in blocks)
     seed = config.master_seed & _MASK64
     rademacher = config.law == "rademacher"
-    n_words = (width + 1) // 2 if rademacher else width
-    # The Gaussian ziggurat takes a variable number of words per draw, so it
-    # always runs on the per-index loop.
-    kernel = (config.law != "gaussian" and n_words <= KERNEL_MAX_WORDS
-              and len(indices) >= KERNEL_MIN_BATCH)
     out = np.empty((len(indices), width))
-    if kernel:
-        words = _philox_words(seed, indices, n_words)
-    elif rademacher:
-        words = np.empty((len(indices), n_words), np.uint64)
-        for row, rng in zip(words, _fresh_generators(seed, indices)):
-            row[:] = rng.bit_generator.random_raw(n_words)
-    else:
-        fill = (np.random.Generator.standard_normal if config.law == "gaussian"
-                else np.random.Generator.random)
+    if config.law == "gaussian":
+        # The ziggurat takes a variable number of words per draw, so Gaussian
+        # draws always run on the per-index loop.
         for row, rng in zip(out, _fresh_generators(seed, indices)):
-            fill(rng, out=row)
-    if rademacher:
-        # Shifts on the 64-bit words, so the order of the halves does not
-        # depend on the byte order of the machine; an odd width leaves the
-        # high half of the last word unused.
-        np.right_shift(words[:, : width // 2], 63, out=out[:, 1::2])
-        words >>= 31
-        np.bitwise_and(words, 1, out=out[:, 0::2])
-        out *= 2.0
-        out -= 1.0
-    elif kernel:
-        words >>= 11
-        np.multiply(words, 2.0**-53, out=out)
+            rng.standard_normal(out=row)
+    else:
+        n_words = (width + 1) // 2 if rademacher else width
+        if n_words <= KERNEL_MAX_WORDS and len(indices) >= KERNEL_MIN_BATCH:
+            words = _philox_words(seed, indices, n_words)
+        else:
+            words = np.empty((len(indices), n_words), np.uint64)
+            for row, rng in zip(words, _fresh_generators(seed, indices)):
+                row[:] = rng.bit_generator.random_raw(n_words)
+        if rademacher:
+            # Shifts on the 64-bit words, so the order of the halves does not
+            # depend on the byte order of the machine; an odd width leaves the
+            # high half of the last word unused.
+            np.right_shift(words[:, : width // 2], 63, out=out[:, 1::2])
+            words >>= 31
+            np.bitwise_and(words, 1, out=out[:, 0::2])
+            out *= 2.0
+            out -= 1.0
+        else:
+            words >>= 11
+            np.multiply(words, 2.0**-53, out=out)
     start = 0
     for size, std in blocks:
         block = out[:, start:start + size]

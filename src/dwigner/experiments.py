@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -245,7 +245,7 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
                 cfg.top_k))
 
         primary = edge_stats(base, 0)
-        second = edge_stats(cfg.baseline or base.with_params(law="gaussian"), cfg.n_samples)
+        second = edge_stats(cfg.baseline or replace(base, law="gaussian"), cfg.n_samples)
         names = [f"edge_u_{j}" for j in range(1, cfg.top_k + 1)]
         records = _sample_records(primary, names) + _sample_records(
             second, [f"baseline_{name}" for name in names])
@@ -255,7 +255,7 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
             summary[f"ks_two_sample_{j + 1}"] = ks.statistic
             worst = max(worst, ks.statistic)
         if regime.label == "subcritical":
-            third = edge_stats(base.with_params(theta=0.0), 2 * cfg.n_samples)
+            third = edge_stats(replace(base, theta=0.0), 2 * cfg.n_samples)
             for j in range(cfg.top_k):
                 ks = ks_statistic([u[j] for u in primary], [u[j] for u in third])
                 summary[f"ks_vs_wigner_{j + 1}"] = ks.statistic
@@ -432,7 +432,7 @@ def run_oracle_compare(cfg: ExperimentConfig, power: int) -> dict:
     z = abs(mean - oracle) / se if se > 0 else math.inf
 
     def make_model(law: str) -> MomentModel:
-        return MomentModel.from_config(base.with_params(law=law))
+        return MomentModel.from_config(replace(base, law=law))
 
     probe = trace_universality_probe(
         [3, 4, 5, 6], power, base.theta, (make_model("gaussian"), make_model("rademacher"))

@@ -9,27 +9,21 @@ labelled paths it stands for (the Sinai-Soshnikov reduction). Entry moments
 come from a :class:`MomentModel` that knows the exact joint moments of one
 entry; the sampler and the oracle therefore describe exactly the same
 ensemble, including the theta/n cross terms.
-
-``symbolic_trace_expectation`` is the independent second route used by the
-test suite: it multiplies out M**L over a polynomial ring in the entry
-variables and applies the moment map term by term.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 from . import path_model
-from .ensembles import EnsembleConfig, EntryLaw, SymmetryClass
+from .ensembles import EnsembleConfig, EntryLaw, SymmetryClass, regime_of
 
 __all__ = [
     "MomentModel",
     "edge_moment",
     "exact_trace_expectation",
-    "symbolic_trace_expectation",
     "AsymptoticPredictions",
     "asymptotic_predictions",
     "trace_universality_probe",
@@ -208,74 +202,6 @@ def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float
     return math.fsum(terms)
 
 
-# --- independent symbolic route -------------------------------------------
-#
-# Polynomials are dicts monomial -> coefficient, a monomial being a sorted
-# tuple of ((i, j, conjugated), exponent) entry variables.
-
-
-def _poly_mul(p1: dict, p2: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            merged: dict = {}
-            for var, e in itertools.chain(m1, m2):
-                merged[var] = merged.get(var, 0) + e
-            key = tuple(sorted(merged.items()))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def symbolic_trace_expectation(n: int, power: int, model: MomentModel, theta: float) -> float:
-    """Second route: expand Tr M**power over a polynomial ring, then take
-    expectations monomial by monomial."""
-    if n**power > 100_000:
-        raise ValueError("symbolic route is for desk-scale inputs only")
-    t = theta / n
-    inv = 1.0 / math.sqrt(n)
-    is_complex = model.symmetry.is_complex
-
-    def entry(i: int, j: int) -> dict:
-        if i == j:
-            var = (i, i, False)
-        elif i < j:
-            var = (i, j, False)
-        else:
-            var = (j, i, is_complex)
-        return {(): t, ((var, 1),): inv}
-
-    matrix = [[entry(i, j) for j in range(n)] for i in range(n)]
-    acc = matrix
-    for _ in range(power - 1):
-        nxt = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                if not acc[i][k]:
-                    continue
-                for j in range(n):
-                    prod = _poly_mul(acc[i][k], matrix[k][j])
-                    cell = nxt[i][j]
-                    for mono, c in prod.items():
-                        cell[mono] = cell.get(mono, 0.0) + c
-        acc = nxt
-    trace_poly: dict = {}
-    for i in range(n):
-        for mono, c in acc[i][i].items():
-            trace_poly[mono] = trace_poly.get(mono, 0.0) + c
-
-    terms = []
-    for mono, coeff in trace_poly.items():
-        exps: dict[tuple[int, int], list[int]] = {}
-        for (i, j, conj), e in mono:
-            slot = exps.setdefault((i, j), [0, 0])
-            slot[1 if conj else 0] += e
-        w = coeff
-        for (i, j), (a, b) in exps.items():
-            w *= model.diag_moment(a + b) if i == j else model.offdiag_joint(a, b)
-        terms.append(w)
-    return math.fsum(terms)
-
-
 @dataclass(frozen=True)
 class AsymptoticPredictions:
     """Leading-order predictors for E[Tr M**(2s)] and their limit targets.
@@ -330,7 +256,7 @@ def asymptotic_predictions(s: int, theta: float, sigma: float, n: int) -> Asympt
     even_term = n * t_even * float(sigma) ** two_s
     even_term_stirling = n * (2.0 * sigma) ** two_s / (math.sqrt(math.pi) * s**1.5)
     if theta > 0:
-        rho = theta + sigma**2 / theta
+        rho = regime_of(theta, sigma).rho_theta
         rho_power = rho**two_s
         ratio_marked = 1.0 - sigma**2 / theta**2
         preds = dict(

@@ -24,18 +24,14 @@ __all__ = [
     "tally_edges",
     "edge_codes",
     "instant_marks",
-    "classify_instants",
     "trajectory_of",
     "enumerate_trajectories",
     "count_trajectories",
     "nonneg_walks",
     "count_trajectories_factorial",
     "last_step_split",
-    "has_marked_origin",
     "canonical_closed_paths",
-    "path_to_string",
     "trajectory_to_string",
-    "trajectory_from_string",
 ]
 
 ENUMERATION_STEP_CAP = 30
@@ -51,10 +47,7 @@ class ClosedPath:
     """A closed vertex walk ``i_0, ..., i_L = i_0`` on ``{1, ..., n}``.
 
     Loops (``i_{j+1} == i_j``) are allowed. ``vertices`` stores the closed
-    sequence including the final repeat of the origin. The edge tally of
-    :func:`tally_edges` is computed on first use and kept on the instance,
-    outside the dataclass fields, so equality, hash and repr see only
-    ``vertices`` and ``ambient_n``.
+    sequence including the final repeat of the origin.
     """
 
     vertices: tuple[int, ...]
@@ -115,23 +108,15 @@ def tally_edges(
     path: ClosedPath,
 ) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int], list[bool]]:
     """One pass over the edge keys: the keys of instants j = 1..L, each edge's
-    traversal count (in first-traversal order) and the marks of the instants.
-
-    The pass runs once per path; later calls return the same stored objects,
-    which callers must not mutate.
-    """
-    tally = path.__dict__.get("_tally")
-    if tally is None:
-        keys = path.edge_keys()
-        counts: dict[tuple[int, int], int] = {}
-        marks = []
-        for key in keys:
-            c = counts.get(key, 0) + 1
-            counts[key] = c
-            marks.append(c % 2 == 1)
-        tally = keys, counts, marks
-        path.__dict__["_tally"] = tally
-    return tally
+    traversal count (in first-traversal order) and the marks of the instants."""
+    keys = path.edge_keys()
+    counts: dict[tuple[int, int], int] = {}
+    marks = []
+    for key in keys:
+        c = counts.get(key, 0) + 1
+        counts[key] = c
+        marks.append(c % 2 == 1)
+    return keys, counts, marks
 
 
 def edge_codes(verts: np.ndarray) -> np.ndarray:
@@ -165,11 +150,6 @@ def instant_marks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bit = codes.astype(np.uint16 if top < 16 else np.uint64 if top < 64 else object)
     parity = np.bitwise_xor.accumulate(np.ones_like(bit) << bit, axis=1)
     return ((parity >> bit) & 1).astype(bool), ((parity[:, -1:] >> bit) & 1).astype(bool)
-
-
-def classify_instants(path: ClosedPath) -> list[bool]:
-    """True for marked instants j = 1..L, False for unmarked ones."""
-    return list(tally_edges(path)[2])
 
 
 def trajectory_of(path: ClosedPath) -> Trajectory:
@@ -236,12 +216,6 @@ def last_step_split(m: int, l: int) -> tuple[int, int]:
     return up, down
 
 
-def has_marked_origin(path: ClosedPath, traj: Trajectory) -> bool:
-    """True when some marked instant lands on the origin; ``traj`` is
-    ``trajectory_of(path)``."""
-    return (1, path.vertices[0]) in zip(traj.steps, path.vertices[1:])
-
-
 def canonical_closed_paths(length: int, max_vertices: int):
     """Yield closed paths of the given length in first-occurrence labeling.
 
@@ -270,16 +244,6 @@ def canonical_closed_paths(length: int, max_vertices: int):
         used[i + 1:] = [used[i]] * (length - 1 - i)
 
 
-def path_to_string(path: ClosedPath) -> str:
-    return ",".join(str(v) for v in path.vertices)
-
-
 def trajectory_to_string(traj: Trajectory) -> str:
     return "".join("U" if s == 1 else "D" for s in traj.steps)
 
-
-def trajectory_from_string(text: str) -> Trajectory:
-    text = text.strip().upper()
-    if any(ch not in "UD" for ch in text):
-        raise ValueError("trajectory string must contain only U and D")
-    return Trajectory(tuple(1 if ch == "U" else -1 for ch in text))

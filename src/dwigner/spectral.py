@@ -1,7 +1,7 @@
 """Dense eigenvalue computation and rescaled spectral statistics.
 
 Everything downstream consumes eigenvalues only, so this module exposes a
-single full decomposition plus trace-of-power helpers, the rank-one
+single full decomposition plus the trace of a power, the rank-one
 interlacing check, the top-k edge rescaling and the outlier census.
 """
 
@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import MatrixSample, RegimeError
+from .ensembles import MatrixSample, RegimeError, regime_of
 
 __all__ = [
     "Spectrum",
     "EigensolverError",
     "eigenvalues",
     "trace_power",
-    "trace_power_dense",
     "interlacing_check",
     "rescaled_fluctuation",
     "outlier_census",
@@ -37,11 +36,6 @@ class Spectrum:
     values: np.ndarray = field(repr=False)
 
 
-def _require_hermitian(m: MatrixSample) -> None:
-    if not m.is_hermitian():
-        raise ValueError("matrix is not exactly Hermitian/symmetric")
-
-
 def eigenvalues(m: MatrixSample) -> Spectrum:
     """All eigenvalues of a Hermitian/symmetric matrix, descending.
 
@@ -49,7 +43,8 @@ def eigenvalues(m: MatrixSample) -> Spectrum:
     followed by implicit-shift iteration (LAPACK ``syevd``/``heevd`` via
     numpy); non-convergence is reported with the offending index.
     """
-    _require_hermitian(m)
+    if not m.is_hermitian():
+        raise ValueError("matrix is not exactly Hermitian/symmetric")
     try:
         vals = np.linalg.eigvalsh(m.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
@@ -63,16 +58,6 @@ def trace_power(obj: Spectrum | MatrixSample, power: int) -> float:
         raise ValueError("power must be >= 1")
     spec = obj if isinstance(obj, Spectrum) else eigenvalues(obj)
     return math.fsum(float(v) ** power for v in spec.values)
-
-
-def trace_power_dense(m: MatrixSample, power: int) -> float:
-    """Independent route: trace of the explicit repeated matrix product."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    acc = m.entries
-    for _ in range(power - 1):
-        acc = acc @ m.entries
-    return float(np.trace(acc).real)
 
 
 def interlacing_check(deformed: Spectrum, base: Spectrum) -> int:
@@ -111,7 +96,7 @@ def outlier_census(spectrum: Spectrum, theta: float, sigma: float, n: int) -> tu
     """
     if not theta > sigma:
         raise RegimeError("outlier census requires theta > sigma")
-    rho = theta + sigma**2 / theta
+    rho = regime_of(theta, sigma).rho_theta
     mid = 2.0 * sigma + (rho - 2.0 * sigma) / 2.0
     far = rho * (1.0 + float(n) ** (-1.0 / 3.0))
     lam = spectrum.values

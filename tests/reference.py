@@ -1,0 +1,141 @@
+"""Second routes that the tests compare the library against, and helpers
+that only tests use.
+
+No subcommand, verify check or oracle path needs these, so they live outside
+the package.
+
+``symbolic_trace_expectation`` is the independent second route to
+``moment_oracle.exact_trace_expectation``: it multiplies out M**L over a
+polynomial ring in the entry variables and applies the moment map term by
+term.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from dwigner.ensembles import MatrixSample
+from dwigner.moment_oracle import MomentModel
+from dwigner.path_model import ClosedPath, Trajectory, nonneg_walks
+
+__all__ = [
+    "symbolic_trace_expectation",
+    "trace_power_dense",
+    "sample_trajectory",
+    "trajectory_from_string",
+    "has_marked_origin",
+]
+
+
+# --- independent symbolic route -------------------------------------------
+#
+# Polynomials are dicts monomial -> coefficient, a monomial being a sorted
+# tuple of ((i, j, conjugated), exponent) entry variables.
+
+
+def _poly_mul(p1: dict, p2: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            merged: dict = {}
+            for var, e in itertools.chain(m1, m2):
+                merged[var] = merged.get(var, 0) + e
+            key = tuple(sorted(merged.items()))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out
+
+
+def symbolic_trace_expectation(n: int, power: int, model: MomentModel, theta: float) -> float:
+    """Second route: expand Tr M**power over a polynomial ring, then take
+    expectations monomial by monomial."""
+    if n**power > 100_000:
+        raise ValueError("symbolic route is for desk-scale inputs only")
+    t = theta / n
+    inv = 1.0 / math.sqrt(n)
+    is_complex = model.symmetry.is_complex
+
+    def entry(i: int, j: int) -> dict:
+        if i == j:
+            var = (i, i, False)
+        elif i < j:
+            var = (i, j, False)
+        else:
+            var = (j, i, is_complex)
+        return {(): t, ((var, 1),): inv}
+
+    matrix = [[entry(i, j) for j in range(n)] for i in range(n)]
+    acc = matrix
+    for _ in range(power - 1):
+        nxt = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                if not acc[i][k]:
+                    continue
+                for j in range(n):
+                    prod = _poly_mul(acc[i][k], matrix[k][j])
+                    cell = nxt[i][j]
+                    for mono, c in prod.items():
+                        cell[mono] = cell.get(mono, 0.0) + c
+        acc = nxt
+    trace_poly: dict = {}
+    for i in range(n):
+        for mono, c in acc[i][i].items():
+            trace_poly[mono] = trace_poly.get(mono, 0.0) + c
+
+    terms = []
+    for mono, coeff in trace_poly.items():
+        exps: dict[tuple[int, int], list[int]] = {}
+        for (i, j, conj), e in mono:
+            slot = exps.setdefault((i, j), [0, 0])
+            slot[1 if conj else 0] += e
+        w = coeff
+        for (i, j), (a, b) in exps.items():
+            w *= model.diag_moment(a + b) if i == j else model.offdiag_joint(a, b)
+        terms.append(w)
+    return math.fsum(terms)
+
+
+def trace_power_dense(m: MatrixSample, power: int) -> float:
+    """Independent route: trace of the explicit repeated matrix product."""
+    if power < 1:
+        raise ValueError("power must be >= 1")
+    acc = m.entries
+    for _ in range(power - 1):
+        acc = acc @ m.entries
+    return float(np.trace(acc).real)
+
+
+def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:
+    """Uniform draw from the (m, l) class by exact sequential counting."""
+    ups, downs, h = l + m, m, 0
+    steps = []
+    while ups + downs > 0:
+        n_up = nonneg_walks(h + 1, ups - 1, downs) if ups > 0 else 0
+        n_down = nonneg_walks(h - 1, ups, downs - 1) if downs > 0 and h > 0 else 0
+        p_up = float(Fraction(n_up, n_up + n_down))
+        if rng.random() < p_up:
+            steps.append(1)
+            ups -= 1
+            h += 1
+        else:
+            steps.append(-1)
+            downs -= 1
+            h -= 1
+    return Trajectory(tuple(steps))
+
+
+def trajectory_from_string(text: str) -> Trajectory:
+    text = text.strip().upper()
+    if any(ch not in "UD" for ch in text):
+        raise ValueError("trajectory string must contain only U and D")
+    return Trajectory(tuple(1 if ch == "U" else -1 for ch in text))
+
+
+def has_marked_origin(path: ClosedPath, traj: Trajectory) -> bool:
+    """True when some marked instant lands on the origin; ``traj`` is
+    ``trajectory_of(path)``."""
+    return (1, path.vertices[0]) in zip(traj.steps, path.vertices[1:])

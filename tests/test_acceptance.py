@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,10 +48,10 @@ from dwigner.path_model import (
     count_trajectories,
     count_trajectories_factorial,
     enumerate_trajectories,
-    has_marked_origin,
     trajectory_of,
 )
 from dwigner.spectral import eigenvalues, outlier_census, trace_power
+from reference import has_marked_origin
 
 WORKERS = 4
 
@@ -228,7 +229,7 @@ def test_criterion_09_subcritical_two_sample():
     t0 = time.perf_counter()
     base = EnsembleConfig.create(n=200, sigma=1.0, theta=0.5, law="rademacher",
                                  symmetry="complex", master_seed=20260809)
-    baseline = base.with_params(theta=0.0, law="gaussian")
+    baseline = replace(base, theta=0.0, law="gaussian")
     cfg = ExperimentConfig(base=base, n_samples=500, baseline=baseline,
                            top_k=1, workers=WORKERS, ks_threshold=0.12)
     rep = run_fluctuations(cfg)

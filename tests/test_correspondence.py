@@ -13,7 +13,6 @@ from dwigner.correspondence import (
     glue_paths,
     k_statistic,
     preimage_bound_check,
-    sample_trajectory,
     to_marked_origin,
     to_marked_origin_rows,
     trajectory_surgery,
@@ -24,14 +23,13 @@ from dwigner.path_model import (
     ClosedPath,
     Trajectory,
     canonical_closed_paths,
-    classify_instants,
     count_trajectories,
     enumerate_trajectories,
-    has_marked_origin,
-    trajectory_from_string,
+    tally_edges,
     trajectory_of,
     trajectory_to_string,
 )
+from reference import has_marked_origin, sample_trajectory, trajectory_from_string
 
 NINE_PATH = ClosedPath(vertices=(1, 2, 1, 3, 4, 5, 6, 3, 1), ambient_n=6)
 
@@ -140,7 +138,7 @@ def test_exhaustive_roundtrip_small():
 def _reference_to_marked_origin(path):
     # The rotation written step by step: classify, find the first odd edge,
     # read the trajectory heights, rotate.
-    if classify_instants(path)[-1]:
+    if tally_edges(path)[2][-1]:
         raise ValueError("last step up")
     keys = path.edge_keys()
     odd = [j for j, key in enumerate(keys, start=1) if keys.count(key) % 2 == 1]

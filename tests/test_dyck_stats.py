@@ -18,9 +18,9 @@ from dwigner.path_model import (
     Trajectory,
     count_trajectories,
     enumerate_trajectories,
-    trajectory_from_string,
     trajectory_to_string,
 )
+from reference import trajectory_from_string
 
 
 def test_decompose_examples():

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -268,10 +269,6 @@ def test_gaussian_moments_and_beta_bound():
     assert entry.moment(2) == 1.0
     assert entry.moment(4) == 3.0
     assert entry.moment(6) == 15.0
-    for law in ("gaussian", "rademacher", "uniform-symmetric"):
-        e = EntryLaw(law, 0.73)
-        for k in range(1, 9):
-            assert e.moment(2 * k) <= (e.beta * k) ** k + 1e-12
 
 
 def test_validation_errors():
@@ -288,7 +285,7 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="unknown entry law 'poisson'"):
         make_config(law="poisson")
     with pytest.raises(ValueError, match="unknown entry law 'poisson'"):
-        make_config().with_params(law="poisson")
+        replace(make_config(), law="poisson")
 
 
 @pytest.mark.parametrize("name", ["sigma", "theta", "diag_sigma"])

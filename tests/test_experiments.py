@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_largest_eigenvalue_limits_at_n500():
     rho = regime_of(2.0, 1.0).rho_theta
     assert abs(np.mean(vals) - rho) <= 0.05 * rho
 
-    sub = sup.with_params(theta=0.5)
+    sub = replace(sup, theta=0.5)
     vals = [float(eigenvalues(sample_deformed(sub, i)).values[0]) for i in range(8)]
     assert abs(np.mean(vals) - 2.0) <= 0.05 * 2.0
 
@@ -406,7 +407,7 @@ def _reference_correspondence(max_length, max_vertices):
                 reason = "injectivity failure"
             else:
                 continue
-            return {"path": pm.path_to_string(path), "reason": reason}
+            return {"path": ",".join(map(str, path.vertices)), "reason": reason}
     return {"cases": checked}
 
 
@@ -527,7 +528,10 @@ def test_verify_passes_under_python_optimize(tmp_path):
 _GUARD_CASES = """
 import dwigner.correspondence as c
 import dwigner.dyck_stats as d
-from dwigner.path_model import ClosedPath, Trajectory, trajectory_from_string as traj
+from dwigner.path_model import ClosedPath, Trajectory
+
+def traj(text):
+    return Trajectory(tuple(1 if ch == "U" else -1 for ch in text))
 
 def fires(call, owner, name, fake):
     real = getattr(owner, name, None)  # None: a builtin the module does not define
@@ -723,17 +727,28 @@ def test_cli_non_finite_value_exits_2_naming_it(args, name, capsys):
         f"dwigner: error: {name} must be finite, got {args[-1]}"]
 
 
-@pytest.mark.parametrize("args", [
-    ["--lemma73-s", "0"],
-    ["--lemma77-grid", "25", "0"],
-], ids=["verify-limit", "verify-grid"])
-def test_cli_verify_limit_below_one_exits_2(args, capsys):
+# Limits past a library guard (the enumeration cap of 30 steps, the gluing
+# census guard of 5, the exact-pmf guard of m <= 2000) are usage errors too,
+# rejected before any check runs.
+@pytest.mark.parametrize("args,message", [
+    (["--lemma73-s", "0"], "must be >= 1, got 0"),
+    (["--lemma77-grid", "25", "0"], "must be >= 1, got 0"),
+    (["--glue-length", "6"], "must be <= 5, got 6"),
+    (["--glue-vertices", "6"], "must be <= 5, got 6"),
+    (["--trajectory-steps", "31"], "must be <= 30, got 31"),
+    (["--surgery-steps", "31"], "must be <= 30, got 31"),
+    (["--dyck-roundtrip-steps", "31"], "must be <= 30, got 31"),
+    (["--max-pmf-m", "16"], "must be <= 15, got 16"),
+    (["--lemma77-grid", "25", "2001"], "must be <= 2000, got 2001"),
+], ids=["verify-limit", "verify-grid", "glue-length", "glue-vertices", "trajectory-steps",
+        "surgery-steps", "dyck-roundtrip-steps", "max-pmf-m", "lemma77-grid-guard"])
+def test_cli_verify_limit_below_one_exits_2(args, message, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["verify-combinatorics", *args])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].endswith(f"error: argument {args[0]}: must be >= 1, got 0")
+    assert err.splitlines()[-1].endswith(f"error: argument {args[0]}: {message}")
 
 
 def test_cli_config_values_obey_flag_choices(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""Every exported name resolves, so a deletion cannot leave a dangling export."""
+"""Every exported name resolves, so a deletion cannot leave a dangling export;
+the package itself exports nothing."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -22,12 +23,12 @@ def test_module_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_package_imports_are_exported_names():
-    tree = ast.parse(Path(dwigner.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert {node.module for node in imports} == set(MODULES)
-    for node in imports:
-        module = importlib.import_module(f"dwigner.{node.module}")
-        for alias in node.names:
-            assert alias.name in module.__all__, f"{node.module}.{alias.name}"
-            assert getattr(dwigner, alias.name) is getattr(module, alias.name)
+def test_package_namespace_is_empty():
+    # a fresh interpreter: importing the package loads none of its modules
+    # and not numpy, and leaves no public name besides the version
+    code = ("import sys, dwigner\n"
+            "print(sorted(m for m in sys.modules if m.startswith('dwigner.') or m == 'numpy'))\n"
+            "print(sorted(n for n in vars(dwigner) if not n.startswith('_')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -15,10 +15,10 @@ from dwigner.moment_oracle import (
     asymptotic_predictions,
     edge_moment,
     exact_trace_expectation,
-    symbolic_trace_expectation,
     trace_universality_probe,
 )
 from dwigner.path_model import canonical_closed_paths
+from reference import symbolic_trace_expectation
 
 ALL_LAWS = ("gaussian", "rademacher", "uniform-symmetric")
 

