@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .path_model import (
     count_trajectories,
     edge_codes,
     instant_marks,
-    tally_edges,
     trajectory_of,
 )
 
@@ -90,7 +90,7 @@ def _rotate_rows(verts: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
     """Traversal count of each edge, in first-traversal order."""
-    return tally_edges(path)[1]
+    return dict(Counter(path.edge_keys()))
 
 
 def to_marked_origin_rows(verts: np.ndarray):

@@ -310,6 +310,12 @@ def run_trace_growth(cfg: ExperimentConfig) -> dict:
         raise RegimeError("trace growth requires the supercritical regime")
     rho = regime.rho_theta
     t_main = cfg.t_scale
+    # Each exp-sum term is at most exp(t n^{1/6}) and there are at most n of
+    # them, so t <= t_max keeps every term and their sum finite.
+    t_max = (math.log(np.finfo(np.float64).max) - math.log(base.n)) / base.n ** (1.0 / 6.0)
+    if t_main > t_max:
+        raise ValueError(f"t_scale (--t-scale) = {t_main} overflows the exponential sum "
+                         f"at n = {base.n}; it must be <= {t_max:.6g}")
 
     def one(i: int):
         spec = eigenvalues(sample_deformed(base, i))
@@ -328,7 +334,8 @@ def run_trace_growth(cfg: ExperimentConfig) -> dict:
         "s_n": math.floor(t_main * math.sqrt(base.n)),
         "mean_abs_eps": mean_abs_eps,
         "mean_exp_sum": mean_exp_sum,
-        "residual_ratio": mean_abs_eps / mean_exp_sum,
+        # no eigenvalue fell in the exp-sum window of any draw
+        "residual_ratio": mean_abs_eps / mean_exp_sum if mean_exp_sum else math.inf,
     }
     for k, t in enumerate(TRACE_T_GRID):
         summary[f"mean_trace_t_{t}"] = math.fsum(r[2][k] for r in rows) / len(rows)
@@ -561,7 +568,7 @@ def _path_chunks(paths, length: int):
     """The paths as int8 arrays of up to ``CORRESPONDENCE_CHUNK`` rows, in order."""
     while True:
         flat = np.fromiter(itertools.chain.from_iterable(
-            p.vertices for p in itertools.islice(paths, CORRESPONDENCE_CHUNK)), np.int8)
+            itertools.islice(paths, CORRESPONDENCE_CHUNK)), np.int8)
         if not flat.size:
             return
         yield flat.reshape(-1, length + 1)

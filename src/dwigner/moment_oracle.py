@@ -163,8 +163,8 @@ def _shape_table(power: int, max_vertices: int) -> tuple[tuple[tuple, tuple[int,
     of first occurrence, ``counts[k - 1]`` shapes having k distinct vertices."""
     table: dict = {}
     for shape in path_model.canonical_closed_paths(power, max_vertices):
-        counts = table.setdefault(_path_signature(shape.vertices[:-1]), [0] * max_vertices)
-        counts[shape.ambient_n - 1] += 1
+        counts = table.setdefault(_path_signature(shape[:-1]), [0] * max_vertices)
+        counts[max(shape) - 1] += 1
     return tuple((sig, tuple(counts)) for sig, counts in table.items())
 
 

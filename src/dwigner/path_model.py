@@ -21,13 +21,11 @@ __all__ = [
     "ClosedPath",
     "Trajectory",
     "EnumerationLimitError",
-    "tally_edges",
     "edge_codes",
     "instant_marks",
     "trajectory_of",
     "enumerate_trajectories",
     "count_trajectories",
-    "nonneg_walks",
     "count_trajectories_factorial",
     "last_step_split",
     "canonical_closed_paths",
@@ -104,21 +102,6 @@ class Trajectory:
         return self._levels
 
 
-def tally_edges(
-    path: ClosedPath,
-) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int], list[bool]]:
-    """One pass over the edge keys: the keys of instants j = 1..L, each edge's
-    traversal count (in first-traversal order) and the marks of the instants."""
-    keys = path.edge_keys()
-    counts: dict[tuple[int, int], int] = {}
-    marks = []
-    for key in keys:
-        c = counts.get(key, 0) + 1
-        counts[key] = c
-        marks.append(c % 2 == 1)
-    return keys, counts, marks
-
-
 def edge_codes(verts: np.ndarray) -> np.ndarray:
     """Codes of the unordered edges of instants j = 1..L of closed paths given
     as the rows of an ``(N, L + 1)`` integer array of vertex labels.
@@ -135,7 +118,7 @@ def edge_codes(verts: np.ndarray) -> np.ndarray:
 
 
 def instant_marks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows form of the marks of :func:`tally_edges`, from :func:`edge_codes`.
+    """The marks of closed paths, from their :func:`edge_codes`.
 
     Returns two ``(N, L)`` bool arrays: entry ``[r, j - 1]`` of the first is
     True when instant j of path r is marked, of the second when the edge of
@@ -153,22 +136,18 @@ def instant_marks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trajectory_of(path: ClosedPath) -> Trajectory:
-    return Trajectory(tuple([1 if marked else -1 for marked in tally_edges(path)[2]]))
+    """The trajectory of one path: the one-row case of :func:`instant_marks`."""
+    marks = instant_marks(edge_codes(np.array([path.vertices])))[0][0]
+    return Trajectory(tuple(np.where(marks, 1, -1).tolist()))
 
 
 def count_trajectories(m: int, l: int) -> int:
-    """Number of nonnegative walks with l + m up and m down steps ending at l."""
+    """Number of nonnegative walks with l + m up and m down steps ending at l:
+    C(l + 2m, m) - C(l + 2m, m - 1) by the reflection principle."""
     if m < 0 or l < 0:
         raise ValueError("m and l must be nonnegative")
-    return nonneg_walks(0, l + m, m)
-
-
-def nonneg_walks(height: int, ups: int, downs: int) -> int:
-    """Walks of ``ups`` up and ``downs`` down steps from ``height`` that stay
-    nonnegative: all orderings minus the reflected ones (reflection principle)."""
-    total = ups + downs
-    reflected = downs - height - 1
-    return math.comb(total, downs) - (math.comb(total, reflected) if reflected >= 0 else 0)
+    total = l + 2 * m
+    return math.comb(total, m) - (math.comb(total, m - 1) if m else 0)
 
 
 def count_trajectories_factorial(m: int, l: int) -> int:
@@ -217,10 +196,11 @@ def last_step_split(m: int, l: int) -> tuple[int, int]:
 
 
 def canonical_closed_paths(length: int, max_vertices: int):
-    """Yield closed paths of the given length in first-occurrence labeling.
+    """Yield closed paths of the given length in first-occurrence labeling,
+    each as its closed vertex tuple ``(1, i_1, ..., i_{L-1}, 1)``.
 
     Every closed path over at most ``max_vertices`` labels is a relabeling of
-    exactly one path yielded here (restricted-growth sequences), which makes
+    exactly one tuple yielded here (restricted-growth sequences), which makes
     exhaustive checks of label-equivariant properties affordable. The
     sequences come in lexicographic order, advanced in place like an odometer.
     """
@@ -231,7 +211,7 @@ def canonical_closed_paths(length: int, max_vertices: int):
     seq = [1] * length
     used = [1] * length  # used[i]: the largest label in seq[: i + 1]
     while True:
-        yield ClosedPath(tuple(seq) + (1,), used[-1])
+        yield tuple(seq) + (1,)
         # advance the last position that can still grow, then reset the rest to 1
         i = length - 1
         while i and (seq[i] > used[i - 1] or seq[i] >= max_vertices):

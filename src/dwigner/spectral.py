@@ -1,13 +1,12 @@
 """Dense eigenvalue computation and rescaled spectral statistics.
 
 Everything downstream consumes eigenvalues only, so this module exposes a
-single full decomposition plus the trace of a power, the rank-one
-interlacing check, the top-k edge rescaling and the outlier census.
+single full decomposition plus the rank-one interlacing check, the top-k
+edge rescaling and the outlier census.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,6 @@ __all__ = [
     "Spectrum",
     "EigensolverError",
     "eigenvalues",
-    "trace_power",
     "interlacing_check",
     "rescaled_fluctuation",
     "outlier_census",
@@ -50,14 +48,6 @@ def eigenvalues(m: MatrixSample) -> Spectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
     return Spectrum(values=np.ascontiguousarray(vals[::-1]))
-
-
-def trace_power(obj: Spectrum | MatrixSample, power: int) -> float:
-    """Trace of the ``power``-th matrix power, summed over the spectrum."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    spec = obj if isinstance(obj, Spectrum) else eigenvalues(obj)
-    return math.fsum(float(v) ** power for v in spec.values)
 
 
 def interlacing_check(deformed: Spectrum, base: Spectrum) -> int:

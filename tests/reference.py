@@ -7,7 +7,9 @@ the package.
 ``symbolic_trace_expectation`` is the independent second route to
 ``moment_oracle.exact_trace_expectation``: it multiplies out M**L over a
 polynomial ring in the entry variables and applies the moment map term by
-term.
+term. ``tally_edges`` is the dict walk that the marks kernel
+``path_model.instant_marks`` is checked against, and ``nonneg_walks`` the
+reflection count from any start height that ``sample_trajectory`` reads.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ import numpy as np
 
 from dwigner.ensembles import MatrixSample
 from dwigner.moment_oracle import MomentModel
-from dwigner.path_model import ClosedPath, Trajectory, nonneg_walks
+from dwigner.path_model import ClosedPath, Trajectory
 
 __all__ = [
     "symbolic_trace_expectation",
     "trace_power_dense",
+    "tally_edges",
+    "nonneg_walks",
     "sample_trajectory",
     "trajectory_from_string",
     "has_marked_origin",
@@ -107,6 +111,29 @@ def trace_power_dense(m: MatrixSample, power: int) -> float:
     for _ in range(power - 1):
         acc = acc @ m.entries
     return float(np.trace(acc).real)
+
+
+def tally_edges(
+    path: ClosedPath,
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int], list[bool]]:
+    """One pass over the edge keys: the keys of instants j = 1..L, each edge's
+    traversal count (in first-traversal order) and the marks of the instants."""
+    keys = path.edge_keys()
+    counts: dict[tuple[int, int], int] = {}
+    marks = []
+    for key in keys:
+        c = counts.get(key, 0) + 1
+        counts[key] = c
+        marks.append(c % 2 == 1)
+    return keys, counts, marks
+
+
+def nonneg_walks(height: int, ups: int, downs: int) -> int:
+    """Walks of ``ups`` up and ``downs`` down steps from ``height`` that stay
+    nonnegative: all orderings minus the reflected ones (reflection principle)."""
+    total = ups + downs
+    reflected = downs - height - 1
+    return math.comb(total, downs) - (math.comb(total, reflected) if reflected >= 0 else 0)
 
 
 def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:

@@ -11,28 +11,17 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from dwigner.correspondence import (
-    edge_multiset,
-    from_marked_origin,
-    preimage_bound_check,
-    to_marked_origin,
-    verify_count_identity,
-)
+from dwigner.correspondence import preimage_bound_check, verify_count_identity
 from dwigner.dyck_stats import class_count_bound_check, tail_bound_check
-from dwigner.ensembles import (
-    EnsembleConfig,
-    MatrixSample,
-    sample_deformed,
-    sample_wigner,
-)
+from dwigner.ensembles import EnsembleConfig, sample_deformed
 from dwigner.experiments import (
     ExperimentConfig,
     gaussian_cdf,
     ks_statistic,
     mc_trace_moments,
+    run_combinatorics_verify,
     run_fluctuations,
     run_spectrum_census,
     run_trace_growth,
@@ -44,14 +33,11 @@ from dwigner.moment_oracle import (
     trace_universality_probe,
 )
 from dwigner.path_model import (
-    canonical_closed_paths,
     count_trajectories,
     count_trajectories_factorial,
     enumerate_trajectories,
-    trajectory_of,
 )
-from dwigner.spectral import eigenvalues, outlier_census, trace_power
-from reference import has_marked_origin
+from dwigner.spectral import eigenvalues, outlier_census
 
 WORKERS = 4
 
@@ -91,33 +77,15 @@ def test_criterion_02_sum_identity():
 
 def test_criterion_03_correspondence_exhaustive():
     t0 = time.perf_counter()
-    checked = 0
-    seen = {}
-    failures = 0
-    for length in range(1, 11):
-        for path in canonical_closed_paths(length, 5):
-            traj = trajectory_of(path)
-            if traj.end_level == 0 or traj.steps[-1] == 1:
-                continue
-            checked += 1
-            r = to_marked_origin(path)
-            img_traj = trajectory_of(r.image)
-            ok = (
-                img_traj.steps[-1] == 1
-                and has_marked_origin(r.image, img_traj)
-                and (img_traj.end_level, img_traj.down_steps)
-                == (traj.end_level, traj.down_steps)
-                and edge_multiset(r.image) == edge_multiset(path)
-                and from_marked_origin(r).vertices == path.vertices
-                and (r.image.vertices, r.shift_k) not in seen
-            )
-            if not ok:
-                failures += 1
-            seen[(r.image.vertices, r.shift_k)] = path.vertices
+    code, verify = run_combinatorics_verify({"correspondence_length": 10,
+                                             "correspondence_vertices": 5})
+    (rec,) = verify["records"]
+    checked = rec["params"].get("cases", 0)
     elapsed = time.perf_counter() - t0
-    report(3, failures == 0 and checked > 30_000,
+    report(3, code == 0 and rec["pass"] and checked > 30_000,
            f"round-trip/class/weight on {checked} admissible paths "
-           f"(L<=10, 5 vertices up to relabeling), {failures} failures, {elapsed:.1f}s")
+           f"(L<=10, 5 vertices up to relabeling), counterexample "
+           f"{rec['counterexample']}, {elapsed:.1f}s")
 
 
 def test_criterion_04_gluing_preimage_bound():
@@ -258,26 +226,12 @@ def test_criterion_11_even_trace_leading_order():
     n, draws = 2000, 32
     cfg = EnsembleConfig.create(n=n, sigma=1.0, theta=0.0, law="gaussian",
                                 symmetry="complex", master_seed=777)
-    even_vals, odd_vals = [], []
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    def one(i):
-        w = sample_wigner(cfg, i)
-        m = MatrixSample(entries=w.entries / math.sqrt(n))
-        spec = eigenvalues(m)
-        return trace_power(spec, 16), trace_power(spec, 17)
-
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        for even, odd in pool.map(one, range(draws)):
-            even_vals.append(even)
-            odd_vals.append(odd)
+    moments = mc_trace_moments(cfg, draws, (16, 17), workers=WORKERS)
     catalan8 = math.comb(16, 8) // 9
     target = catalan8 * n
-    mean_even = float(np.mean(even_vals))
+    mean_even = moments[16][0]
     rel = abs(mean_even - target) / target
-    mean_odd = float(np.mean(odd_vals))
-    se_odd = float(np.std(odd_vals, ddof=1) / math.sqrt(draws))
+    mean_odd, se_odd = moments[17]
     elapsed = time.perf_counter() - t0
     ok = rel <= 0.15 and abs(mean_odd) <= 4 * se_odd
     report(11, ok, f"mean Tr(W/sqrt N)^16 = {mean_even:.0f} vs Catalan(8)*N = {target} "

@@ -385,7 +385,8 @@ def _reference_correspondence(max_length, max_vertices):
     seen = {}
     checked = 0
     for length in range(1, max_length + 1):
-        for path in pm.canonical_closed_paths(length, max_vertices):
+        for verts in pm.canonical_closed_paths(length, max_vertices):
+            path = pm.ClosedPath(verts, max(verts))
             marks = marks_of(path)
             if marks[-1] or 2 * sum(marks) == length:
                 continue
@@ -706,6 +707,28 @@ def test_cli_bad_input_exits_2_with_one_line(args, capsys):
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("dwigner: error: ")
     assert sum(line.startswith("dwigner: error: ") for line in err.splitlines()) == 1
+
+
+def test_cli_trace_growth_t_scale_past_float_range_exits_2(capsys):
+    # t n^{1/6} + log n above log(float max) would overflow the exponential
+    # sum; at n = 100 the largest t allowed is 327.314
+    args = ["trace-growth", "--n", "100", "--theta", "2", "--samples", "4", "--seed", "4"]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args + ["--t-scale", "500"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("dwigner: error: ")]
+    assert "--t-scale" in line and "327.314" in line
+    assert cli_main(args + ["--t-scale", "327"]) == 0
+
+
+def test_cli_trace_growth_empty_exp_window_reports_infinite_ratio(capsys):
+    # no eigenvalue of the one draw falls in the window |xi| <= n^{1/6}
+    assert cli_main(["trace-growth", "--n", "3", "--theta", "2", "--samples", "1",
+                     "--seed", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mean_exp_sum: 0.0" in out and "residual_ratio: inf" in out
 
 
 @pytest.mark.parametrize("args,name", [

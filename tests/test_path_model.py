@@ -19,11 +19,10 @@ from dwigner.path_model import (
     enumerate_trajectories,
     instant_marks,
     last_step_split,
-    tally_edges,
     trajectory_of,
     trajectory_to_string,
 )
-from reference import has_marked_origin, trajectory_from_string
+from reference import has_marked_origin, tally_edges, trajectory_from_string
 
 NINE_PATH = ClosedPath(vertices=(1, 2, 1, 3, 4, 5, 6, 3, 1), ambient_n=6)
 
@@ -140,7 +139,8 @@ def test_marked_origin():
     # {1,2,1}: instants land on 2 (marked) and 1 (unmarked)
     assert not marked(ClosedPath((1, 2, 1), 2))
     assert not marked(NINE_PATH)
-    for path in canonical_closed_paths(6, 4):
+    for verts in canonical_closed_paths(6, 4):
+        path = ClosedPath(verts, max(verts))
         assert marked(path) == marked_origin_reference(path)
 
 
@@ -165,7 +165,7 @@ def restricted_growth_reference(length, max_vertices):
 
 def test_one_tally_per_path_and_canonical_order():
     for length in range(1, 9):
-        paths = list(canonical_closed_paths(length, 4))
+        paths = [ClosedPath(v, max(v)) for v in canonical_closed_paths(length, 4)]
         assert [(p.vertices, p.ambient_n) for p in paths] == \
             restricted_growth_reference(length, 4)
         for path in paths:
@@ -202,21 +202,22 @@ def test_canonical_paths_match_the_recursive_reference():
         for max_vertices in range(0, 6):
             got = list(canonical_closed_paths(length, max_vertices))
             want = list(recursive_closed_paths(length, max_vertices))
-            assert [(p.vertices, p.ambient_n) for p in got] == \
-                [(p.vertices, p.ambient_n) for p in want]
+            assert [(v, max(v)) for v in got] == [(p.vertices, p.ambient_n) for p in want]
 
 
 def test_marks_kernel_matches_tally_edges():
-    # the rows kernel against the dict route, every canonical path with
-    # L <= 8 on <= 5 vertices, one array per length
+    # the rows kernel and its one-row case against the dict route, every
+    # canonical path with L <= 8 on <= 5 vertices, one array per length
     for length in range(1, 9):
-        paths = list(canonical_closed_paths(length, 5))
-        codes = edge_codes(np.array([p.vertices for p in paths], dtype=np.int8))
+        shapes = list(canonical_closed_paths(length, 5))
+        codes = edge_codes(np.array(shapes, dtype=np.int8))
         marks, odd = instant_marks(codes)
         assert marks.dtype == odd.dtype == bool
+        paths = [ClosedPath(v, max(v)) for v in shapes]
         for path, code_row, mark_row, odd_row in zip(paths, codes, marks, odd):
             keys, counts, tallied = tally_edges(path)
             assert mark_row.tolist() == tallied
+            assert trajectory_of(path).steps == tuple(1 if b else -1 for b in tallied)
             assert odd_row.tolist() == [counts[key] % 2 == 1 for key in keys]
             # equal codes exactly for equal unordered edges
             assert len(set(code_row.tolist())) == len(counts)

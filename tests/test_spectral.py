@@ -11,13 +11,13 @@ from dwigner.ensembles import (
     sample_deformed,
     sample_wigner,
 )
+from dwigner.experiments import mc_trace_moments
 from dwigner.spectral import (
     Spectrum,
     eigenvalues,
     interlacing_check,
     outlier_census,
     rescaled_fluctuation,
-    trace_power,
 )
 from reference import trace_power_dense
 
@@ -57,23 +57,14 @@ def test_rejects_non_hermitian():
         eigenvalues(matrix_of([[0, 1], [2, 0]]))
 
 
-def test_trace_power_examples():
-    ident = matrix_of(np.eye(2))
-    assert trace_power(ident, 3) == pytest.approx(2.0)
-    swap = matrix_of([[0, 1], [1, 0]])
-    assert trace_power(swap, 2) == pytest.approx(2.0)
-    assert trace_power(swap, 3) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        trace_power(swap, 0)
-
-
 @pytest.mark.parametrize("power", [2, 3, 4, 6, 8])
 def test_trace_power_dual_route(power):
     cfg = EnsembleConfig.create(n=30, sigma=1.0, theta=2.0, law="gaussian",
                                 symmetry="complex", master_seed=7)
-    m = sample_deformed(cfg, 1)
-    via_spectrum = trace_power(m, power)
-    via_product = trace_power_dense(m, power)
+    # the Monte Carlo mean sums eigenvalue powers; the reference multiplies
+    # out each of the same draws
+    via_spectrum = mc_trace_moments(cfg, 4, (power,))[power][0]
+    via_product = np.mean([trace_power_dense(sample_deformed(cfg, i), power) for i in range(4)])
     assert via_spectrum == pytest.approx(via_product, rel=1e-8)
 
 
