@@ -13,10 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .path_model import Trajectory, count_trajectories
 
 __all__ = [
     "DyckDecomposition",
+    "dyck_decompose_rows",
     "dyck_decompose",
     "bounded_path_count",
     "ballot_count",
@@ -72,27 +75,98 @@ class DyckDecomposition:
         return tuple(steps)
 
 
+# Why dyck_decompose_rows refuses a row, in the order it tests: the error raised.
+# A rise step that is not +1 shows as a rebuilt row that differs from its input.
+_DYCK_ROW_ERRORS = (
+    (ValueError, "rises must be positive"),
+    (ValueError, "blocks must be Dyck paths"),
+    (ValueError, "interior blocks must be nonempty"),
+    (AssertionError, "decomposition does not reconstruct the trajectory"),
+)
+
+
+def _last_visits(levels: np.ndarray, top: int) -> np.ndarray:
+    """(N, top + 1) array: entry [r, h] is the last time at which row r of the
+    heights visits h, for nonnegative walks that all end at ``top``.
+
+    After its last visit of h a walk stays above h, so the running minimum of
+    the heights read from the end rises by one right after each last visit.
+    """
+    floor = np.minimum.accumulate(levels[:, ::-1], axis=1)[:, ::-1]
+    times = np.nonzero(floor[:, 1:] > floor[:, :-1])[1].reshape(len(levels), top)
+    return np.column_stack((times, np.full(len(levels), levels.shape[1] - 1)))
+
+
+def _rebuilt_rows(steps: np.ndarray, rises: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> np.ndarray:
+    """The rows that the rises and blocks spell out: each block's steps in
+    place, up steps everywhere else."""
+    kept = rises > 0
+    kept[:, 0] = True
+    t = np.arange(steps.shape[1])
+    in_block = (kept[:, :, None] & (starts[:, :, None] <= t) & (t < ends[:, :, None])).any(axis=1)
+    return np.where(in_block, steps, np.int8(1))
+
+
+def dyck_decompose_rows(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split walks at their rise levels; the walks are the rows of an (N, L)
+    array of +-1 steps, nonnegative and all ending at one level l.
+
+    Returns three (N, l + 1) int arrays ``rises, starts, ends``. Level h's
+    block is ``steps[r, starts[r, h]:ends[r, h]]``: it ends at the last visit
+    of h and starts one step after the last visit of h - 1. A rise ends at h
+    when that block is nonempty or h == l, and ``rises[r, h]`` is its length
+    (0 where no rise ends, always at h = 0); the blocks of level 0 and of the
+    levels where a rise ends make up the decomposition. Each row's rises,
+    blocks and rebuilt steps are checked; the first row that fails raises the
+    error of its first failed check (``_DYCK_ROW_ERRORS``).
+    """
+    steps = np.asarray(steps, dtype=np.int8)
+    n, length = steps.shape
+    levels = np.zeros((n, length + 1), np.int64)
+    np.cumsum(steps, axis=1, out=levels[:, 1:])
+    top = int(levels[0, -1]) if n else 0
+    if not (np.isin(steps, (-1, 1)).all() and levels.min(initial=0) >= 0
+            and (levels[:, -1] == top).all()):
+        raise ValueError("rows must be nonnegative +-1 walks with one end level")
+    ends = _last_visits(levels, top)
+    starts = np.zeros_like(ends)
+    starts[:, 1:] = ends[:, :-1] + 1
+    kept = ends > starts
+    kept[:, 0] = kept[:, -1] = True
+    # a rise climbs from the end of the kept block below to the start of its own
+    below = np.maximum.accumulate(np.where(kept, ends, 0), axis=1)
+    rises = np.zeros_like(ends)
+    rises[:, 1:] = np.where(kept[:, 1:], starts[:, 1:] - below[:, :-1], 0)
+
+    t = np.arange(length + 1)
+    base = np.take_along_axis(levels, starts, axis=1)
+    in_block = kept[:, :, None] & (starts[:, :, None] <= t) & (t <= ends[:, :, None])
+    failed = np.column_stack((
+        (kept[:, 1:] & (rises[:, 1:] < 1)).any(axis=1),
+        (in_block & (levels[:, None, :] < base[:, :, None])).any(axis=(1, 2))
+        | (kept & (np.take_along_axis(levels, ends, axis=1) != base)).any(axis=1),
+        (kept[:, 1:-1] & (ends[:, 1:-1] <= starts[:, 1:-1])).any(axis=1),
+        (_rebuilt_rows(steps, rises, starts, ends) != steps).any(axis=1),
+    ))
+    bad = np.flatnonzero(failed.any(axis=1))
+    if bad.size:
+        error, message = _DYCK_ROW_ERRORS[int(np.argmax(failed[bad[0]]))]
+        raise error(message)
+    return rises, starts, ends
+
+
 def dyck_decompose(x: Trajectory) -> DyckDecomposition:
     """Split a trajectory at its rise levels: each rise climbs to the lowest
-    level the path never falls below afterwards.
-
-    One pass records the last visit of every level. After leaving level
-    h - 1 for good the path steps up to h; the block at h runs from there to
-    the last visit of h. A rise passes every level whose block is empty and
-    ends at the first level with a nonempty block, or at the end level.
+    level the path never falls below afterwards. The one-row case of
+    :func:`dyck_decompose_rows`.
     """
-    last_visit = {h: t for t, h in enumerate(x.levels())}
-    blocks = [Trajectory(x.steps[:last_visit[0]])]
-    rises: list[int] = []
-    rise = 0
-    for h in range(1, x.end_level + 1):
-        rise += 1
-        start = last_visit[h - 1] + 1
-        if last_visit[h] > start or h == x.end_level:
-            rises.append(rise)
-            blocks.append(Trajectory(x.steps[start:last_visit[h]]))
-            rise = 0
-    decomp = DyckDecomposition(rises=tuple(rises), blocks=tuple(blocks))
+    rises, starts, ends = (a[0].tolist() for a in dyck_decompose_rows(np.array([x.steps])))
+    decomp = DyckDecomposition(
+        rises=tuple(r for r in rises if r),
+        blocks=tuple(Trajectory(x.steps[a:b])
+                     for h, (r, a, b) in enumerate(zip(rises, starts, ends)) if r or not h),
+    )
     if decomp.reconstructed_steps() != x.steps:
         raise AssertionError("decomposition does not reconstruct the trajectory")
     return decomp

@@ -492,14 +492,16 @@ def _classes_up_to(max_steps: int):
 def _check_trajectory_counts(max_steps: int):
     params = {"max_steps": max_steps}
     for m, l in _classes_up_to(max_steps):
-        listed = path_model.enumerate_trajectories(m, l)
+        enumerated = tally_up = 0
+        for rows in path_model.trajectory_rows(m, l):
+            enumerated += len(rows)
+            tally_up += int(np.count_nonzero(rows[:, -1] == 1))
         closed = path_model.count_trajectories(m, l)
         factorial = path_model.count_trajectories_factorial(m, l)
-        if not len(listed) == closed == factorial:
-            return params, {"m": m, "l": l, "enumerated": len(listed),
+        if not enumerated == closed == factorial:
+            return params, {"m": m, "l": l, "enumerated": enumerated,
                             "binomial_form": closed, "factorial_form": factorial}
         up, down = path_model.last_step_split(m, l)
-        tally_up = sum(1 for x in listed if x.steps[-1] == 1)
         if up != tally_up or up + down != closed:
             return params, {"m": m, "l": l, "split": (up, down), "tally_up": tally_up}
     return params, None
@@ -679,11 +681,11 @@ def _check_lemma77(m_grid: tuple[int, ...]):
 def _check_dyck_roundtrip(max_steps: int):
     params = {"max_steps": max_steps}
     for m, l in _classes_up_to(max_steps):
-        for x in path_model.enumerate_trajectories(m, l):
-            decomp = dyck_stats.dyck_decompose(x)
-            if decomp.reconstructed_steps() != x.steps:
-                return params, {"trajectory": path_model.trajectory_to_string(x)}
-            if decomp.end_level != l or sum(decomp.block_lengths) != 2 * m:
+        for rows in path_model.trajectory_rows(m, l):
+            rises, starts, ends = dyck_stats.dyck_decompose_rows(rows)
+            wrong = (rises.sum(axis=1) != l) | ((ends - starts).sum(axis=1) != 2 * m)
+            if wrong.any():
+                x = path_model.Trajectory(tuple(rows[int(np.argmax(wrong))].tolist()))
                 return params, {"trajectory": path_model.trajectory_to_string(x),
                                 "reason": "rise/block bookkeeping"}
     return params, None
@@ -712,15 +714,15 @@ def _check_max_pmf(max_m: int):
         pmf = dyck_stats.max_level_distribution(m)
         if sum(pmf.values()) != 1:
             return params, {"m": m, "reason": "pmf does not sum to 1"}
-        tally: dict[int, int] = {}
-        for x in path_model.enumerate_trajectories(m, 0):
-            top = max(x.levels())
-            tally[top] = tally.get(top, 0) + 1
-        total = sum(tally.values())
+        tally = np.zeros(m + 1, np.int64)
+        for rows in path_model.trajectory_rows(m, 0):
+            tops = np.cumsum(rows, axis=1, dtype=np.int8).max(axis=1)
+            tally += np.bincount(tops, minlength=m + 1)
+        total = int(tally.sum())
         for k, mass in pmf.items():
-            if mass != Fraction(tally.get(k, 0), total):
+            if mass != Fraction(int(tally[k]), total):
                 return params, {"m": m, "k": k, "pmf": str(mass),
-                                "enumerated": f"{tally.get(k, 0)}/{total}"}
+                                "enumerated": f"{tally[k]}/{total}"}
         halves = (m - m // 2, m // 2) if m >= 2 else None
         if halves and halves[1] > 0:
             joint = dyck_stats.max_level_distribution(m, blocks=halves)

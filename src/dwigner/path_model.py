@@ -24,6 +24,7 @@ __all__ = [
     "edge_codes",
     "instant_marks",
     "trajectory_of",
+    "trajectory_rows",
     "enumerate_trajectories",
     "count_trajectories",
     "count_trajectories_factorial",
@@ -158,32 +159,56 @@ def count_trajectories_factorial(m: int, l: int) -> int:
     return math.factorial(total) * (l + 1) // (math.factorial(l + m + 1) * math.factorial(m))
 
 
-def enumerate_trajectories(m: int, l: int) -> list[Trajectory]:
-    """All trajectories of the (m, l) class, duplicate-free, ups first."""
+# Rows per array that trajectory_rows yields: what a trajectory check holds at
+# once, whatever the size of the class it walks.
+TRAJECTORY_CHUNK = 4096
+
+
+def trajectory_rows(m: int, l: int):
+    """The trajectories of the (m, l) class as int8 arrays of +-1 steps, one
+    walk per row, at most ``TRAJECTORY_CHUNK`` rows per array, ups first.
+
+    The walks come in lexicographic order with up before down. Prefixes grow
+    one step at a time, each one's up child placed before its down child, so
+    every block of prefixes stays in that order; a block that could outgrow
+    the chunk is split in two and its halves grow depth first.
+    """
     if m < 0 or l < 0:
         raise ValueError("m and l must be nonnegative")
-    if l + 2 * m > ENUMERATION_STEP_CAP:
+    length = l + 2 * m
+    if length > ENUMERATION_STEP_CAP:
         raise EnumerationLimitError(
-            f"enumeration of {l + 2 * m} steps exceeds the cap {ENUMERATION_STEP_CAP}"
+            f"enumeration of {length} steps exceeds the cap {ENUMERATION_STEP_CAP}"
         )
-    out: list[Trajectory] = []
-    steps: list[int] = []
+    return _grow_walks(length, m)
 
-    def rec(ups: int, downs: int, height: int) -> None:
-        if ups == 0 and downs == 0:
-            out.append(Trajectory(tuple(steps)))
-            return
-        if ups > 0:
-            steps.append(1)
-            rec(ups - 1, downs, height + 1)
-            steps.pop()
-        if downs > 0 and height > 0:
-            steps.append(-1)
-            rec(ups, downs - 1, height - 1)
-            steps.pop()
 
-    rec(l + m, m, 0)
-    return out
+def _grow_walks(length: int, downs: int):
+    # (prefixes, their heights, steps taken), the next block last
+    blocks = [(np.zeros((1, length), np.int8), np.zeros(1, np.int64), 0)]
+    while blocks:
+        rows, heights, taken = blocks.pop()
+        if taken == length:
+            yield rows
+        elif len(rows) > 1 and 2 * len(rows) > TRAJECTORY_CHUNK:
+            half = len(rows) // 2
+            blocks += [(rows[half:], heights[half:], taken), (rows[:half], heights[:half], taken)]
+        else:
+            rows = np.repeat(rows, 2, axis=0)
+            rows[0::2, taken], rows[1::2, taken] = 1, -1
+            step = rows[:, taken]
+            below = np.repeat(heights, 2)
+            # an up needs an up left; a down needs a down left and a positive height
+            downs_taken = (taken - below) // 2
+            fits = np.where(step > 0, taken - downs_taken < length - downs,
+                            (below > 0) & (downs_taken < downs))
+            blocks.append((rows[fits], (below + step)[fits], taken + 1))
+
+
+def enumerate_trajectories(m: int, l: int) -> list[Trajectory]:
+    """All trajectories of the (m, l) class, duplicate-free, ups first: the
+    rows of :func:`trajectory_rows` as objects."""
+    return [Trajectory(tuple(steps)) for rows in trajectory_rows(m, l) for steps in rows.tolist()]
 
 
 def last_step_split(m: int, l: int) -> tuple[int, int]:

@@ -10,6 +10,8 @@ polynomial ring in the entry variables and applies the moment map term by
 term. ``tally_edges`` is the dict walk that the marks kernel
 ``path_model.instant_marks`` is checked against, and ``nonneg_walks`` the
 reflection count from any start height that ``sample_trajectory`` reads.
+``enumerate_trajectories_recursive`` is the depth-first enumerator whose
+order ``path_model.trajectory_rows`` must reproduce row for row.
 """
 
 from __future__ import annotations
@@ -22,13 +24,19 @@ import numpy as np
 
 from dwigner.ensembles import MatrixSample
 from dwigner.moment_oracle import MomentModel
-from dwigner.path_model import ClosedPath, Trajectory
+from dwigner.path_model import (
+    ENUMERATION_STEP_CAP,
+    ClosedPath,
+    EnumerationLimitError,
+    Trajectory,
+)
 
 __all__ = [
     "symbolic_trace_expectation",
     "trace_power_dense",
     "tally_edges",
     "nonneg_walks",
+    "enumerate_trajectories_recursive",
     "sample_trajectory",
     "trajectory_from_string",
     "has_marked_origin",
@@ -134,6 +142,34 @@ def nonneg_walks(height: int, ups: int, downs: int) -> int:
     total = ups + downs
     reflected = downs - height - 1
     return math.comb(total, downs) - (math.comb(total, reflected) if reflected >= 0 else 0)
+
+
+def enumerate_trajectories_recursive(m: int, l: int) -> list[Trajectory]:
+    """All trajectories of the (m, l) class, duplicate-free, ups first."""
+    if m < 0 or l < 0:
+        raise ValueError("m and l must be nonnegative")
+    if l + 2 * m > ENUMERATION_STEP_CAP:
+        raise EnumerationLimitError(
+            f"enumeration of {l + 2 * m} steps exceeds the cap {ENUMERATION_STEP_CAP}"
+        )
+    out: list[Trajectory] = []
+    steps: list[int] = []
+
+    def rec(ups: int, downs: int, height: int) -> None:
+        if ups == 0 and downs == 0:
+            out.append(Trajectory(tuple(steps)))
+            return
+        if ups > 0:
+            steps.append(1)
+            rec(ups - 1, downs, height + 1)
+            steps.pop()
+        if downs > 0 and height > 0:
+            steps.append(-1)
+            rec(ups, downs - 1, height - 1)
+            steps.pop()
+
+    rec(l + m, m, 0)
+    return out
 
 
 def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import dwigner.dyck_stats
@@ -11,6 +12,7 @@ from dwigner.dyck_stats import (
     class_count_bound_check,
     confined_dyck_count,
     dyck_decompose,
+    dyck_decompose_rows,
     max_level_distribution,
     tail_bound_check,
 )
@@ -18,6 +20,7 @@ from dwigner.path_model import (
     Trajectory,
     count_trajectories,
     enumerate_trajectories,
+    trajectory_rows,
     trajectory_to_string,
 )
 from reference import trajectory_from_string
@@ -79,6 +82,29 @@ def test_decompose_matches_rescanning_reference():
             for x in enumerate_trajectories(m, total - 2 * m):
                 d = dyck_decompose(x)
                 assert (d.rises, d.blocks) == reference_dyck_decompose(x)
+
+
+def test_decompose_rows_match_rescanning_reference():
+    for total in range(1, 17):
+        for m in range(0, total // 2 + 1):
+            for rows in trajectory_rows(m, total - 2 * m):
+                rises, starts, ends = (a.tolist() for a in dyck_decompose_rows(rows))
+                for steps, r, a, b in zip(rows.tolist(), rises, starts, ends):
+                    levels = [h for h in range(len(r)) if r[h] or not h]
+                    blocks = tuple(Trajectory(tuple(steps[a[h]:b[h]])) for h in levels)
+                    rises_of_x = tuple(r[h] for h in levels[1:])
+                    assert (rises_of_x, blocks) == reference_dyck_decompose(Trajectory(tuple(steps)))
+
+
+def test_decompose_rows_refuse_rows_that_are_no_class():
+    with pytest.raises(ValueError):
+        dyck_decompose_rows(np.array([[1, 1], [1, -1]], np.int8))  # two end levels
+    with pytest.raises(ValueError):
+        dyck_decompose_rows(np.array([[-1, 1]], np.int8))  # dips below zero
+    with pytest.raises(ValueError):
+        dyck_decompose_rows(np.array([[1, 0]], np.int8))  # not a +-1 step
+    rises, starts, ends = dyck_decompose_rows(np.zeros((0, 4), np.int8))
+    assert rises.shape == starts.shape == ends.shape == (0, 1)
 
 
 def test_bounded_count_examples():

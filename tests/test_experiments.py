@@ -3,7 +3,9 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dwigner.correspondence
+import dwigner.dyck_stats
 import dwigner.experiments
 import dwigner.path_model
 from dwigner.cli import main as cli_main
@@ -486,6 +489,129 @@ def test_correspondence_check_does_not_depend_on_the_chunk(monkeypatch, chunk):
     assert _battery_correspondence(7, 4) == _reference_or_error(7, 4)
 
 
+def _reference_trajectory_checks(check, limit):
+    """The per-walk loops the array checks replaced, over the object forms
+    ``enumerate_trajectories`` and ``dyck_decompose``: the counterexample the
+    battery must reproduce, a raised error recorded as the battery records it."""
+    pm, d = dwigner.path_model, dwigner.dyck_stats
+    classes = [(m, total - 2 * m) for total in range(1, limit + 1)
+               for m in range(0, total // 2 + 1)]
+
+    def trajectory_counts():
+        for m, l in classes:
+            listed = pm.enumerate_trajectories(m, l)
+            closed = pm.count_trajectories(m, l)
+            factorial = pm.count_trajectories_factorial(m, l)
+            if not len(listed) == closed == factorial:
+                return {"m": m, "l": l, "enumerated": len(listed),
+                        "binomial_form": closed, "factorial_form": factorial}
+            up, down = pm.last_step_split(m, l)
+            tally_up = sum(1 for x in listed if x.steps[-1] == 1)
+            if up != tally_up or up + down != closed:
+                return {"m": m, "l": l, "split": (up, down), "tally_up": tally_up}
+        return None
+
+    def dyck_roundtrip():
+        for m, l in classes:
+            for x in pm.enumerate_trajectories(m, l):
+                decomp = d.dyck_decompose(x)
+                if decomp.end_level != l or sum(decomp.block_lengths) != 2 * m:
+                    return {"trajectory": pm.trajectory_to_string(x),
+                            "reason": "rise/block bookkeeping"}
+        return None
+
+    def max_level_pmf():
+        for m in range(1, limit + 1):
+            pmf = d.max_level_distribution(m)
+            tally = Counter(max(x.levels()) for x in pm.enumerate_trajectories(m, 0))
+            total = sum(tally.values())
+            for k, mass in pmf.items():
+                if mass != Fraction(tally[k], total):
+                    return {"m": m, "k": k, "pmf": str(mass),
+                            "enumerated": f"{tally[k]}/{total}"}
+        return None
+
+    loops = {"trajectory_counts": trajectory_counts, "dyck_roundtrip": dyck_roundtrip,
+             "max_level_pmf": max_level_pmf}
+    try:
+        return loops[check]()
+    except Exception as exc:  # the battery records a crashed check the same way
+        return {"error": repr(exc)}
+
+
+def _battery_record(check, limit_key, limit):
+    code, report = run_combinatorics_verify({limit_key: limit})
+    (rec,) = report["records"]
+    assert rec["check"] == check and code == 1 and not rec["pass"]
+    return rec["counterexample"]
+
+
+def _mutate_rows(real, broken):
+    """trajectory_rows with ``broken(m, l, rows)`` applied to every array it yields."""
+    def mutated(m, l):
+        for rows in real(m, l):
+            yield broken(m, l, rows.copy())
+    return mutated
+
+
+def test_trajectory_counts_report_the_first_class_missing_a_walk(monkeypatch):
+    def drop_one(m, l, rows):
+        return rows[1:] if (m, l) in {(3, 0), (1, 5)} else rows  # totals 6 and 7
+
+    monkeypatch.setattr(dwigner.path_model, "trajectory_rows",
+                        _mutate_rows(dwigner.path_model.trajectory_rows, drop_one))
+    expected = _reference_trajectory_checks("trajectory_counts", 8)
+    assert expected == {"m": 3, "l": 0, "enumerated": 4, "binomial_form": 5,
+                        "factorial_form": 5}
+    assert _battery_record("trajectory_counts", "trajectory_steps", 8) == expected
+
+
+def test_max_level_pmf_reports_the_first_raised_maximum(monkeypatch):
+    def raise_one(m, l, rows):
+        if m in (4, 5):  # the last Dyck path, UDUD..., becomes UUDDUD...: its maximum is 2
+            rows[-1, 1:3] = (1, -1)
+        return rows
+
+    monkeypatch.setattr(dwigner.path_model, "trajectory_rows",
+                        _mutate_rows(dwigner.path_model.trajectory_rows, raise_one))
+    expected = _reference_trajectory_checks("max_level_pmf", 6)
+    assert expected == {"m": 4, "k": 1, "pmf": "1/14", "enumerated": "0/14"}
+    assert _battery_record("max_level_pmf", "max_pmf_m", 6) == expected
+
+
+def test_dyck_roundtrip_reports_a_shifted_last_visit(monkeypatch):
+    real = dwigner.dyck_stats._last_visits
+    target = np.cumsum([0, 1, -1, 1, 1, -1, 1, 1])  # UDUUDUU: level 1's block is UD
+
+    def shifted(levels, top):
+        times = real(levels, top)
+        if levels.shape[1] == len(target):
+            times[(levels == target).all(axis=1), 1] += 1
+        return times
+
+    monkeypatch.setattr(dwigner.dyck_stats, "_last_visits", shifted)
+    expected = _reference_trajectory_checks("dyck_roundtrip", 8)
+    assert expected == {"error": "ValueError('blocks must be Dyck paths')"}
+    assert _battery_record("dyck_roundtrip", "dyck_roundtrip_steps", 8) == expected
+
+
+def test_dyck_roundtrip_reports_the_first_bookkeeping_failure(monkeypatch):
+    real = dwigner.dyck_stats.dyck_decompose_rows
+
+    def short_rise(rows):
+        rises, starts, ends = real(rows)
+        # walks that climb straight to their end level lose one rise step
+        straight = (rows == 1).all(axis=1) & (rows.shape[1] >= 3)
+        rises[straight, -1] -= 1
+        return rises, starts, ends
+
+    monkeypatch.setattr(dwigner.dyck_stats, "dyck_decompose_rows", short_rise)
+    code, report = run_combinatorics_verify({"dyck_roundtrip_steps": 8})
+    assert code == 1
+    assert report["records"][0]["counterexample"] == {
+        "trajectory": "UUU", "reason": "rise/block bookkeeping"}
+
+
 def test_verify_default_report_bytes_are_pinned(tmp_path):
     # sha256 of the default battery's report as written at commit c545bab,
     # before each path's edge tally was kept on the path: every count,
@@ -527,6 +653,8 @@ def test_verify_passes_under_python_optimize(tmp_path):
 # Each `rejects` case hands the rotation an input its explicit checks must refuse;
 # each `fires` case breaks one step of an exact routine and expects its guard to fire.
 _GUARD_CASES = """
+import numpy as np
+
 import dwigner.correspondence as c
 import dwigner.dyck_stats as d
 from dwigner.path_model import ClosedPath, Trajectory
@@ -560,6 +688,8 @@ print(rejects(lambda: c.from_marked_origin(c.CorrespondenceResult(image, 0, 0)))
       rejects(lambda: c.to_marked_origin(ClosedPath((1, 2, 3, 1), 3))))
 print(fires(lambda: d.dyck_decompose(traj("UUDU")),
             d.DyckDecomposition, "reconstructed_steps", lambda self: ()),
+      fires(lambda: d.dyck_decompose_rows(np.array([[1, 1, -1, 1]], np.int8)),
+            d, "_rebuilt_rows", lambda steps, *rest: -steps),
       fires(lambda: d.max_level_distribution(4), d, "confined_dyck_count", lambda m, k: 0),
       fires(lambda: c.trajectory_surgery(traj("UUDU"), 1, 2),
             c, "Trajectory", lambda steps: Trajectory(steps + (1, -1))),
@@ -572,7 +702,7 @@ def test_exact_guards_fire_under_python_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", _GUARD_CASES],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 6
+    assert proc.stdout.split() == ["True"] * 7
 
 
 def test_verify_check_table_uses_every_limit():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dwigner.path_model
 from dwigner.path_model import (
     ClosedPath,
     EnumerationLimitError,
@@ -20,9 +21,15 @@ from dwigner.path_model import (
     instant_marks,
     last_step_split,
     trajectory_of,
+    trajectory_rows,
     trajectory_to_string,
 )
-from reference import has_marked_origin, tally_edges, trajectory_from_string
+from reference import (
+    enumerate_trajectories_recursive,
+    has_marked_origin,
+    tally_edges,
+    trajectory_from_string,
+)
 
 NINE_PATH = ClosedPath(vertices=(1, 2, 1, 3, 4, 5, 6, 3, 1), ambient_n=6)
 
@@ -81,6 +88,35 @@ def test_enumerate_small_classes():
 def test_enumeration_guard():
     with pytest.raises(EnumerationLimitError):
         enumerate_trajectories(16, 0)
+    # the rows form refuses at the call, before any walk is grown
+    with pytest.raises(EnumerationLimitError):
+        trajectory_rows(16, 0)
+    with pytest.raises(ValueError):
+        trajectory_rows(-1, 2)
+
+
+def class_rows(m, l):
+    """The walks trajectory_rows yields for a class, checking each array's
+    dtype, width and row count against the chunk constant."""
+    arrays = list(trajectory_rows(m, l))
+    for rows in arrays:
+        assert rows.dtype == np.int8 and rows.shape[1] == l + 2 * m
+        assert 0 < len(rows) <= dwigner.path_model.TRAJECTORY_CHUNK
+    return [tuple(steps) for rows in arrays for steps in rows.tolist()]
+
+
+def test_trajectory_rows_match_the_recursive_reference():
+    classes = [(m, total - 2 * m) for total in range(0, 17) for m in range(0, total // 2 + 1)]
+    for m, l in classes + [(10, 0)]:  # Catalan(10) = 16,796 walks span several arrays
+        assert class_rows(m, l) == [x.steps for x in enumerate_trajectories_recursive(m, l)]
+
+
+def test_trajectory_rows_keep_the_order_across_chunks(monkeypatch):
+    monkeypatch.setattr(dwigner.path_model, "TRAJECTORY_CHUNK", 7)
+    for total in range(0, 17):
+        for m in range(0, total // 2 + 1):
+            expected = [x.steps for x in enumerate_trajectories_recursive(m, total - 2 * m)]
+            assert class_rows(m, total - 2 * m) == expected
 
 
 def test_count_closed_forms_agree():
