@@ -103,9 +103,43 @@ def _rebuilt_rows(steps: np.ndarray, rises: np.ndarray, starts: np.ndarray,
     place, up steps everywhere else."""
     kept = rises > 0
     kept[:, 0] = True
-    t = np.arange(steps.shape[1])
-    in_block = (kept[:, :, None] & (starts[:, :, None] <= t) & (t < ends[:, :, None])).any(axis=1)
-    return np.where(in_block, steps, np.int8(1))
+    kept &= ends > starts
+    n, length = steps.shape
+    # reach[r, t]: the furthest end of a nonempty kept block of row r that
+    # starts at or before t; the last slot takes the blocks left out
+    reach = np.zeros(n * length + 1, np.int32)
+    rows = np.arange(0, n * length, length)[:, None]
+    np.maximum.at(reach, np.where(kept, rows + starts, n * length).ravel(),
+                  np.where(kept, ends, 0).astype(np.int32).ravel())
+    reach = np.maximum.accumulate(reach[:-1].reshape(n, length), axis=1)
+    return np.where(reach > np.arange(length), steps, np.int8(1))
+
+
+def _failed_checks(steps: np.ndarray, levels: np.ndarray, kept: np.ndarray, rises: np.ndarray,
+                   starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """(N, 4) bool array: row r failed check j of ``_DYCK_ROW_ERRORS``.
+
+    A kept block fails when a height from its start to its end falls below
+    its base or its last height differs from it. The lowest height of every
+    block before its end is one ``minimum.reduceat`` over the flattened
+    heights; a block that ends where or before it starts reads its base and
+    does not dip. With the rebuilt rows read from the running maximum of the
+    block ends, the checks cost O(N L) on blocks that do not overlap, as last
+    visits give them, not the O(N l L) of a block-by-time mask, and give the
+    mask's verdicts for any blocks.
+    """
+    n, width = levels.shape
+    base = np.take_along_axis(levels, starts, axis=1)
+    rows = np.arange(0, n * width, width)[:, None]
+    bounds = np.stack((rows + starts, rows + ends), axis=2).ravel()
+    lows = np.minimum.reduceat(levels.ravel(), bounds)[::2].reshape(base.shape)
+    dips = (kept & (lows < base)).any(axis=1)
+    return np.column_stack((
+        (kept[:, 1:] & (rises[:, 1:] < 1)).any(axis=1),
+        dips | (kept & (np.take_along_axis(levels, ends, axis=1) != base)).any(axis=1),
+        (kept[:, 1:-1] & (ends[:, 1:-1] <= starts[:, 1:-1])).any(axis=1),
+        (_rebuilt_rows(steps, rises, starts, ends) != steps).any(axis=1),
+    ))
 
 
 def dyck_decompose_rows(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,16 +173,7 @@ def dyck_decompose_rows(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rises = np.zeros_like(ends)
     rises[:, 1:] = np.where(kept[:, 1:], starts[:, 1:] - below[:, :-1], 0)
 
-    t = np.arange(length + 1)
-    base = np.take_along_axis(levels, starts, axis=1)
-    in_block = kept[:, :, None] & (starts[:, :, None] <= t) & (t <= ends[:, :, None])
-    failed = np.column_stack((
-        (kept[:, 1:] & (rises[:, 1:] < 1)).any(axis=1),
-        (in_block & (levels[:, None, :] < base[:, :, None])).any(axis=(1, 2))
-        | (kept & (np.take_along_axis(levels, ends, axis=1) != base)).any(axis=1),
-        (kept[:, 1:-1] & (ends[:, 1:-1] <= starts[:, 1:-1])).any(axis=1),
-        (_rebuilt_rows(steps, rises, starts, ends) != steps).any(axis=1),
-    ))
+    failed = _failed_checks(steps, levels, kept, rises, starts, ends)
     bad = np.flatnonzero(failed.any(axis=1))
     if bad.size:
         error, message = _DYCK_ROW_ERRORS[int(np.argmax(failed[bad[0]]))]

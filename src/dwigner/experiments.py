@@ -38,6 +38,7 @@ from .spectral import (
     eigenvalues,
     interlacing_check,
     outlier_census,
+    rank_one_spectra,
     rescaled_fluctuation,
 )
 
@@ -351,12 +352,10 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
     base = cfg.base
     supercritical = base.theta > base.sigma
     sqrt_n = math.sqrt(base.n)
-    shift = base.theta / base.n
 
     def one(i: int):
-        base_entries = sample_wigner(base, i).entries / sqrt_n
-        base_spec = eigenvalues(MatrixSample(entries=base_entries))
-        spec = eigenvalues(MatrixSample(entries=base_entries + shift))
+        scaled = MatrixSample(entries=sample_wigner(base, i).entries / sqrt_n)
+        base_spec, spec = rank_one_spectra(scaled, base.theta)
         ks = ks_statistic(
             np.asarray(spec.values, dtype=np.float64), lambda x: semicircle_cdf(x, base.sigma))
         violations = interlacing_check(spec, base_spec)

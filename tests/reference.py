@@ -12,6 +12,9 @@ term. ``tally_edges`` is the dict walk that the marks kernel
 reflection count from any start height that ``sample_trajectory`` reads.
 ``enumerate_trajectories_recursive`` is the depth-first enumerator whose
 order ``path_model.trajectory_rows`` must reproduce row for row.
+``dyck_failed_checks_mask`` is the block-by-time mask form of the row checks
+of ``dyck_stats.dyck_decompose_rows``, which now reads each block's lowest
+height and the running maximum of the block ends instead.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "tally_edges",
     "nonneg_walks",
     "enumerate_trajectories_recursive",
+    "dyck_failed_checks_mask",
     "sample_trajectory",
     "trajectory_from_string",
     "has_marked_origin",
@@ -170,6 +174,32 @@ def enumerate_trajectories_recursive(m: int, l: int) -> list[Trajectory]:
 
     rec(l + m, m, 0)
     return out
+
+
+def _rebuilt_rows_mask(steps: np.ndarray, rises: np.ndarray, starts: np.ndarray,
+                       ends: np.ndarray) -> np.ndarray:
+    """The rows that the rises and blocks spell out: each block's steps in
+    place, up steps everywhere else."""
+    kept = rises > 0
+    kept[:, 0] = True
+    t = np.arange(steps.shape[1])
+    in_block = (kept[:, :, None] & (starts[:, :, None] <= t) & (t < ends[:, :, None])).any(axis=1)
+    return np.where(in_block, steps, np.int8(1))
+
+
+def dyck_failed_checks_mask(steps, levels, kept, rises, starts, ends) -> np.ndarray:
+    """(N, 4) bool array of the failed row checks, from an (N, l + 1, L + 1)
+    mask of every block against every time."""
+    t = np.arange(steps.shape[1] + 1)
+    base = np.take_along_axis(levels, starts, axis=1)
+    in_block = kept[:, :, None] & (starts[:, :, None] <= t) & (t <= ends[:, :, None])
+    return np.column_stack((
+        (kept[:, 1:] & (rises[:, 1:] < 1)).any(axis=1),
+        (in_block & (levels[:, None, :] < base[:, :, None])).any(axis=(1, 2))
+        | (kept & (np.take_along_axis(levels, ends, axis=1) != base)).any(axis=1),
+        (kept[:, 1:-1] & (ends[:, 1:-1] <= starts[:, 1:-1])).any(axis=1),
+        (_rebuilt_rows_mask(steps, rises, starts, ends) != steps).any(axis=1),
+    ))
 
 
 def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:

@@ -23,7 +23,7 @@ from dwigner.path_model import (
     trajectory_rows,
     trajectory_to_string,
 )
-from reference import trajectory_from_string
+from reference import dyck_failed_checks_mask, trajectory_from_string
 
 
 def test_decompose_examples():
@@ -94,6 +94,62 @@ def test_decompose_rows_match_rescanning_reference():
                     blocks = tuple(Trajectory(tuple(steps[a[h]:b[h]])) for h in levels)
                     rises_of_x = tuple(r[h] for h in levels[1:])
                     assert (rises_of_x, blocks) == reference_dyck_decompose(Trajectory(tuple(steps)))
+
+
+def _decomposition_arrays(rows):
+    """The arrays dyck_decompose_rows checks: heights, kept levels, rises, starts, ends."""
+    rises, starts, ends = dyck_decompose_rows(rows)
+    levels = np.zeros((rows.shape[0], rows.shape[1] + 1), np.int64)
+    np.cumsum(rows, axis=1, out=levels[:, 1:])
+    kept = ends > starts
+    kept[:, 0] = kept[:, -1] = True
+    return levels, kept, rises, starts, ends
+
+
+def _corruptions(rng, rows, levels, kept, rises, starts, ends):
+    """(name, rises, starts, ends) triples, each with one kind of error in every row it can."""
+    picked = np.arange(len(rows))
+    top = rises.shape[1] - 1
+    for shift in (1, -1):
+        h = rng.integers(0, top + 1, len(rows))
+        bad_ends = ends.copy()
+        bad_ends[picked, h] = np.clip(ends[picked, h] + shift, 0, rows.shape[1])
+        yield f"ends off by {shift}", rises, starts, bad_ends
+        follow = starts.copy()
+        follow[:, 1:] = bad_ends[:, :-1] + 1
+        yield f"ends off by {shift}, starts following", rises, np.minimum(follow, rows.shape[1]), \
+            bad_ends
+    if top >= 1:
+        h = rng.integers(1, top + 1, len(rows))
+        zero = rises.copy()
+        zero[picked, h] = np.where(kept[picked, h], 0, zero[picked, h])
+        yield "zero rise", zero, starts, ends
+    if top >= 2:
+        h = rng.integers(1, top, len(rows))
+        empty = ends.copy()
+        empty[picked, h] = np.where(kept[picked, h], starts[picked, h], ends[picked, h])
+        yield "empty interior block", rises, starts, empty
+    # blocks anywhere, overlapping or reversed
+    yield ("random blocks", rises, rng.integers(0, rows.shape[1] + 1, starts.shape),
+           rng.integers(0, rows.shape[1] + 1, ends.shape))
+
+
+def test_row_checks_match_the_mask_reference_on_corrupted_blocks():
+    rng = np.random.default_rng(2024)
+    fired = np.zeros(4, bool)
+    for total in range(1, 13):
+        for m in range(0, total // 2 + 1):
+            for rows in trajectory_rows(m, total - 2 * m):
+                levels, kept, rises, starts, ends = _decomposition_arrays(rows)
+                clean = dwigner.dyck_stats._failed_checks(rows, levels, kept, rises, starts, ends)
+                assert not clean.any()
+                assert not dyck_failed_checks_mask(rows, levels, kept, rises, starts, ends).any()
+                for name, r, a, b in _corruptions(rng, rows, levels, kept, rises, starts, ends):
+                    got = dwigner.dyck_stats._failed_checks(rows, levels, kept, r, a, b)
+                    want = dyck_failed_checks_mask(rows, levels, kept, r, a, b)
+                    assert np.array_equal(got, want), (name, m, total)
+                    fired |= want.any(axis=0)
+    assert fired.all()  # every check failed somewhere
 
 
 def test_decompose_rows_refuse_rows_that_are_no_class():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,12 +12,16 @@ from dwigner.ensembles import (
     sample_deformed,
     sample_wigner,
 )
-from dwigner.experiments import mc_trace_moments
+from dwigner import spectral
+from dwigner.cli import main as cli_main
+from dwigner.experiments import ExperimentConfig, mc_trace_moments, run_spectrum_census
 from dwigner.spectral import (
+    EigensolverError,
     Spectrum,
     eigenvalues,
     interlacing_check,
     outlier_census,
+    rank_one_spectra,
     rescaled_fluctuation,
 )
 from reference import trace_power_dense
@@ -172,3 +177,97 @@ def test_outlier_census():
 
     with pytest.raises(RegimeError):
         outlier_census(s, 0.5, 1.0, n)
+
+
+# The shared-reduction route against two dense eigensolves of the same draw;
+# seed and bound were fixed before the first run.
+RANK_ONE_SEED = 1515
+RANK_ONE_TOL = 1e-10
+
+
+def scaled_wigner(law, symmetry, n, index=0):
+    cfg = EnsembleConfig.create(n=n, sigma=1.0, theta=0.0, law=law, symmetry=symmetry,
+                                master_seed=RANK_ONE_SEED)
+    return MatrixSample(entries=sample_wigner(cfg, index).entries / math.sqrt(n))
+
+
+def max_gap_within_bound(got: Spectrum, want: Spectrum) -> bool:
+    radius = float(np.max(np.abs(want.values)))
+    return float(np.max(np.abs(got.values - want.values))) <= RANK_ONE_TOL * (1.0 + radius)
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform-symmetric"])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
+def test_rank_one_spectra_match_two_dense_eigensolves(law, symmetry, n):
+    w = scaled_wigner(law, symmetry, n)
+    for theta in (0.0, 0.5, 1.0, 2.0):
+        base, deformed = rank_one_spectra(w, theta)
+        assert base.values.shape == deformed.values.shape == (n,)
+        assert np.all(np.diff(base.values) <= 0) and np.all(np.diff(deformed.values) <= 0)
+        assert max_gap_within_bound(base, eigenvalues(w))
+        deformed_dense = eigenvalues(MatrixSample(entries=w.entries + theta / n))
+        assert max_gap_within_bound(deformed, deformed_dense)
+
+
+def test_rank_one_spectra_leave_the_input_untouched():
+    w = scaled_wigner("gaussian", "complex", 17)
+    before = w.entries.copy()
+    rank_one_spectra(w, 2.0)
+    assert np.array_equal(w.entries, before)
+
+
+def test_rank_one_spectra_reject_non_hermitian():
+    with pytest.raises(ValueError):
+        rank_one_spectra(matrix_of([[0, 1], [2, 0]]), 1.0)
+    complex_entries = np.array([[0, 1j], [1j, 0]])
+    with pytest.raises(ValueError):
+        rank_one_spectra(MatrixSample(entries=complex_entries), 1.0)
+
+
+def test_rank_one_spectra_report_lapack_failure(monkeypatch):
+    routines = dict(spectral._lapack_routines())
+    routines["dsterf"] = lambda n, d, e: 3  # did not converge
+    monkeypatch.setattr(spectral, "_lapack_routines", lambda: routines)
+    with pytest.raises(EigensolverError, match="dsterf"):
+        rank_one_spectra(scaled_wigner("gaussian", "real", 5), 1.0)
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_census_without_lapacke_symbols_matches_shared_reduction(monkeypatch, symmetry):
+    base = EnsembleConfig.create(n=40, sigma=1.0, theta=2.0, law="rademacher",
+                                 symmetry=symmetry, master_seed=RANK_ONE_SEED)
+    cfg = ExperimentConfig(base=base, n_samples=6)
+    shared = run_spectrum_census(cfg)["records"]
+    monkeypatch.setattr(spectral, "_lapack_routines", lambda: None)
+    calls = []
+    monkeypatch.setattr(spectral, "eigenvalues", lambda m: calls.append(1) or eigenvalues(m))
+    dense = run_spectrum_census(cfg)["records"]
+    assert len(calls) == 2 * 6  # the fallback: two dense eigensolves per draw
+    assert [(r["sample"], r["statistic"]) for r in shared] == \
+        [(r["sample"], r["statistic"]) for r in dense]
+    radius = max(float(np.max(np.abs(eigenvalues(sample_deformed(base, i)).values)))
+                 for i in range(6))
+    for got, want in zip(shared, dense):
+        if isinstance(want["value"], float):
+            assert abs(got["value"] - want["value"]) <= RANK_ONE_TOL * (1.0 + radius), want
+        else:
+            assert got["value"] == want["value"], want
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_census_at_the_smallest_sizes(tmp_path, n, symmetry):
+    # at n = 1, u = e1: the reflector is the identity and lambda = W_11 + theta exactly
+    out = tmp_path / "census.json"
+    assert cli_main(["census", "--n", str(n), "--samples", "4", "--theta", "2",
+                     "--symmetry", symmetry, "--seed", "7", "--out", str(out),
+                     "--format", "json"]) == 0
+    records = json.loads(out.read_text())["records"]
+    counts = [r["value"] for r in records if isinstance(r["value"], int)]
+    assert len(counts) == 4 * 3 + 4 and not any(counts)  # as the two dense eigensolves gave
+    if n == 1:
+        cfg = EnsembleConfig.create(n=1, sigma=1.0, theta=2.0, law="gaussian",
+                                    symmetry=symmetry, master_seed=7)
+        lam = [r["value"] for r in records if r["statistic"] == "lambda_1"]
+        assert lam == [float(sample_wigner(cfg, i).entries[0, 0].real) + 2.0 for i in range(4)]
