@@ -30,32 +30,36 @@ from .path_model import ENUMERATION_STEP_CAP
 
 _LAWS = ("gaussian", "rademacher", "uniform")
 
-# dest -> (type, choices, help). One table drives both the command-line flags
-# and the --config keys, so file values obey the same types and choices.
+_RUNNERS = ("fluctuations", "trace-growth", "census", "oracle-compare")
+
+# dest -> (type, choices, help, subcommands that read it). One table drives
+# both the command-line flags and the --config keys, so file values obey the
+# same types and choices, and a subcommand takes only the options it reads.
 _OPTIONS = {
-    "n": (int, None, "matrix dimension"),
-    "samples": (int, None, "number of Monte Carlo samples"),
-    "theta": (float, None, "deformation strength"),
-    "sigma": (float, None, "off-diagonal scale"),
-    "law": (str, _LAWS, "entry law"),
-    "symmetry": (str, ("complex", "real"), "symmetry class"),
-    "seed": (int, None, "master seed"),
-    "t_scale": (float, None, "trace exponent scale t (s = floor(t sqrt(n)))"),
-    "top_k": (int, None, "edge statistics depth"),
-    "baseline_theta": (float, None, "baseline ensemble deformation"),
-    "baseline_law": (str, _LAWS, "baseline ensemble law"),
-    "ks_threshold": (float, None, "fail (exit 1) when the KS statistic exceeds this"),
-    "workers": (int, None, "worker threads (default 1)"),
-    "out": (str, None, "output file path"),
-    "format": (str, ("csv", "json"), "output format"),
-    "L": (int, None, "trace power (default 4)"),
+    "n": (int, None, "matrix dimension", _RUNNERS),
+    "samples": (int, None, "number of Monte Carlo samples", _RUNNERS),
+    "theta": (float, None, "deformation strength", _RUNNERS),
+    "sigma": (float, None, "off-diagonal scale", _RUNNERS),
+    "law": (str, _LAWS, "entry law", _RUNNERS),
+    "symmetry": (str, ("complex", "real"), "symmetry class", _RUNNERS),
+    "seed": (int, None, "master seed", _RUNNERS),
+    "t_scale": (float, None, "trace exponent scale t (s = floor(t sqrt(n)))", ("trace-growth",)),
+    "top_k": (int, None, "edge statistics depth", ("fluctuations",)),
+    "baseline_theta": (float, None, "baseline ensemble deformation", ("fluctuations",)),
+    "baseline_law": (str, _LAWS, "baseline ensemble law", ("fluctuations",)),
+    "ks_threshold": (float, None, "fail (exit 1) when the KS statistic exceeds this",
+                     ("fluctuations",)),
+    "workers": (int, None, "worker threads (default 1)", _RUNNERS),
+    "out": (str, None, "output file path", _RUNNERS),
+    "format": (str, ("csv", "json"), "output format", _RUNNERS),
+    "L": (int, None, "trace power (default 4)", ("oracle-compare",)),
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, with_power: bool) -> None:
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override")
-    for dest, (kind, choices, text) in _OPTIONS.items():
-        if dest != "L" or with_power:
+    for dest, (kind, choices, text, commands) in _OPTIONS.items():
+        if command in commands:
             parser.add_argument(f"--{dest.replace('_', '-')}", dest=dest, type=kind,
                                 choices=choices, help=text)
 
@@ -91,7 +95,10 @@ def _gather(args: argparse.Namespace) -> dict:
         for key, raw in load_config_file(args.config).items():
             if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            kind, choices, _ = _OPTIONS[key]
+            kind, choices, _, commands = _OPTIONS[key]
+            if args.command not in commands:
+                raise ValueError(f"{args.config}: config key {key!r} is not read by "
+                                 f"{args.command}")
             try:
                 value = kind(raw)
             except ValueError:
@@ -149,8 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Deformed Wigner ensemble simulations and exact path-combinatorics checks",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("fluctuations", "trace-growth", "census", "oracle-compare"):
-        _add_options(subs.add_parser(name), with_power=name == "oracle-compare")
+    for name in _RUNNERS:
+        _add_options(subs.add_parser(name), name)
     verify = subs.add_parser("verify-combinatorics")
     verify.add_argument("--out", help="output file path")
     verify.add_argument("--format", choices=["csv", "json"], default="json")

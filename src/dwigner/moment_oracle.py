@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import path_model
@@ -129,7 +130,7 @@ def edge_moment(
     )
 
 
-def _path_signature(path: tuple[int, ...]) -> tuple[tuple[int, int, bool], ...]:
+def _path_signature(path: Sequence[int]) -> tuple[tuple[int, int, bool], ...]:
     """Multiset of per-edge (forward, backward, diagonal) traversal counts."""
     length = len(path)
     counts: dict[tuple[int, int], list[int]] = {}
@@ -162,9 +163,10 @@ def _shape_table(power: int, max_vertices: int) -> tuple[tuple[tuple, tuple[int,
     grouped by edge-multiplicity signature: (signature, counts) pairs in order
     of first occurrence, ``counts[k - 1]`` shapes having k distinct vertices."""
     table: dict = {}
-    for shape in path_model.canonical_closed_paths(power, max_vertices):
-        counts = table.setdefault(_path_signature(shape[:-1]), [0] * max_vertices)
-        counts[max(shape) - 1] += 1
+    for rows in path_model.canonical_closed_paths(power, max_vertices):
+        for shape in rows.tolist():
+            counts = table.setdefault(_path_signature(shape[:-1]), [0] * max_vertices)
+            counts[max(shape) - 1] += 1
     return tuple((sig, tuple(counts)) for sig, counts in table.items())
 
 

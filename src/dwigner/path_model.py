@@ -159,20 +159,45 @@ def count_trajectories_factorial(m: int, l: int) -> int:
     return math.factorial(total) * (l + 1) // (math.factorial(l + m + 1) * math.factorial(m))
 
 
-# Rows per array that trajectory_rows yields: what a trajectory check holds at
-# once, whatever the size of the class it walks.
-TRAJECTORY_CHUNK = 4096
+# Rows per array that the row grower yields: what a check holds at once,
+# whatever the size of the set it walks.
+ROW_CHUNK = 4096
+
+
+def _grow_rows(row: np.ndarray, state: np.ndarray, column: int, stop: int, values: tuple,
+               admit):
+    """Every completion of one int8 row over its columns ``column..stop - 1``,
+    as arrays of at most ``max(ROW_CHUNK, len(values))`` rows, in
+    lexicographic order of the grown columns with ``values`` ordered as given.
+
+    Prefixes grow one column at a time: each one is repeated once per
+    candidate value, in the order of ``values``, and ``admit(state, value,
+    column)`` returns which children to keep and their states. So every block
+    of prefixes stays in order; a block that could outgrow the chunk is split
+    in two and its halves grow depth first. No array is empty.
+    """
+    width, k, values = len(row), len(values), np.array(values, np.int8)
+    blocks = [(row[None, :], state, column)]  # (prefixes, their states, next column), next last
+    while blocks:
+        rows, state, column = blocks.pop()
+        if not len(rows):
+            continue
+        if column == stop:
+            yield rows
+        elif len(rows) > 1 and k * len(rows) > ROW_CHUNK:
+            half = len(rows) // 2
+            blocks += [(rows[half:], state[half:], column), (rows[:half], state[:half], column)]
+        else:
+            rows = np.repeat(rows, k, axis=0)
+            rows.reshape(len(state), k, width)[:, :, column] = values
+            fits, state = admit(np.repeat(state, k), rows[:, column], column)
+            blocks.append((rows[fits], state[fits], column + 1))
 
 
 def trajectory_rows(m: int, l: int):
     """The trajectories of the (m, l) class as int8 arrays of +-1 steps, one
-    walk per row, at most ``TRAJECTORY_CHUNK`` rows per array, ups first.
-
-    The walks come in lexicographic order with up before down. Prefixes grow
-    one step at a time, each one's up child placed before its down child, so
-    every block of prefixes stays in that order; a block that could outgrow
-    the chunk is split in two and its halves grow depth first.
-    """
+    walk per row, at most ``ROW_CHUNK`` rows per array, in lexicographic order
+    with up before down."""
     if m < 0 or l < 0:
         raise ValueError("m and l must be nonnegative")
     length = l + 2 * m
@@ -180,29 +205,16 @@ def trajectory_rows(m: int, l: int):
         raise EnumerationLimitError(
             f"enumeration of {length} steps exceeds the cap {ENUMERATION_STEP_CAP}"
         )
-    return _grow_walks(length, m)
 
+    def admit(heights, step, taken):
+        # an up needs an up left; a down needs a down left and a positive height
+        downs_taken = (taken - heights) // 2
+        fits = np.where(step > 0, taken - downs_taken < length - m,
+                        (heights > 0) & (downs_taken < m))
+        return fits, heights + step
 
-def _grow_walks(length: int, downs: int):
-    # (prefixes, their heights, steps taken), the next block last
-    blocks = [(np.zeros((1, length), np.int8), np.zeros(1, np.int64), 0)]
-    while blocks:
-        rows, heights, taken = blocks.pop()
-        if taken == length:
-            yield rows
-        elif len(rows) > 1 and 2 * len(rows) > TRAJECTORY_CHUNK:
-            half = len(rows) // 2
-            blocks += [(rows[half:], heights[half:], taken), (rows[:half], heights[:half], taken)]
-        else:
-            rows = np.repeat(rows, 2, axis=0)
-            rows[0::2, taken], rows[1::2, taken] = 1, -1
-            step = rows[:, taken]
-            below = np.repeat(heights, 2)
-            # an up needs an up left; a down needs a down left and a positive height
-            downs_taken = (taken - below) // 2
-            fits = np.where(step > 0, taken - downs_taken < length - downs,
-                            (below > 0) & (downs_taken < downs))
-            blocks.append((rows[fits], (below + step)[fits], taken + 1))
+    return _grow_rows(np.zeros(length, np.int8), np.zeros(1, np.int64), 0, length, (1, -1),
+                      admit)
 
 
 def enumerate_trajectories(m: int, l: int) -> list[Trajectory]:
@@ -221,32 +233,23 @@ def last_step_split(m: int, l: int) -> tuple[int, int]:
 
 
 def canonical_closed_paths(length: int, max_vertices: int):
-    """Yield closed paths of the given length in first-occurrence labeling,
-    each as its closed vertex tuple ``(1, i_1, ..., i_{L-1}, 1)``.
+    """The closed paths of the given length in first-occurrence labeling, as
+    int8 arrays of closed vertex rows ``(1, i_1, ..., i_{L-1}, 1)``, at most
+    ``max(ROW_CHUNK, min(max_vertices, length))`` rows per array.
 
     Every closed path over at most ``max_vertices`` labels is a relabeling of
-    exactly one tuple yielded here (restricted-growth sequences), which makes
-    exhaustive checks of label-equivariant properties affordable. The
-    sequences come in lexicographic order, advanced in place like an odometer.
+    exactly one row yielded here (restricted-growth sequences: a label is at
+    most one above the running maximum), which makes exhaustive checks of
+    label-equivariant properties affordable. The rows come in lexicographic
+    order. Vertex i_j has a label of at most j + 1, so no candidate label
+    exceeds ``length``.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if length > 1 and max_vertices < 1:
-        return  # no label may follow the origin
-    seq = [1] * length
-    used = [1] * length  # used[i]: the largest label in seq[: i + 1]
-    while True:
-        yield tuple(seq) + (1,)
-        # advance the last position that can still grow, then reset the rest to 1
-        i = length - 1
-        while i and (seq[i] > used[i - 1] or seq[i] >= max_vertices):
-            i -= 1
-        if i == 0:
-            return
-        seq[i] += 1
-        used[i] = max(used[i - 1], seq[i])
-        seq[i + 1:] = [1] * (length - 1 - i)
-        used[i + 1:] = [used[i]] * (length - 1 - i)
+    labels = tuple(range(1, min(max_vertices, length) + 1))
+    # the origin and its closing repeat stay 1; the state is the running maximum
+    return _grow_rows(np.ones(length + 1, np.int8), np.ones(1, np.int64), 1, length, labels,
+                      lambda used, label, _: (label <= used + 1, np.maximum(used, label)))
 
 
 def trajectory_to_string(traj: Trajectory) -> str:

@@ -12,9 +12,12 @@ term. ``tally_edges`` is the dict walk that the marks kernel
 reflection count from any start height that ``sample_trajectory`` reads.
 ``enumerate_trajectories_recursive`` is the depth-first enumerator whose
 order ``path_model.trajectory_rows`` must reproduce row for row.
-``dyck_failed_checks_mask`` is the block-by-time mask form of the row checks
-of ``dyck_stats.dyck_decompose_rows``, which now reads each block's lowest
-height and the running maximum of the block ends instead.
+``closed_path_tuples`` flattens the arrays of
+``path_model.canonical_closed_paths`` into closed vertex tuples for the tests
+that read paths one at a time. ``dyck_failed_checks_mask`` is the
+block-by-time mask form of the row checks of ``dyck_stats.dyck_decompose_rows``,
+which now reads each block's lowest height and the running maximum of the
+block ends instead.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dwigner.path_model import (
     ClosedPath,
     EnumerationLimitError,
     Trajectory,
+    canonical_closed_paths,
 )
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "tally_edges",
     "nonneg_walks",
     "enumerate_trajectories_recursive",
+    "closed_path_tuples",
     "dyck_failed_checks_mask",
     "sample_trajectory",
     "trajectory_from_string",
@@ -174,6 +179,12 @@ def enumerate_trajectories_recursive(m: int, l: int) -> list[Trajectory]:
 
     rec(l + m, m, 0)
     return out
+
+
+def closed_path_tuples(length: int, max_vertices: int) -> list[tuple[int, ...]]:
+    """The rows of ``canonical_closed_paths``, in order, as closed vertex tuples."""
+    return [tuple(verts) for rows in canonical_closed_paths(length, max_vertices)
+            for verts in rows.tolist()]
 
 
 def _rebuilt_rows_mask(steps: np.ndarray, rises: np.ndarray, starts: np.ndarray,

@@ -18,17 +18,22 @@ from dwigner.correspondence import (
     trajectory_surgery,
     verify_count_identity,
 )
-from dwigner.experiments import CORRESPONDENCE_CHUNK
 from dwigner.path_model import (
     ClosedPath,
+    ROW_CHUNK,
     Trajectory,
-    canonical_closed_paths,
     count_trajectories,
     enumerate_trajectories,
     trajectory_of,
     trajectory_to_string,
 )
-from reference import has_marked_origin, sample_trajectory, tally_edges, trajectory_from_string
+from reference import (
+    closed_path_tuples,
+    has_marked_origin,
+    sample_trajectory,
+    tally_edges,
+    trajectory_from_string,
+)
 
 NINE_PATH = ClosedPath(vertices=(1, 2, 1, 3, 4, 5, 6, 3, 1), ambient_n=6)
 
@@ -110,7 +115,7 @@ def test_exhaustive_roundtrip_small():
     seen = {}
     checked = 0
     for length in range(1, 9):
-        for verts in canonical_closed_paths(length, 4):
+        for verts in closed_path_tuples(length, 4):
             path = ClosedPath(verts, max(verts))
             if not _admissible(path):
                 continue
@@ -152,7 +157,7 @@ def _reference_to_marked_origin(path):
 def test_one_pass_rotation_matches_reference():
     checked = 0
     for length in range(1, 9):
-        for verts in canonical_closed_paths(length, 4):
+        for verts in closed_path_tuples(length, 4):
             path = ClosedPath(verts, max(verts))
             if not _admissible(path):
                 continue
@@ -172,12 +177,12 @@ def _rows_outputs(verts):
 def test_rows_do_not_depend_on_the_batch():
     # a path alone, at both edges of a battery chunk and inside a full one
     # (with a wide-label row in the batch) gives the same outputs
-    fill = np.array(list(canonical_closed_paths(8, 5)), dtype=np.int8)
-    full = np.resize(fill, (CORRESPONDENCE_CHUNK, 9))
+    fill = np.array(closed_path_tuples(8, 5), dtype=np.int8)
+    full = np.resize(fill, (ROW_CHUNK, 9))
     full[7] = (1, 2, 3, 4, 5, 6, 7, 9, 1)  # labels past 5 widen the mark words
     for probe in (fill[0], fill[5], fill[-1], fill[1234]):  # admissible and not
         alone = _rows_outputs(probe[None, :])
-        for at in (0, CORRESPONDENCE_CHUNK - 1, CORRESPONDENCE_CHUNK // 2):
+        for at in (0, ROW_CHUNK - 1, ROW_CHUNK // 2):
             batch = full.copy()
             batch[at] = probe
             for got, want in zip(_rows_outputs(batch), alone):
@@ -206,7 +211,7 @@ def test_rows_flag_what_the_scalar_form_raises():
 def test_roundtrip_commutes_with_relabeling():
     rng = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
     pool = [ClosedPath(v, max(v)) for length in range(2, 9)
-            for v in canonical_closed_paths(length, 4)]
+            for v in closed_path_tuples(length, 4)]
     pool = [p for p in pool if _admissible(p)]
     for _ in range(200):
         path = pool[int(rng.integers(0, len(pool)))]

@@ -39,6 +39,7 @@ from dwigner.experiments import (
     trace_exp_residual,
 )
 from dwigner.spectral import Spectrum
+from reference import closed_path_tuples
 
 QUICK_LIMITS = {
     "trajectory_steps": 8,
@@ -308,6 +309,29 @@ def test_oracle_compare_probe_passes_vacuously_below_power_four(tmp_path):
     assert summary["probe_decreasing"] is True
 
 
+@pytest.mark.parametrize("n, symmetry", [(1, "complex"), (2, "real"), (5, "complex"),
+                                         (100, "real")])
+def test_oracle_compare_passes_on_a_trace_that_every_draw_shares(n, symmetry, capsys):
+    # with Rademacher entries Tr M^2 is the same on every draw: the standard
+    # error is 0 or rounding noise, and so is the distance to the oracle
+    assert cli_main(["oracle-compare", "--n", str(n), "--L", "2", "--law", "rademacher",
+                     "--symmetry", symmetry, "--samples", "10"]) == 0
+    out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert float(out["mc_se"]) < 1e-13
+    assert float(out["z_score"]) < 0.1 and out["within_4_se"] == "True"
+
+
+def test_oracle_compare_fails_an_offset_oracle_at_zero_standard_error(monkeypatch, capsys):
+    real = dwigner.experiments.exact_trace_expectation
+    monkeypatch.setattr(dwigner.experiments, "exact_trace_expectation",
+                        lambda *args: real(*args) + 1e-9)
+    assert cli_main(["oracle-compare", "--n", "1", "--L", "2", "--law", "rademacher",
+                     "--samples", "10"]) == 1
+    out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert out["mc_se"] == "0.0" and out["within_4_se"] == "False"
+    assert 4.0 < float(out["z_score"]) < math.inf
+
+
 def test_mc_batch_is_bounded_by_the_entry_budget():
     # small matrices keep the full batch, large ones shrink it to the budget
     assert _mc_batch(4) == _mc_batch(14) == 2048
@@ -388,7 +412,7 @@ def _reference_correspondence(max_length, max_vertices):
     seen = {}
     checked = 0
     for length in range(1, max_length + 1):
-        for verts in pm.canonical_closed_paths(length, max_vertices):
+        for verts in closed_path_tuples(length, max_vertices):
             path = pm.ClosedPath(verts, max(verts))
             marks = marks_of(path)
             if marks[-1] or 2 * sum(marks) == length:
@@ -482,11 +506,23 @@ def test_correspondence_counterexample_matches_per_path_reference(monkeypatch, m
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_correspondence_check_does_not_depend_on_the_chunk(monkeypatch, chunk):
-    monkeypatch.setattr(dwigner.experiments, "CORRESPONDENCE_CHUNK", chunk)
+    monkeypatch.setattr(dwigner.path_model, "ROW_CHUNK", chunk)
     assert _battery_correspondence(7, 4) == _reference_correspondence(7, 4) == {"cases": 366}
     monkeypatch.setattr(dwigner.correspondence, "to_marked_origin_rows",
                         _shift_plus_one(dwigner.correspondence.to_marked_origin_rows))
     assert _battery_correspondence(7, 4) == _reference_or_error(7, 4)
+
+
+def test_correspondence_check_with_more_vertices_than_steps(tmp_path):
+    # the path rows hold labels up to the length, not up to the vertex limit
+    out = tmp_path / "verify.json"
+    assert cli_main(["verify-combinatorics", "--correspondence-length", "3",
+                     "--correspondence-vertices", "200", "--format", "json",
+                     "--out", str(out)]) == 0
+    (rec,) = [rec for rec in json.loads(out.read_text())["records"]
+              if rec["check"] == "correspondence_roundtrip"]
+    assert rec["pass"] is True
+    assert {"cases": rec["params"]["cases"]} == _reference_correspondence(3, 200)
 
 
 def _reference_trajectory_checks(check, limit):
@@ -902,6 +938,47 @@ def test_cli_verify_limit_below_one_exits_2(args, message, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].endswith(f"error: argument {args[0]}: {message}")
+
+
+_SMALL_RUNS = {
+    "fluctuations": ["--n", "10", "--theta", "2", "--samples", "2"],
+    "trace-growth": ["--n", "10", "--theta", "2", "--samples", "2"],
+    "census": ["--n", "10", "--samples", "2"],
+    "oracle-compare": ["--n", "3", "--samples", "10"],
+}
+# flag -> (a value, the one subcommand that reads it)
+_FLAG_READER = {
+    "--t-scale": ("1", "trace-growth"),
+    "--top-k": ("1", "fluctuations"),
+    "--baseline-theta": ("0", "fluctuations"),
+    "--baseline-law": ("gaussian", "fluctuations"),
+    "--ks-threshold": ("0.01", "fluctuations"),
+}
+_FOREIGN_FLAGS = [(command, [flag, value]) for flag, (value, reader) in _FLAG_READER.items()
+                  for command in _SMALL_RUNS if command != reader]
+
+
+@pytest.mark.parametrize("command, flag", _FOREIGN_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in _FOREIGN_FLAGS])
+def test_cli_rejects_a_flag_the_subcommand_does_not_read(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *_SMALL_RUNS[command], *flag])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"dwigner: error: unrecognized arguments: {' '.join(flag)}"
+
+
+@pytest.mark.parametrize("command", ["fluctuations", "trace-growth", "census"])
+def test_cli_rejects_a_config_key_the_subcommand_does_not_read(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L=3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--config", str(cfg), *_SMALL_RUNS[command]])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"dwigner: error: {cfg}: config key 'L' is not read by {command}"
+    # the subcommand that reads it takes it
+    assert cli_main(["oracle-compare", "--config", str(cfg), *_SMALL_RUNS["oracle-compare"]]) == 0
 
 
 def test_cli_config_values_obey_flag_choices(tmp_path, capsys):

@@ -25,6 +25,7 @@ from dwigner.path_model import (
     trajectory_to_string,
 )
 from reference import (
+    closed_path_tuples,
     enumerate_trajectories_recursive,
     has_marked_origin,
     tally_edges,
@@ -101,7 +102,7 @@ def class_rows(m, l):
     arrays = list(trajectory_rows(m, l))
     for rows in arrays:
         assert rows.dtype == np.int8 and rows.shape[1] == l + 2 * m
-        assert 0 < len(rows) <= dwigner.path_model.TRAJECTORY_CHUNK
+        assert 0 < len(rows) <= dwigner.path_model.ROW_CHUNK
     return [tuple(steps) for rows in arrays for steps in rows.tolist()]
 
 
@@ -112,7 +113,7 @@ def test_trajectory_rows_match_the_recursive_reference():
 
 
 def test_trajectory_rows_keep_the_order_across_chunks(monkeypatch):
-    monkeypatch.setattr(dwigner.path_model, "TRAJECTORY_CHUNK", 7)
+    monkeypatch.setattr(dwigner.path_model, "ROW_CHUNK", 7)
     for total in range(0, 17):
         for m in range(0, total // 2 + 1):
             expected = [x.steps for x in enumerate_trajectories_recursive(m, total - 2 * m)]
@@ -175,7 +176,7 @@ def test_marked_origin():
     # {1,2,1}: instants land on 2 (marked) and 1 (unmarked)
     assert not marked(ClosedPath((1, 2, 1), 2))
     assert not marked(NINE_PATH)
-    for verts in canonical_closed_paths(6, 4):
+    for verts in closed_path_tuples(6, 4):
         path = ClosedPath(verts, max(verts))
         assert marked(path) == marked_origin_reference(path)
 
@@ -201,7 +202,7 @@ def restricted_growth_reference(length, max_vertices):
 
 def test_one_tally_per_path_and_canonical_order():
     for length in range(1, 9):
-        paths = [ClosedPath(v, max(v)) for v in canonical_closed_paths(length, 4)]
+        paths = [ClosedPath(v, max(v)) for v in closed_path_tuples(length, 4)]
         assert [(p.vertices, p.ambient_n) for p in paths] == \
             restricted_growth_reference(length, 4)
         for path in paths:
@@ -236,16 +237,49 @@ def recursive_closed_paths(length, max_vertices):
 def test_canonical_paths_match_the_recursive_reference():
     for length in range(1, 9):
         for max_vertices in range(0, 6):
-            got = list(canonical_closed_paths(length, max_vertices))
+            got = closed_path_tuples(length, max_vertices)
             want = list(recursive_closed_paths(length, max_vertices))
             assert [(v, max(v)) for v in got] == [(p.vertices, p.ambient_n) for p in want]
+
+
+def test_canonical_paths_come_as_int8_arrays_of_bounded_size():
+    for length in range(1, 10):
+        for max_vertices in range(1, 12):
+            arrays = list(canonical_closed_paths(length, max_vertices))
+            bound = max(dwigner.path_model.ROW_CHUNK, min(max_vertices, length))
+            for rows in arrays:
+                assert rows.dtype == np.int8 and rows.shape[1] == length + 1
+                assert 0 < len(rows) <= bound
+            assert sum(map(len, arrays)) == len(list(recursive_closed_paths(length, max_vertices)))
+
+
+def test_canonical_paths_keep_the_order_across_chunks(monkeypatch):
+    monkeypatch.setattr(dwigner.path_model, "ROW_CHUNK", 7)
+    for length in range(1, 9):
+        for max_vertices in range(0, 6):
+            arrays = list(canonical_closed_paths(length, max_vertices))
+            assert all(0 < len(rows) <= max(7, max_vertices) for rows in arrays)
+            got = [tuple(v) for rows in arrays for v in rows.tolist()]
+            want = list(recursive_closed_paths(length, max_vertices))
+            assert got == [p.vertices for p in want]
+
+
+def test_canonical_paths_preconditions():
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            canonical_closed_paths(length, 3)
+    for max_vertices in (0, -2):
+        assert list(canonical_closed_paths(4, max_vertices)) == []
+    for max_vertices in (-1, 0, 1, 5):
+        (rows,) = canonical_closed_paths(1, max_vertices)
+        assert rows.dtype == np.int8 and rows.tolist() == [[1, 1]]
 
 
 def test_marks_kernel_matches_tally_edges():
     # the rows kernel and its one-row case against the dict route, every
     # canonical path with L <= 8 on <= 5 vertices, one array per length
     for length in range(1, 9):
-        shapes = list(canonical_closed_paths(length, 5))
+        shapes = closed_path_tuples(length, 5)
         codes = edge_codes(np.array(shapes, dtype=np.int8))
         marks, odd = instant_marks(codes)
         assert marks.dtype == odd.dtype == bool
