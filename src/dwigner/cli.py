@@ -192,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
             write_report(report, out, fmt)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))  # exits with code 2
+    except OverflowError as exc:
+        parser.error(f"a parameter overflows a float: {exc}")
 
     if args.command == "verify-combinatorics":
         for rec in report["records"]:

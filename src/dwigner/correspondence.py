@@ -1,17 +1,17 @@
 """Weight-preserving path rotation, trajectory surgery and two-path gluing.
 
-``to_marked_origin`` rotates a closed path with at least one odd edge and a
-last step down so that it ends with the first traversal of its first odd
+``to_marked_origin`` rotates each closed path with at least one odd edge and
+a last step down so that it ends with the first traversal of its first odd
 edge; the rotated path has a marked origin and a last step up, the same edge
-multiplicities, and the same (m, l) class. The rotation and its inverse work
-on arrays of paths, one path per row (``to_marked_origin_rows``,
-``from_marked_origin_rows``); the functions on one ``ClosedPath`` are their
-one-row case. ``trajectory_surgery`` is the
-companion transform on trajectories, mapping the (rotated trajectory, cut
-instant) pair into the class with ``p`` fewer down steps and end level
-``l + 2p``. ``glue_paths`` merges two closed paths across their first shared
-edge into one path of length ``2L - 2``, and ``k_statistic`` counts the
-window positions that control how many pairs can glue to the same output.
+multiplicities, and the same (m, l) class. The rotation and its inverse
+``from_marked_origin`` work on arrays of paths, one path per row, and flag a
+row they do not apply to with an error code instead of raising.
+``trajectory_surgery`` is the companion transform on trajectories, mapping
+the (rotated trajectory, cut instant) pair into the class with ``p`` fewer
+down steps and end level ``l + 2p``. ``glue_paths`` merges two closed paths
+across their first shared edge into one path of length ``2L - 2``, and
+``k_statistic`` counts the window positions that control how many pairs can
+glue to the same output.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +32,8 @@ from .path_model import (
 )
 
 __all__ = [
-    "CorrespondenceResult",
     "ROW_ERRORS",
     "raise_row_error",
-    "to_marked_origin_rows",
-    "from_marked_origin_rows",
     "to_marked_origin",
     "from_marked_origin",
     "trajectory_surgery",
@@ -49,22 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorrespondenceResult:
-    """Rotated path plus the data needed to invert the rotation.
-
-    ``shift_k`` is the number of steps of the source that follow the first
-    traversal of its first odd edge (0 means the cut fell at the very end and
-    the rotation is the identity). ``level_p`` is the number of edges opened
-    but not yet closed just before that traversal.
-    """
-
-    image: ClosedPath
-    shift_k: int
-    level_p: int
-
-
-# Messages of the per-row error codes of the rows forms; code 0 is no error.
+# Messages of the per-row error codes of the rotation; code 0 is no error.
 ROW_ERRORS = (
     "",
     "path has a last step up; the rotation applies to last-step-down paths",
@@ -75,7 +56,7 @@ ROW_ERRORS = (
 
 
 def raise_row_error(code: int) -> None:
-    """Raise the ``ValueError`` of a nonzero rows-form error code."""
+    """Raise the ``ValueError`` of a nonzero per-row error code."""
     if code:
         raise ValueError(ROW_ERRORS[code])
 
@@ -93,13 +74,17 @@ def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
     return dict(Counter(path.edge_keys()))
 
 
-def to_marked_origin_rows(verts: np.ndarray):
-    """Rows form of :func:`to_marked_origin` on an ``(N, L + 1)`` label array.
+def to_marked_origin(verts: np.ndarray):
+    """Rotate last-step-down closed paths, the rows of an ``(N, L + 1)`` label
+    array, to the marked-origin, last-step-up form.
 
-    Returns ``(images, shift_k, level_p, error)``, one entry per row. A row
-    the rotation does not apply to gets the nonzero code of its first
-    failing precondition in ``error`` (see ``ROW_ERRORS``) and meaningless
-    values elsewhere; no row raises.
+    Returns ``(images, shift_k, level_p, error)``, one entry per row.
+    ``shift_k`` is the number of steps of the source that follow the first
+    traversal of its first odd edge, so the pair (image, shift_k) determines
+    the source exactly; ``level_p`` is the number of edges opened but not yet
+    closed just before that traversal. A row the rotation does not apply to
+    gets the nonzero code of its first failing precondition in ``error`` (see
+    ``ROW_ERRORS``) and meaningless values elsewhere; no row raises.
     """
     verts = np.asarray(verts)
     length = verts.shape[1] - 1
@@ -112,8 +97,8 @@ def to_marked_origin_rows(verts: np.ndarray):
     return _rotate_rows(verts, j + 1), length - 1 - j, level_p, error
 
 
-def from_marked_origin_rows(images: np.ndarray, shift_k: np.ndarray):
-    """Rows form of :func:`from_marked_origin`: ``(sources, error)``.
+def from_marked_origin(images: np.ndarray, shift_k: np.ndarray):
+    """Invert :func:`to_marked_origin` row by row: ``(sources, error)``.
 
     Each source is the image rotated back by its ``shift_k``; the forward map
     is applied to it again, and a row whose result differs from its
@@ -123,36 +108,11 @@ def from_marked_origin_rows(images: np.ndarray, shift_k: np.ndarray):
     images, shift_k = np.asarray(images), np.asarray(shift_k)
     length = images.shape[1] - 1
     sources = _rotate_rows(images, shift_k)
-    check_images, check_k, _, check_error = to_marked_origin_rows(sources)
+    check_images, check_k, _, check_error = to_marked_origin(sources)
     consistent = (check_images == images).all(axis=1) & (check_k == shift_k)
     error = np.where((shift_k < 0) | (shift_k >= length), 3,
                      np.where(check_error != 0, check_error, np.where(consistent, 0, 4)))
     return sources, error
-
-
-def to_marked_origin(path: ClosedPath) -> CorrespondenceResult:
-    """Rotate a last-step-down path to the marked-origin, last-step-up form.
-
-    Requires at least one odd-multiplicity edge. The image visits the same
-    edges with the same multiplicities and stays in the same (m, l) class;
-    the pair (image, shift_k) determines the source exactly. This is the
-    one-row case of :func:`to_marked_origin_rows`.
-    """
-    images, shift_k, level_p, error = to_marked_origin_rows(np.array([path.vertices]))
-    raise_row_error(error[0])
-    image = ClosedPath(tuple(images[0].tolist()), path.ambient_n)
-    return CorrespondenceResult(image=image, shift_k=int(shift_k[0]), level_p=int(level_p[0]))
-
-
-def from_marked_origin(result: CorrespondenceResult) -> ClosedPath:
-    """Invert :func:`to_marked_origin`; rejects inconsistent inputs. This is
-    the one-row case of :func:`from_marked_origin_rows`."""
-    # out-of-range shifts stay out of range but within int64
-    shift_k = max(-1, min(result.shift_k, result.image.length))
-    sources, error = from_marked_origin_rows(np.array([result.image.vertices]),
-                                             np.array([shift_k]))
-    raise_row_error(error[0])
-    return ClosedPath(tuple(sources[0].tolist()), result.image.ambient_n)
 
 
 def trajectory_surgery(x_prime: Trajectory, p: int, cut_time: int) -> Trajectory:

@@ -1,5 +1,7 @@
 """Dyck-path statistics: decompositions, confined counts, maximum levels.
 
+``dyck_decompose`` splits nonnegative walks, the rows of an array of +-1
+steps, into rises and sub-Dyck blocks, and checks every row's decomposition.
 All counts are exact big integers and all probabilities exact rationals;
 floats appear only in the final expectation values of the tail reports. The
 bounds being examined are exponentially small, and float-first evaluation
@@ -10,16 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .path_model import Trajectory, count_trajectories
+from .path_model import count_trajectories
 
 __all__ = [
-    "DyckDecomposition",
-    "dyck_decompose_rows",
     "dyck_decompose",
     "bounded_path_count",
     "ballot_count",
@@ -30,52 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DyckDecomposition:
-    """Unique splitting of a trajectory into rises and sub-Dyck blocks.
-
-    The trajectory reads: block y_0 at level 0, then for each i a rise of
-    ``rises[i-1]`` up steps followed by block y_i at the new level. Interior
-    blocks are nonempty; the two end blocks may be empty. Reconstruction is
-    exact.
-    """
-
-    rises: tuple[int, ...]
-    blocks: tuple[Trajectory, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.blocks) != len(self.rises) + 1:
-            raise ValueError("need p_prime rises and p_prime + 1 blocks")
-        if any(r < 1 for r in self.rises):
-            raise ValueError("rises must be positive")
-        if any(b.end_level != 0 for b in self.blocks):
-            raise ValueError("blocks must be Dyck paths")
-        for b in self.blocks[1:-1]:
-            if b.length == 0:
-                raise ValueError("interior blocks must be nonempty")
-
-    @property
-    def p_prime(self) -> int:
-        return len(self.rises)
-
-    @property
-    def end_level(self) -> int:
-        return sum(self.rises)
-
-    @property
-    def block_lengths(self) -> tuple[int, ...]:
-        return tuple(b.length for b in self.blocks)
-
-    def reconstructed_steps(self) -> tuple[int, ...]:
-        """Steps of the trajectory the rises and blocks spell out."""
-        steps: list[int] = list(self.blocks[0].steps)
-        for rise, block in zip(self.rises, self.blocks[1:]):
-            steps.extend([1] * rise)
-            steps.extend(block.steps)
-        return tuple(steps)
-
-
-# Why dyck_decompose_rows refuses a row, in the order it tests: the error raised.
+# Why dyck_decompose refuses a row, in the order it tests: the error raised.
 # A rise step that is not +1 shows as a rebuilt row that differs from its input.
 _DYCK_ROW_ERRORS = (
     (ValueError, "rises must be positive"),
@@ -142,7 +96,7 @@ def _failed_checks(steps: np.ndarray, levels: np.ndarray, kept: np.ndarray, rise
     ))
 
 
-def dyck_decompose_rows(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def dyck_decompose(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split walks at their rise levels; the walks are the rows of an (N, L)
     array of +-1 steps, nonnegative and all ending at one level l.
 
@@ -179,22 +133,6 @@ def dyck_decompose_rows(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         error, message = _DYCK_ROW_ERRORS[int(np.argmax(failed[bad[0]]))]
         raise error(message)
     return rises, starts, ends
-
-
-def dyck_decompose(x: Trajectory) -> DyckDecomposition:
-    """Split a trajectory at its rise levels: each rise climbs to the lowest
-    level the path never falls below afterwards. The one-row case of
-    :func:`dyck_decompose_rows`.
-    """
-    rises, starts, ends = (a[0].tolist() for a in dyck_decompose_rows(np.array([x.steps])))
-    decomp = DyckDecomposition(
-        rises=tuple(r for r in rises if r),
-        blocks=tuple(Trajectory(x.steps[a:b])
-                     for h, (r, a, b) in enumerate(zip(rises, starts, ends)) if r or not h),
-    )
-    if decomp.reconstructed_steps() != x.steps:
-        raise AssertionError("decomposition does not reconstruct the trajectory")
-    return decomp
 
 
 def bounded_path_count(steps: int, ceiling: int, end_level: int) -> int:

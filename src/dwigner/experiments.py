@@ -564,7 +564,7 @@ def _check_correspondence(max_length: int, max_vertices: int):
 def _correspondence_chunk(verts: np.ndarray):
     """Admissible rows of a chunk of paths, their (image, shift_k) rows, and
     per row the failures in the order of ``_CORRESPONDENCE_FAILURES`` (nonzero
-    where failed; error codes for the rows calls)."""
+    where failed; error codes for the rotation calls)."""
     length = verts.shape[1] - 1
     codes = path_model.edge_codes(verts)
     marks = path_model.instant_marks(codes)[0]
@@ -572,10 +572,10 @@ def _correspondence_chunk(verts: np.ndarray):
     # admissible: last step down and end level 2 * (marked instants) - L > 0
     admissible = ~marks[:, -1] & (2 * ups != length)
     verts, codes, ups = verts[admissible], codes[admissible], ups[admissible]
-    images, shift_k, _, error = correspondence.to_marked_origin_rows(verts)
+    images, shift_k, _, error = correspondence.to_marked_origin(verts)
     image_codes = path_model.edge_codes(images)
     image_marks = path_model.instant_marks(image_codes)[0]
-    sources, back_error = correspondence.from_marked_origin_rows(images, shift_k)
+    sources, back_error = correspondence.from_marked_origin(images, shift_k)
     failures = np.column_stack((
         error,
         ~image_marks[:, -1],
@@ -667,11 +667,11 @@ def _check_dyck_roundtrip(max_steps: int):
     params = {"max_steps": max_steps}
     for m, l in _classes_up_to(max_steps):
         for rows in path_model.trajectory_rows(m, l):
-            rises, starts, ends = dyck_stats.dyck_decompose_rows(rows)
+            rises, starts, ends = dyck_stats.dyck_decompose(rows)
             wrong = (rises.sum(axis=1) != l) | ((ends - starts).sum(axis=1) != 2 * m)
             if wrong.any():
-                x = path_model.Trajectory(tuple(rows[int(np.argmax(wrong))].tolist()))
-                return params, {"trajectory": path_model.trajectory_to_string(x),
+                steps = rows[int(np.argmax(wrong))].tolist()
+                return params, {"trajectory": path_model.trajectory_to_string(steps),
                                 "reason": "rise/block bookkeeping"}
     return params, None
 

@@ -252,6 +252,7 @@ def canonical_closed_paths(length: int, max_vertices: int):
                       lambda used, label, _: (label <= used + 1, np.maximum(used, label)))
 
 
-def trajectory_to_string(traj: Trajectory) -> str:
-    return "".join("U" if s == 1 else "D" for s in traj.steps)
+def trajectory_to_string(steps) -> str:
+    """A +-1 step sequence as a word in U (up) and D (down)."""
+    return "".join("U" if s == 1 else "D" for s in steps)
 

@@ -5,16 +5,14 @@ import pytest
 
 from dwigner.correspondence import (
     ROW_ERRORS,
-    CorrespondenceResult,
     _rotate_rows,
     edge_multiset,
     from_marked_origin,
-    from_marked_origin_rows,
     glue_paths,
     k_statistic,
     preimage_bound_check,
+    raise_row_error,
     to_marked_origin,
-    to_marked_origin_rows,
     trajectory_surgery,
     verify_count_identity,
 )
@@ -38,23 +36,45 @@ from reference import (
 NINE_PATH = ClosedPath(vertices=(1, 2, 1, 3, 4, 5, 6, 3, 1), ambient_n=6)
 
 
+def _rotated(paths):
+    """(images, shift_k, level_p) of paths of one length, through one array
+    call; the first flagged row raises its error."""
+    images, shift_k, level_p, error = to_marked_origin(np.array([p.vertices for p in paths]))
+    for code in error:
+        raise_row_error(code)
+    return ([ClosedPath(tuple(row), p.ambient_n) for row, p in zip(images.tolist(), paths)],
+            shift_k.tolist(), level_p.tolist())
+
+
+def _sources(images, shift_k):
+    """The vertex tuples :func:`from_marked_origin` returns; a flagged row raises."""
+    sources, error = from_marked_origin(np.array([p.vertices for p in images]),
+                                        np.array(shift_k))
+    for code in error:
+        raise_row_error(code)
+    return [tuple(row) for row in sources.tolist()]
+
+
 def test_worked_example():
-    r = to_marked_origin(NINE_PATH)
-    assert r.image.vertices == (4, 5, 6, 3, 1, 2, 1, 3, 4)
-    assert r.level_p == 1
-    image_traj = trajectory_of(r.image)
+    (image,), (shift_k,), (level_p,) = _rotated([NINE_PATH])
+    assert image.vertices == (4, 5, 6, 3, 1, 2, 1, 3, 4)
+    assert level_p == 1
+    image_traj = trajectory_of(image)
     assert image_traj.steps[-1] == 1
-    assert has_marked_origin(r.image, image_traj)
+    assert has_marked_origin(image, image_traj)
     assert (image_traj.down_steps, image_traj.end_level) == (2, 4)
-    assert edge_multiset(r.image) == edge_multiset(NINE_PATH)
-    assert from_marked_origin(r).vertices == NINE_PATH.vertices
+    assert edge_multiset(image) == edge_multiset(NINE_PATH)
+    assert _sources([image], [shift_k]) == [NINE_PATH.vertices]
 
 
 def test_precondition_failures():
-    with pytest.raises(ValueError):
-        to_marked_origin(ClosedPath((1, 2, 3, 1), 3))  # last step up
-    with pytest.raises(ValueError):
-        to_marked_origin(ClosedPath((1, 2, 1), 2))  # no odd edge (l = 0)
+    last_up, no_odd = np.array([(1, 2, 3, 1)]), np.array([(1, 2, 1)])  # no odd edge: l = 0
+    assert to_marked_origin(last_up)[3].tolist() == [1]
+    assert to_marked_origin(no_odd)[3].tolist() == [2]
+    with pytest.raises(ValueError, match="last step up"):
+        _rotated([ClosedPath((1, 2, 3, 1), 3)])
+    with pytest.raises(ValueError, match="no odd edge"):
+        _rotated([ClosedPath((1, 2, 1), 2)])
 
 
 def _rotate(path, r):
@@ -84,26 +104,24 @@ def test_edge_multiset_is_a_copy_of_the_tally():
 
 
 def test_from_marked_origin_rejects_inconsistent_pairs():
-    r = to_marked_origin(NINE_PATH)
+    (image,), _, _ = _rotated([NINE_PATH])
     # shift 1 rotates to a last-step-up walk, which no source can produce
-    bad = CorrespondenceResult(image=r.image, shift_k=1, level_p=r.level_p)
     with pytest.raises(ValueError):
-        from_marked_origin(bad)
-    for shift_k in (99, -1, 2**70, -2**70):
+        _sources([image], [1])
+    for shift_k in (99, -1, np.iinfo(np.int64).max, np.iinfo(np.int64).min):
         with pytest.raises(ValueError, match="shift_k outside"):
-            from_marked_origin(CorrespondenceResult(image=r.image, shift_k=shift_k, level_p=0))
+            _sources([image], [shift_k])
 
 
 def test_same_image_different_shift_is_another_source():
     # the image alone does not determine the source: distinct shifts invert
     # to distinct admissible paths with the same image
-    r = to_marked_origin(NINE_PATH)
-    other = from_marked_origin(
-        CorrespondenceResult(image=r.image, shift_k=r.shift_k + 1, level_p=0))
-    assert other.vertices != NINE_PATH.vertices
-    r2 = to_marked_origin(other)
-    assert r2.image.vertices == r.image.vertices
-    assert r2.shift_k == r.shift_k + 1
+    (image,), (shift_k,), _ = _rotated([NINE_PATH])
+    (other,) = _sources([image], [shift_k + 1])
+    assert other != NINE_PATH.vertices
+    (image2,), (shift_k2,), _ = _rotated([ClosedPath(other, NINE_PATH.ambient_n)])
+    assert image2 == image
+    assert shift_k2 == shift_k + 1
 
 
 def _admissible(path):
@@ -111,32 +129,37 @@ def _admissible(path):
     return traj.end_level > 0 and traj.steps[-1] == -1
 
 
+def _admissible_paths(length, max_vertices):
+    paths = (ClosedPath(verts, max(verts)) for verts in closed_path_tuples(length, max_vertices))
+    return [path for path in paths if _admissible(path)]
+
+
 def test_exhaustive_roundtrip_small():
     seen = {}
     checked = 0
     for length in range(1, 9):
-        for verts in closed_path_tuples(length, 4):
-            path = ClosedPath(verts, max(verts))
-            if not _admissible(path):
-                continue
-            checked += 1
-            r = to_marked_origin(path)
+        paths = _admissible_paths(length, 4)
+        if not paths:
+            continue
+        checked += len(paths)
+        images, shifts, levels = _rotated(paths)
+        assert _sources(images, shifts) == [path.vertices for path in paths]
+        for path, image, shift_k, level_p in zip(paths, images, shifts, levels):
             src_traj = trajectory_of(path)
-            img_traj = trajectory_of(r.image)
+            img_traj = trajectory_of(image)
             assert img_traj.steps[-1] == 1
-            assert has_marked_origin(r.image, img_traj)
+            assert has_marked_origin(image, img_traj)
             assert (img_traj.end_level, img_traj.down_steps) == (
                 src_traj.end_level, src_traj.down_steps)
-            assert edge_multiset(r.image) == edge_multiset(path)
-            assert from_marked_origin(r).vertices == path.vertices
-            key = (r.image.vertices, r.shift_k)
+            assert edge_multiset(image) == edge_multiset(path)
+            key = (image.vertices, shift_k)
             assert key not in seen
             seen[key] = path.vertices
             # unmarked origin forces level_p >= 1
             if not has_marked_origin(path, src_traj):
-                assert r.level_p >= 1
+                assert level_p >= 1
             else:
-                assert r.level_p >= 0
+                assert level_p >= 0
     assert checked > 1000
 
 
@@ -157,20 +180,19 @@ def _reference_to_marked_origin(path):
 def test_one_pass_rotation_matches_reference():
     checked = 0
     for length in range(1, 9):
-        for verts in closed_path_tuples(length, 4):
-            path = ClosedPath(verts, max(verts))
-            if not _admissible(path):
-                continue
-            checked += 1
-            r = to_marked_origin(path)
+        paths = _admissible_paths(length, 4)
+        if not paths:
+            continue
+        checked += len(paths)
+        for path, *got in zip(paths, *_rotated(paths)):
             image, shift_k, level_p = _reference_to_marked_origin(path)
-            assert (r.image.vertices, r.shift_k, r.level_p) == (image.vertices, shift_k, level_p)
+            assert got == [image, shift_k, level_p]
     assert checked > 1000
 
 
 def _rows_outputs(verts):
-    images, shift_k, level_p, error = to_marked_origin_rows(verts)
-    sources, back_error = from_marked_origin_rows(images, shift_k)
+    images, shift_k, level_p, error = to_marked_origin(verts)
+    sources, back_error = from_marked_origin(images, shift_k)
     return images, shift_k, level_p, error, sources, back_error
 
 
@@ -189,23 +211,22 @@ def test_rows_do_not_depend_on_the_batch():
                 assert np.array_equal(got[at], want[0])
 
 
-def test_rows_flag_what_the_scalar_form_raises():
-    # the error codes carry the scalar form's messages, first failing check first
+def test_rows_flag_the_first_failing_check():
+    # each row gets the code of its first failing check, and the code's message
     verts = np.array([(1, 2, 3, 1, 1), (1, 2, 3, 2, 1), (1, 1, 2, 2, 1)])
-    assert [ROW_ERRORS[e] for e in to_marked_origin_rows(verts)[3]] == [
+    assert [ROW_ERRORS[e] for e in to_marked_origin(verts)[3]] == [
         "path has a last step up; the rotation applies to last-step-down paths",
         "path has no odd edge (l = 0)", ""]
-    r = to_marked_origin(NINE_PATH)
-    images = np.array([r.image.vertices] * 4)
-    error = from_marked_origin_rows(images, np.array([r.shift_k, 1, 99, -1]))[1]
+    images, shift_k, _, _ = to_marked_origin(np.array([NINE_PATH.vertices]))
+    error = from_marked_origin(images.repeat(4, axis=0), np.array([shift_k[0], 1, 99, -1]))[1]
     assert [ROW_ERRORS[e] for e in error] == [
         "", "path has a last step up; the rotation applies to last-step-down paths",
         "shift_k outside [0, L)", "shift_k outside [0, L)"]
     # an admissible source whose own image is another path
-    error = from_marked_origin_rows(np.array([(1, 1, 1, 1, 2, 2, 1)]), np.array([0]))[1]
+    error = from_marked_origin(np.array([(1, 1, 1, 1, 2, 2, 1)]), np.array([0]))[1]
     assert ROW_ERRORS[error[0]] == "inconsistent (image, shift_k): not produced by to_marked_origin"
     with pytest.raises(ValueError, match="inconsistent"):
-        from_marked_origin(CorrespondenceResult(ClosedPath((1, 1, 1, 1, 2, 2, 1), 2), 0, 0))
+        raise_row_error(error[0])
 
 
 def test_roundtrip_commutes_with_relabeling():
@@ -220,10 +241,10 @@ def test_roundtrip_commutes_with_relabeling():
             vertices=tuple(int(perm[v - 1]) for v in path.vertices),
             ambient_n=path.ambient_n,
         )
-        r1 = to_marked_origin(path)
-        r2 = to_marked_origin(relabeled)
-        assert r2.shift_k == r1.shift_k and r2.level_p == r1.level_p
-        assert r2.image.vertices == tuple(int(perm[v - 1]) for v in r1.image.vertices)
+        (image1,), shift1, level1 = _rotated([path])
+        (image2,), shift2, level2 = _rotated([relabeled])
+        assert shift2 == shift1 and level2 == level1
+        assert image2.vertices == tuple(int(perm[v - 1]) for v in image1.vertices)
 
 
 def test_random_roundtrip_larger_paths():
@@ -235,8 +256,8 @@ def test_random_roundtrip_larger_paths():
         path = ClosedPath(vertices=tuple(verts) + (verts[0],), ambient_n=6)
         if not _admissible(path):
             continue
-        r = to_marked_origin(path)
-        assert from_marked_origin(r).vertices == path.vertices
+        images, shifts, _ = _rotated([path])
+        assert _sources(images, shifts) == [path.vertices]
         done += 1
 
 
@@ -244,7 +265,7 @@ def test_surgery_worked_example():
     x_prime = trajectory_from_string("UUUUUDDU")
     out = trajectory_surgery(x_prime, p=1, cut_time=4)
     assert out.end_level == 6 and out.down_steps == 1  # class (m-p, l+2p) = (1, 6)
-    assert trajectory_to_string(out) == "UUUUUUUD"
+    assert trajectory_to_string(out.steps) == "UUUUUUUD"
 
 
 def test_surgery_all_down_steps_consumed():
@@ -406,7 +427,7 @@ def test_sample_trajectory_uniform_on_small_class():
     counts = {}
     draws = 3000
     for _ in range(draws):
-        s = trajectory_to_string(sample_trajectory(1, 2, rng))
+        s = trajectory_to_string(sample_trajectory(1, 2, rng).steps)
         counts[s] = counts.get(s, 0) + 1
     assert set(counts) == {"UUUD", "UUDU", "UDUU"}
     for c in counts.values():

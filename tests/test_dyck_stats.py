@@ -12,7 +12,6 @@ from dwigner.dyck_stats import (
     class_count_bound_check,
     confined_dyck_count,
     dyck_decompose,
-    dyck_decompose_rows,
     max_level_distribution,
     tail_bound_check,
 )
@@ -26,31 +25,48 @@ from dwigner.path_model import (
 from reference import dyck_failed_checks_mask, trajectory_from_string
 
 
+def _split(steps, rises, starts, ends):
+    """(rises, blocks) of one walk from its row of the decomposition arrays:
+    the blocks of level 0 and of the levels where a rise ends."""
+    levels = [h for h in range(len(rises)) if rises[h] or not h]
+    return (tuple(rises[h] for h in levels[1:]),
+            tuple(Trajectory(tuple(steps[starts[h]:ends[h]])) for h in levels))
+
+
+def _decomposition(text):
+    steps = trajectory_from_string(text).steps
+    return _split(steps, *(a[0].tolist() for a in dyck_decompose(np.array([steps]))))
+
+
 def test_decompose_examples():
-    d = dyck_decompose(trajectory_from_string("UUDU"))
-    assert d.p_prime == 2
-    assert d.rises == (1, 1)
-    assert d.block_lengths == (0, 2, 0)
-    assert trajectory_to_string(d.blocks[1]) == "UD"
+    rises, blocks = _decomposition("UUDU")
+    assert rises == (1, 1)
+    assert [b.length for b in blocks] == [0, 2, 0]
+    assert trajectory_to_string(blocks[1].steps) == "UD"
 
-    pure = trajectory_from_string("UUDDUD")
-    d2 = dyck_decompose(pure)
-    assert d2.p_prime == 0 and d2.blocks[0].steps == pure.steps
+    rises, blocks = _decomposition("UUDDUD")
+    assert rises == () and blocks == (trajectory_from_string("UUDDUD"),)
 
-    d3 = dyck_decompose(trajectory_from_string("UU"))
-    assert d3.p_prime == 1 and d3.rises == (2,) and d3.block_lengths == (0, 0)
+    rises, blocks = _decomposition("UU")
+    assert rises == (2,) and [b.length for b in blocks] == [0, 0]
 
 
 def test_decompose_roundtrip_exhaustive():
     for total in range(1, 15):
         for m in range(0, total // 2 + 1):
             l = total - 2 * m
-            for x in enumerate_trajectories(m, l):
-                d = dyck_decompose(x)
-                assert d.reconstructed_steps() == x.steps
-                assert d.end_level == l
-                assert sum(d.block_lengths) == 2 * m
-                assert all(r >= 1 for r in d.rises)
+            for rows in trajectory_rows(m, l):
+                arrays = (a.tolist() for a in dyck_decompose(rows))
+                for steps, *row in zip(rows.tolist(), *arrays):
+                    rises, blocks = _split(steps, *row)
+                    rebuilt = list(blocks[0].steps)
+                    for rise, block in zip(rises, blocks[1:]):
+                        rebuilt += [1] * rise + list(block.steps)
+                    assert rebuilt == steps
+                    assert sum(rises) == l
+                    assert sum(b.length for b in blocks) == 2 * m
+                    assert all(r >= 1 for r in rises)
+                    assert all(b.length for b in blocks[1:-1])
 
 
 def reference_dyck_decompose(x):
@@ -76,29 +92,18 @@ def reference_dyck_decompose(x):
     return tuple(rises), tuple(blocks)
 
 
-def test_decompose_matches_rescanning_reference():
-    for total in range(1, 17):
-        for m in range(0, total // 2 + 1):
-            for x in enumerate_trajectories(m, total - 2 * m):
-                d = dyck_decompose(x)
-                assert (d.rises, d.blocks) == reference_dyck_decompose(x)
-
-
 def test_decompose_rows_match_rescanning_reference():
     for total in range(1, 17):
         for m in range(0, total // 2 + 1):
             for rows in trajectory_rows(m, total - 2 * m):
-                rises, starts, ends = (a.tolist() for a in dyck_decompose_rows(rows))
-                for steps, r, a, b in zip(rows.tolist(), rises, starts, ends):
-                    levels = [h for h in range(len(r)) if r[h] or not h]
-                    blocks = tuple(Trajectory(tuple(steps[a[h]:b[h]])) for h in levels)
-                    rises_of_x = tuple(r[h] for h in levels[1:])
-                    assert (rises_of_x, blocks) == reference_dyck_decompose(Trajectory(tuple(steps)))
+                arrays = (a.tolist() for a in dyck_decompose(rows))
+                for steps, *row in zip(rows.tolist(), *arrays):
+                    assert _split(steps, *row) == reference_dyck_decompose(Trajectory(tuple(steps)))
 
 
 def _decomposition_arrays(rows):
-    """The arrays dyck_decompose_rows checks: heights, kept levels, rises, starts, ends."""
-    rises, starts, ends = dyck_decompose_rows(rows)
+    """The arrays dyck_decompose checks: heights, kept levels, rises, starts, ends."""
+    rises, starts, ends = dyck_decompose(rows)
     levels = np.zeros((rows.shape[0], rows.shape[1] + 1), np.int64)
     np.cumsum(rows, axis=1, out=levels[:, 1:])
     kept = ends > starts
@@ -154,12 +159,12 @@ def test_row_checks_match_the_mask_reference_on_corrupted_blocks():
 
 def test_decompose_rows_refuse_rows_that_are_no_class():
     with pytest.raises(ValueError):
-        dyck_decompose_rows(np.array([[1, 1], [1, -1]], np.int8))  # two end levels
+        dyck_decompose(np.array([[1, 1], [1, -1]], np.int8))  # two end levels
     with pytest.raises(ValueError):
-        dyck_decompose_rows(np.array([[-1, 1]], np.int8))  # dips below zero
+        dyck_decompose(np.array([[-1, 1]], np.int8))  # dips below zero
     with pytest.raises(ValueError):
-        dyck_decompose_rows(np.array([[1, 0]], np.int8))  # not a +-1 step
-    rises, starts, ends = dyck_decompose_rows(np.zeros((0, 4), np.int8))
+        dyck_decompose(np.array([[1, 0]], np.int8))  # not a +-1 step
+    rises, starts, ends = dyck_decompose(np.zeros((0, 4), np.int8))
     assert rises.shape == starts.shape == ends.shape == (0, 1)
 
 

@@ -386,13 +386,13 @@ def test_verify_battery_reports_a_crashed_check():
 
 def test_verify_battery_catches_a_wrong_rotation_shift(monkeypatch):
     # an off-by-one shift_k from the rotation must fail the round-trip check
-    real = dwigner.correspondence.to_marked_origin_rows
+    real = dwigner.correspondence.to_marked_origin
 
     def shifted(verts):
         images, shift_k, level_p, error = real(verts)
         return images, shift_k + 1, level_p, error
 
-    monkeypatch.setattr(dwigner.correspondence, "to_marked_origin_rows", shifted)
+    monkeypatch.setattr(dwigner.correspondence, "to_marked_origin", shifted)
     code, report = run_combinatorics_verify(
         {"correspondence_length": 6, "correspondence_vertices": 3})
     assert code == 1
@@ -402,40 +402,47 @@ def test_verify_battery_catches_a_wrong_rotation_shift(monkeypatch):
 
 
 def _reference_correspondence(max_length, max_vertices):
-    """The correspondence check path by path, through the one-row forms: the
-    order and reasons the battery must reproduce on its arrays."""
+    """The correspondence check path by path, each path a one-row array: the
+    order and reasons the battery must reproduce on its chunks. A flagged row
+    raises, as the battery records it."""
     c, pm = dwigner.correspondence, dwigner.path_model
 
-    def marks_of(path):
-        return pm.instant_marks(pm.edge_codes(np.array([path.vertices])))[0][0].tolist()
+    def marks_of(verts):
+        return pm.instant_marks(pm.edge_codes(np.array([verts])))[0][0].tolist()
+
+    def source_of(images, shift_k):
+        sources, error = c.from_marked_origin(images, shift_k)
+        c.raise_row_error(error[0])
+        return tuple(sources[0].tolist())
 
     seen = {}
     checked = 0
     for length in range(1, max_length + 1):
         for verts in closed_path_tuples(length, max_vertices):
             path = pm.ClosedPath(verts, max(verts))
-            marks = marks_of(path)
+            marks = marks_of(verts)
             if marks[-1] or 2 * sum(marks) == length:
                 continue
             checked += 1
-            r = c.to_marked_origin(path)
-            image = r.image.vertices
-            image_marks = marks_of(r.image)
+            images, shift_k, _, error = c.to_marked_origin(np.array([verts]))
+            c.raise_row_error(error[0])
+            image = tuple(images[0].tolist())
+            image_marks = marks_of(image)
             if not image_marks[-1]:
                 reason = "image does not end with an up step"
             elif not any(m and v == image[0] for m, v in zip(image_marks, image[1:])):
                 reason = "image origin is not marked"
             elif sum(image_marks) != sum(marks):
                 reason = "class not preserved"
-            elif c.edge_multiset(r.image) != c.edge_multiset(path):
+            elif c.edge_multiset(pm.ClosedPath(image, max(image))) != c.edge_multiset(path):
                 reason = "edge multiset not preserved"
-            elif c.from_marked_origin(r).vertices != path.vertices:
+            elif source_of(images, shift_k) != verts:
                 reason = "round trip failed"
-            elif seen.setdefault((image, r.shift_k), path.vertices) != path.vertices:
+            elif seen.setdefault((image, int(shift_k[0])), verts) != verts:
                 reason = "injectivity failure"
             else:
                 continue
-            return {"path": ",".join(map(str, path.vertices)), "reason": reason}
+            return {"path": ",".join(map(str, verts)), "reason": reason}
     return {"cases": checked}
 
 
@@ -488,8 +495,8 @@ def _flip_second_mark(real):
 
 
 @pytest.mark.parametrize("module, name, mutate", [
-    ("correspondence", "to_marked_origin_rows", _shift_plus_one),
-    ("correspondence", "to_marked_origin_rows", _rotate_one_early),
+    ("correspondence", "to_marked_origin", _shift_plus_one),
+    ("correspondence", "to_marked_origin", _rotate_one_early),
     ("path_model", "instant_marks", _flip_second_mark),
 ])
 def test_correspondence_counterexample_matches_per_path_reference(monkeypatch, module, name,
@@ -508,8 +515,8 @@ def test_correspondence_counterexample_matches_per_path_reference(monkeypatch, m
 def test_correspondence_check_does_not_depend_on_the_chunk(monkeypatch, chunk):
     monkeypatch.setattr(dwigner.path_model, "ROW_CHUNK", chunk)
     assert _battery_correspondence(7, 4) == _reference_correspondence(7, 4) == {"cases": 366}
-    monkeypatch.setattr(dwigner.correspondence, "to_marked_origin_rows",
-                        _shift_plus_one(dwigner.correspondence.to_marked_origin_rows))
+    monkeypatch.setattr(dwigner.correspondence, "to_marked_origin",
+                        _shift_plus_one(dwigner.correspondence.to_marked_origin))
     assert _battery_correspondence(7, 4) == _reference_or_error(7, 4)
 
 
@@ -526,9 +533,10 @@ def test_correspondence_check_with_more_vertices_than_steps(tmp_path):
 
 
 def _reference_trajectory_checks(check, limit):
-    """The per-walk loops the array checks replaced, over the object forms
-    ``enumerate_trajectories`` and ``dyck_decompose``: the counterexample the
-    battery must reproduce, a raised error recorded as the battery records it."""
+    """The per-walk loops the array checks replaced, over the objects of
+    ``enumerate_trajectories`` and one-row ``dyck_decompose`` calls: the
+    counterexample the battery must reproduce, a raised error recorded as the
+    battery records it."""
     pm, d = dwigner.path_model, dwigner.dyck_stats
     classes = [(m, total - 2 * m) for total in range(1, limit + 1)
                for m in range(0, total // 2 + 1)]
@@ -550,9 +558,9 @@ def _reference_trajectory_checks(check, limit):
     def dyck_roundtrip():
         for m, l in classes:
             for x in pm.enumerate_trajectories(m, l):
-                decomp = d.dyck_decompose(x)
-                if decomp.end_level != l or sum(decomp.block_lengths) != 2 * m:
-                    return {"trajectory": pm.trajectory_to_string(x),
+                rises, starts, ends = d.dyck_decompose(np.array([x.steps]))
+                if rises.sum() != l or (ends - starts).sum() != 2 * m:
+                    return {"trajectory": pm.trajectory_to_string(x.steps),
                             "reason": "rise/block bookkeeping"}
         return None
 
@@ -632,7 +640,7 @@ def test_dyck_roundtrip_reports_a_shifted_last_visit(monkeypatch):
 
 
 def test_dyck_roundtrip_reports_the_first_bookkeeping_failure(monkeypatch):
-    real = dwigner.dyck_stats.dyck_decompose_rows
+    real = dwigner.dyck_stats.dyck_decompose
 
     def short_rise(rows):
         rises, starts, ends = real(rows)
@@ -641,7 +649,7 @@ def test_dyck_roundtrip_reports_the_first_bookkeeping_failure(monkeypatch):
         rises[straight, -1] -= 1
         return rises, starts, ends
 
-    monkeypatch.setattr(dwigner.dyck_stats, "dyck_decompose_rows", short_rise)
+    monkeypatch.setattr(dwigner.dyck_stats, "dyck_decompose", short_rise)
     code, report = run_combinatorics_verify({"dyck_roundtrip_steps": 8})
     assert code == 1
     assert report["records"][0]["counterexample"] == {
@@ -686,7 +694,7 @@ def test_verify_passes_under_python_optimize(tmp_path):
     assert all(rec["pass"] for rec in json.loads(out.read_text())["records"])
 
 
-# Each `rejects` case hands the rotation an input its explicit checks must refuse;
+# The first line hands the rotation inputs it must flag with a nonzero error code;
 # each `fires` case breaks one step of an exact routine and expects its guard to fire.
 _GUARD_CASES = """
 import numpy as np
@@ -712,19 +720,10 @@ def fires(call, owner, name, fake):
             setattr(owner, name, real)
     return False
 
-def rejects(call):
-    try:
-        call()
-    except ValueError:
-        return True
-    return False
-
-image = ClosedPath((1, 1, 1, 1, 2, 2, 1), 2)  # admissible, but its own image is another path
-print(rejects(lambda: c.from_marked_origin(c.CorrespondenceResult(image, 0, 0))),
-      rejects(lambda: c.to_marked_origin(ClosedPath((1, 2, 3, 1), 3))))
-print(fires(lambda: d.dyck_decompose(traj("UUDU")),
-            d.DyckDecomposition, "reconstructed_steps", lambda self: ()),
-      fires(lambda: d.dyck_decompose_rows(np.array([[1, 1, -1, 1]], np.int8)),
+image = np.array([(1, 1, 1, 1, 2, 2, 1)])  # admissible, but its own image is another path
+print(c.from_marked_origin(image, np.array([0]))[1][0] != 0,
+      c.to_marked_origin(np.array([(1, 2, 3, 1)]))[3][0] != 0)  # last step up
+print(fires(lambda: d.dyck_decompose(np.array([[1, 1, -1, 1]], np.int8)),
             d, "_rebuilt_rows", lambda steps, *rest: -steps),
       fires(lambda: d.max_level_distribution(4), d, "confined_dyck_count", lambda m, k: 0),
       fires(lambda: c.trajectory_surgery(traj("UUDU"), 1, 2),
@@ -738,7 +737,7 @@ def test_exact_guards_fire_under_python_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", _GUARD_CASES],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 7
+    assert proc.stdout.split() == ["True"] * 6
 
 
 def test_verify_check_table_uses_every_limit():
@@ -863,8 +862,14 @@ def test_cli_verify_fast(tmp_path):
      "--n", "10", "--samples", "2"],
     # one sample has no standard error to compare against
     ["oracle-compare", "--n", "3", "--samples", "1"],
+    # a parameter whose square overflows a float
+    ["fluctuations", "--n", "3", "--theta", "1e200", "--samples", "3"],
+    ["fluctuations", "--n", "3", "--sigma", "1e200", "--theta", "2e200", "--samples", "3"],
+    ["oracle-compare", "--n", "3", "--L", "4", "--theta", "1e200", "--samples", "10"],
+    ["census", "--n", "3", "--theta", "1e308", "--samples", "2"],
 ], ids=["wrong-regime", "zero-power", "oracle-guard", "top-k-zero", "top-k-negative",
-        "one-oracle-sample"])
+        "one-oracle-sample", "theta-squared-overflows", "sigma-squared-overflows",
+        "oracle-theta-overflows", "census-theta-overflows"])
 def test_cli_bad_input_exits_2_with_one_line(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(args)

@@ -1,9 +1,12 @@
 """Every exported name resolves, so a deletion cannot leave a dangling export;
 every exported name is reached from the program, so no library surface serves
-only the tests; the package itself exports nothing."""
+only the tests; the package itself exports nothing; every span of the
+benchmark's tracer times code the program runs."""
 
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
 import subprocess
 import sys
@@ -14,7 +17,7 @@ import pytest
 import dwigner
 
 SRC = Path(dwigner.__file__).parent
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # exported names that nothing in src/ reaches yet, each with its reason
 UNREACHED_ALLOWED = {
@@ -56,8 +59,7 @@ def _module_exports(tree: ast.Module) -> list[str]:
 
 
 def test_every_export_is_reached():
-    # reached: loaded as a name, imported, or read as an attribute anywhere in
-    # src/, or wrapped by name by the benchmark's tracer
+    # reached: loaded as a name, imported, or read as an attribute anywhere in src/
     exported, reached = set(), set()
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -69,9 +71,30 @@ def test_every_export_is_reached():
                 reached.add(node.attr)
             elif isinstance(node, ast.alias):
                 reached.add(node.name)
-    tracing = ast.parse(TRACING.read_text(encoding="utf-8"))
-    targets = next(node.value for node in tracing.body if isinstance(node, ast.AnnAssign)
-                   and node.target.id == "TARGETS")
-    reached.update(attribute for _, _, attribute, _ in ast.literal_eval(targets))
     assert sorted(exported - reached - UNREACHED_ALLOWED) == []
     assert UNREACHED_ALLOWED <= exported - reached  # no stale allowance
+
+
+def test_every_tracer_span_records_a_call(monkeypatch, tmp_path):
+    # The tracer wraps names; a wrapped name that no run calls reads 0 in
+    # every benchmark file. The workload warm-ups and the default battery,
+    # written to a report, reach every span.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import TARGETS, Tracer
+    from workloads import WORKLOADS
+
+    from dwigner import cli
+
+    runs = [list(w.warmup) for w in WORKLOADS.values()]
+    runs.append(["verify-combinatorics", "--out", str(tmp_path / "verify.json")])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in runs]
+    finally:
+        tracer.restore()
+    assert codes == [0] * len(runs)
+    assert tracer.missing == []
+    recorded = {span.name for span in tracer.spans}
+    assert sorted({name for name, *_ in TARGETS} - recorded) == []

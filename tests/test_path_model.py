@@ -60,7 +60,7 @@ def test_classify_examples():
 
 
 def test_trajectory_examples():
-    assert trajectory_to_string(trajectory_of(ClosedPath((1, 2, 1), 2))) == "UD"
+    assert trajectory_to_string(trajectory_of(ClosedPath((1, 2, 1), 2)).steps) == "UD"
     t = trajectory_of(ClosedPath((1, 2, 3, 1), 3))
     assert t.steps == (1, 1, 1) and t.end_level == 3
     t9 = trajectory_of(NINE_PATH)
@@ -80,8 +80,8 @@ def test_trajectory_validation():
 
 
 def test_enumerate_small_classes():
-    assert [trajectory_to_string(t) for t in enumerate_trajectories(1, 0)] == ["UD"]
-    strings = {trajectory_to_string(t) for t in enumerate_trajectories(1, 2)}
+    assert [trajectory_to_string(t.steps) for t in enumerate_trajectories(1, 0)] == ["UD"]
+    strings = {trajectory_to_string(t.steps) for t in enumerate_trajectories(1, 2)}
     assert strings == {"UUUD", "UUDU", "UDUU"}
     assert len(enumerate_trajectories(3, 0)) == 5  # Catalan(3)
 
@@ -359,7 +359,7 @@ def test_path_properties_hypothesis(interior):
 
 def test_serialization_round_trips():
     t = trajectory_from_string("UUDU")
-    assert trajectory_to_string(t) == "UUDU"
+    assert trajectory_to_string(t.steps) == "UUDU"
     with pytest.raises(ValueError):
         trajectory_from_string("UXD")
 
