@@ -1,35 +1,27 @@
 """Weight-preserving path rotation, trajectory surgery and two-path gluing.
 
+Every operation here works on arrays, one closed path or walk per row.
 ``to_marked_origin`` rotates each closed path with at least one odd edge and
 a last step down so that it ends with the first traversal of its first odd
 edge; the rotated path has a marked origin and a last step up, the same edge
 multiplicities, and the same (m, l) class. The rotation and its inverse
-``from_marked_origin`` work on arrays of paths, one path per row, and flag a
-row they do not apply to with an error code instead of raising.
-``trajectory_surgery`` is the companion transform on trajectories, mapping
-the (rotated trajectory, cut instant) pair into the class with ``p`` fewer
-down steps and end level ``l + 2p``. ``glue_paths`` merges two closed paths
-across their first shared edge into one path of length ``2L - 2``, and
-``k_statistic`` counts the window positions that control how many pairs can
-glue to the same output.
+``from_marked_origin`` flag a row they do not apply to with an error code
+instead of raising. ``trajectory_surgery`` is the companion transform on
+trajectories, mapping the (rotated trajectory, cut instant) pair into the
+class with ``p`` fewer down steps and end level ``l + 2p``. ``glue_paths``
+merges two closed paths across their first shared edge into one path of
+length ``2L - 2``, and ``k_statistic`` counts the window positions that
+control how many pairs can glue to the same output. These three raise the
+``ValueError`` of the first row that fails a precondition.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
-from .path_model import (
-    ClosedPath,
-    Trajectory,
-    count_trajectories,
-    edge_codes,
-    instant_marks,
-    trajectory_of,
-)
+from .path_model import ROW_CHUNK, count_trajectories, edge_codes, instant_marks, trajectory_of
 
 __all__ = [
     "ROW_ERRORS",
@@ -69,9 +61,35 @@ def _rotate_rows(verts: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.take_along_axis(verts[:, :length], index, axis=1)
 
 
-def edge_multiset(path: ClosedPath) -> dict[tuple[int, int], int]:
-    """Traversal count of each edge, in first-traversal order."""
-    return dict(Counter(path.edge_keys()))
+def edge_multiset(verts: np.ndarray) -> np.ndarray:
+    """Traversal counts of the edges of closed paths, the rows of an
+    ``(N, L + 1)`` label array: an ``(N, E)`` int array whose column c counts
+    the edge of :func:`~dwigner.path_model.edge_codes` code c, where
+    ``E = v (v + 1) / 2`` for the largest label v of the array."""
+    codes = edge_codes(verts)
+    top = int(np.max(verts, initial=0))
+    width, n = top * (top + 1) // 2, len(codes)
+    flat = codes + width * np.arange(n)[:, None]
+    return np.bincount(flat.ravel(), minlength=n * width).reshape(n, width)
+
+
+def _raise_first_failure(failed: np.ndarray, messages: tuple[str, ...]) -> None:
+    """Raise the ``ValueError`` of the first failed check of the first row
+    that fails one; ``failed`` is an ``(N, len(messages))`` bool array."""
+    bad = np.flatnonzero(failed.any(axis=1))
+    if bad.size:
+        raise ValueError(messages[int(np.argmax(failed[bad[0]]))])
+
+
+def _walk_levels(steps: np.ndarray) -> np.ndarray:
+    """Heights x(0), ..., x(L) of walks, the rows of an ``(N, L)`` array of
+    steps; the first row that is not a nonnegative +-1 walk raises."""
+    levels = np.zeros((steps.shape[0], steps.shape[1] + 1), np.int64)
+    np.cumsum(steps, axis=1, out=levels[:, 1:])
+    _raise_first_failure(np.column_stack(((np.abs(steps) != 1).any(axis=1),
+                                          (levels < 0).any(axis=1))),
+                         ("steps must be +-1", "trajectory dips below zero"))
+    return levels
 
 
 def to_marked_origin(verts: np.ndarray):
@@ -115,47 +133,58 @@ def from_marked_origin(images: np.ndarray, shift_k: np.ndarray):
     return sources, error
 
 
-def trajectory_surgery(x_prime: Trajectory, p: int, cut_time: int) -> Trajectory:
-    """Reverse-and-flip the tail of a rotated trajectory after ``cut_time``.
+# What a (walk, p, cut) triple of the surgery can fail, in the order it is checked.
+_SURGERY_ERRORS = (
+    "p must be nonnegative",
+    "cut_time outside [0, L)",
+    "rotated trajectories end with an up step",
+    "level at cut_time is not l + p - 1",
+    "trajectory dips below l - 1 after the cut",
+)
 
-    ``x_prime`` must end with an up step, sit at level ``l + p - 1`` at
-    ``cut_time`` and stay at or above ``l - 1`` afterwards (the shape every
-    rotated path produces, with ``cut_time`` the instant its original origin
-    occupies). The output has ``p`` fewer down steps, ends at ``l + 2p``, and
-    first reaches level ``l + p`` at ``cut_time + 1`` without ever going
-    below it again.
+
+def trajectory_surgery(steps: np.ndarray, p, cuts: np.ndarray) -> np.ndarray:
+    """Reverse-and-flip the tail of rotated trajectories after their cuts.
+
+    ``steps`` holds one walk per row, ``cuts`` one cut instant per row and
+    ``p`` one level per row or one for all. Each walk must end with an up step, sit at level ``l + p - 1`` at its cut
+    and stay at or above ``l - 1`` afterwards (the shape every rotated path
+    produces, with the cut the instant its original origin occupies). Each
+    output row has ``p`` fewer down steps, ends at ``l + 2p``, and first
+    reaches level ``l + p`` at ``cut + 1`` without ever going below it again.
     """
-    steps = x_prime.steps
-    length = len(steps)
-    l = x_prime.end_level
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    if not 0 <= cut_time < length:
-        raise ValueError("cut_time outside [0, L)")
-    if steps[-1] != 1:
-        raise ValueError("rotated trajectories end with an up step")
-    heights = x_prime.levels()
-    if heights[cut_time] != l + p - 1:
-        raise ValueError(
-            f"level at cut_time is {heights[cut_time]}, expected l + p - 1 = {l + p - 1}"
-        )
-    if any(h < l - 1 for h in heights[cut_time:]):
-        raise ValueError("trajectory dips below l - 1 after the cut")
-    out_steps = steps[:cut_time] + (1,) + tuple(-s for s in reversed(steps[cut_time:length - 1]))
-    out = Trajectory(out_steps)
+    steps, cuts = np.asarray(steps, np.int8), np.asarray(cuts)
+    p = np.broadcast_to(p, cuts.shape)
+    length = steps.shape[1]
+    levels = _walk_levels(steps)
+    l = levels[:, -1]
+    cut = cuts[:, None]
+    at_cut = np.take_along_axis(levels, np.clip(cut, 0, length), axis=1)[:, 0]
+    after_cut = np.arange(length + 1) >= cut
+    _raise_first_failure(np.column_stack((
+        p < 0,
+        (cuts < 0) | (cuts >= length),
+        (steps[:, -1:] != 1).any(axis=1),
+        at_cut != l + p - 1,
+        (after_cut & (levels < (l - 1)[:, None])).any(axis=1),
+    )), _SURGERY_ERRORS)
+    # the walk before the cut, its last (up) step at the cut, then the steps
+    # from the cut to the last one reversed and negated
+    k = np.arange(length)
+    flipped = np.concatenate((steps, -np.flip(steps, axis=1)), axis=1)
+    source = np.where(k < cut, k, np.where(k == cut, length - 1, length + k - cut))
+    out = np.take_along_axis(flipped, source, axis=1)
     # Sanity: class bookkeeping and the first-hitting marker property.
-    if out.end_level != l + 2 * p:
+    out_levels = np.zeros_like(levels)
+    np.cumsum(out, axis=1, out=out_levels[:, 1:])
+    if (out_levels[:, -1] != l + 2 * p).any():
         raise AssertionError("surgery output does not end at l + 2p")
-    if out.down_steps != x_prime.down_steps - p:
+    if ((out < 0).sum(axis=1) != (steps < 0).sum(axis=1) - p).any():
         raise AssertionError("surgery output does not have p fewer down steps")
-    out_heights = out.levels()
-    target = l + p
-    hit = next(
-        t
-        for t in range(length + 1)
-        if out_heights[t] == target and all(h >= target for h in out_heights[t:])
-    )
-    if hit != cut_time + 1:
+    target = (l + p)[:, None]
+    stays = np.minimum.accumulate(out_levels[:, ::-1], axis=1)[:, ::-1] >= target
+    hit = (stays & (out_levels == target)).argmax(axis=1)
+    if (hit != cuts + 1).any():
         raise AssertionError("first-hitting instant does not mark the cut")
     return out
 
@@ -172,62 +201,71 @@ def verify_count_identity(m: int, l: int) -> bool:
     return lhs == rhs and rhs == math.comb(total, m) - count_trajectories(m, l)
 
 
-def glue_paths(p1: ClosedPath, p2: ClosedPath) -> ClosedPath:
-    """Merge two closed paths of equal length across their first shared edge.
+# What a pair of the gluing can fail, in the order it is checked.
+_GLUE_ERRORS = (
+    "path is not closed (last vertex != origin)",
+    "paths share no edge (uncorrelated pair)",
+)
 
-    Reads ``p1`` up to the left endpoint of the first edge it shares with
-    ``p2``, inserts the remainder of ``p2`` (reversed when the shared edge
-    has the same orientation in both paths), and resumes ``p1``; the output
-    has ``2L - 2`` steps and the union edge multiset minus two traversals of
-    the shared edge.
+
+def glue_paths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge pairs of closed paths of equal length across their first shared
+    edge; pair r is row r of the ``(P, L + 1)`` label arrays ``a`` and ``b``.
+
+    Each output row reads ``a`` up to the left endpoint of the first edge it
+    shares with ``b``, inserts the remainder of ``b`` (reversed when the
+    shared edge has the same orientation in both paths), and resumes ``a``:
+    a ``(P, 2L - 1)`` array of closed paths of ``2L - 2`` steps, each with the
+    union edge multiset minus two traversals of the shared edge.
     """
-    if p1.length != p2.length:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
         raise ValueError("paths must have the same length")
-    if p1.length < 2:
+    length = a.shape[1] - 1
+    if length < 2:
         raise ValueError("gluing needs length >= 2")
-    edges2: dict[tuple[int, int], int] = {}
-    for t, key in enumerate(p2.edge_keys()):
-        edges2.setdefault(key, t)
-    keys1 = p1.edge_keys()
-    t1 = next((t for t, key in enumerate(keys1) if key in edges2), None)
-    if t1 is None:
-        raise ValueError("paths share no edge (uncorrelated pair)")
-    v, w = p1.vertices[t1], p1.vertices[t1 + 1]
-    t2 = edges2[keys1[t1]]
-    a2, b2 = p2.vertices[t2], p2.vertices[t2 + 1]
-    # Cycle of p2 with the shared traversal removed: walk from b2 around to a2.
-    base2 = list(p2.vertices[:-1])
-    order = base2[t2 + 1:] + base2[:t2 + 1]  # starts at b2, ends at a2
-    if (a2, b2) == (v, w):
-        walk = list(reversed(order))  # same orientation: read p2 backwards, v -> w
-    else:
-        walk = order  # opposite orientation: forward read already goes v -> w
-    if walk[0] != v or walk[-1] != w:
+    shared = edge_codes(a)[:, :, None] == edge_codes(b)[:, None, :]  # [r, s, t]: a's s is b's t
+    _raise_first_failure(np.column_stack(((a[:, 0] != a[:, -1]) | (b[:, 0] != b[:, -1]),
+                                          ~shared.any(axis=(1, 2)))), _GLUE_ERRORS)
+    rows = np.arange(len(a))
+    t1 = shared.any(axis=2).argmax(axis=1)
+    t2 = shared[rows, t1].argmax(axis=1)
+    v, w = a[rows, t1], a[rows, t1 + 1]
+    # b's cycle with the shared traversal removed: from b[t2 + 1] around to b[t2]
+    order = _rotate_rows(b, t2 + 1)[:, :length]
+    same = (b[rows, t2] == v) & (b[rows, t2 + 1] == w)
+    walk = np.where(same[:, None], np.flip(order, axis=1), order)  # read backwards: v -> w
+    if ((walk[:, 0] != v) | (walk[:, -1] != w)).any():
         raise AssertionError("inserted walk does not run between the shared edge's endpoints")
-    glued = list(p1.vertices[: t1 + 1]) + walk[1:] + list(p1.vertices[t1 + 2:])
-    return ClosedPath(vertices=tuple(glued), ambient_n=max(p1.ambient_n, p2.ambient_n))
+    # a up to its instant t1, the walk after its first vertex, a from t1 + 2 on
+    k, cut = np.arange(2 * length - 1), t1[:, None]
+    source = np.where(k <= cut, k, np.where(k < cut + length, length + 1 + k - cut,
+                                            k - length + 2))
+    return np.take_along_axis(np.concatenate((a, walk), axis=1), source, axis=1)
 
 
-def k_statistic(x: Trajectory, window: int) -> int:
-    """Number of window starts whose whole window stays at or above its start.
-
-    Counts tau in [0, L_o - window + 1] such that x(s) >= x(tau) for every
-    s in [tau, tau + window - 1].
-    """
-    heights = x.levels()
-    total = len(x.steps)
-    if window < 1 or window > total + 1:
+def k_statistic(steps: np.ndarray, window: int) -> np.ndarray:
+    """Per walk (a row of +-1 steps), the number of window starts whose whole
+    window stays at or above its start: the tau in [0, L - window + 1] with
+    x(s) >= x(tau) for every s in [tau, tau + window - 1]."""
+    steps = np.asarray(steps)
+    length = steps.shape[1]
+    if window < 1 or window > length + 1:
         raise ValueError("window must lie in [1, length + 1]")
-    count = 0
-    for tau in range(0, total - window + 2):
-        h0 = heights[tau]
-        if all(h >= h0 for h in heights[tau: tau + window]):
-            count += 1
-    return count
+    levels = _walk_levels(steps)
+    windows = np.lib.stride_tricks.sliding_window_view(levels, window, axis=1)
+    return (windows.min(axis=2) >= levels[:, :length + 2 - window]).sum(axis=1)
 
 
 # Largest length and vertex budget of the exhaustive gluing census.
 GLUE_CENSUS_GUARD = 5
+
+
+def _closed_rows(keys: np.ndarray, length: int, base: int) -> np.ndarray:
+    """Closed label rows ``(i_0, ..., i_{L-1}, i_0)`` whose free labels minus
+    one are the base-``base`` digits of ``keys``, most significant first."""
+    free = keys[:, None] // base ** np.arange(length - 1, -1, -1) % base + 1
+    return np.concatenate((free, free[:, :1]), axis=1).astype(np.int8)
 
 
 def preimage_bound_check(length: int, vertex_budget: int) -> dict:
@@ -236,40 +274,52 @@ def preimage_bound_check(length: int, vertex_budget: int) -> dict:
     Enumerates every correlated ordered pair of closed paths of the given
     length over the vertex budget, glues each pair, and checks that no glued
     path has more preimage pairs than ``2 L * k_statistic(x, L)`` evaluated
-    on its trajectory.
+    on its trajectory. The paths are all label rows in lexicographic order.
+    A block of first paths, at most ``ROW_CHUNK`` pairs' worth, finds its
+    correlated second paths through one product of edge presence matrices
+    and glues its pairs in one call, so memory does not grow with the number
+    of pairs. The glued paths are counted in a table over their free labels;
+    violations come in the order in which their glued paths first occur
+    among the (first, second) pairs.
     """
     if length > GLUE_CENSUS_GUARD or vertex_budget > GLUE_CENSUS_GUARD:
         raise ValueError(f"census guard: length <= {GLUE_CENSUS_GUARD} "
                          f"and vertex_budget <= {GLUE_CENSUS_GUARD}")
     if length < 2:
         raise ValueError("gluing needs length >= 2")
-    paths = [ClosedPath(vertices=combo + (combo[0],), ambient_n=vertex_budget)
-             for combo in itertools.product(range(1, vertex_budget + 1), repeat=length)]
-    edge_sets = [set(edge_multiset(p)) for p in paths]
-    counts: dict[tuple[int, ...], int] = {}
+    paths = _closed_rows(np.arange(vertex_budget ** length), length, vertex_budget)
+    present = (edge_multiset(paths) > 0).astype(np.int32)
+    digits = vertex_budget ** np.arange(2 * length - 3, -1, -1)
+    size = vertex_budget ** (2 * length - 2)
+    count = np.zeros(size, np.int64)
+    first = np.full(size, -1, np.int64)  # ordinal of the first pair, -1 before any
     pairs = 0
-    for pa, keys_a in zip(paths, edge_sets):
-        for pb, keys_b in zip(paths, edge_sets):
-            if keys_a.isdisjoint(keys_b):
-                continue
-            pairs += 1
-            glued = glue_paths(pa, pb)
-            counts[glued.vertices] = counts.get(glued.vertices, 0) + 1
-    violations = []
-    worst_ratio = 0.0
-    for verts, c in counts.items():
-        glued = ClosedPath(vertices=verts, ambient_n=vertex_budget)
+    block = max(1, ROW_CHUNK // len(paths))  # first paths per block
+    for start in range(0, len(paths), block):
+        pa, pb = np.nonzero(present[start:start + block] @ present.T)
+        keys = (glue_paths(paths[start + pa], paths[pb])[:, :-1] - 1) @ digits
+        seen, at, times = np.unique(keys, return_index=True, return_counts=True)
+        count[seen] += times
+        new = first[seen] < 0
+        first[seen[new]] = pairs + at[new]
+        pairs += len(keys)
+    distinct = np.flatnonzero(count)
+    distinct = distinct[np.argsort(first[distinct])]
+    violations, worst_ratio = [], 0.0
+    for start in range(0, len(distinct), ROW_CHUNK):
+        chunk = distinct[start:start + ROW_CHUNK]
+        glued, preimages = _closed_rows(chunk, 2 * length - 2, vertex_budget), count[chunk]
         bound = 2 * length * k_statistic(trajectory_of(glued), length)
-        worst_ratio = max(worst_ratio, c / bound)
-        if c > bound:
-            violations.append({"glued": ",".join(map(str, verts)), "preimages": c, "bound": bound})
+        worst_ratio = max(worst_ratio, float((preimages / bound).max()))
+        violations += [{"glued": ",".join(map(str, glued[i].tolist())),
+                        "preimages": int(preimages[i]), "bound": int(bound[i])}
+                       for i in np.flatnonzero(preimages > bound)]
     return {
         "length": length,
         "vertex_budget": vertex_budget,
         "correlated_pairs": pairs,
-        "distinct_glued": len(counts),
+        "distinct_glued": len(distinct),
         "max_ratio": worst_ratio,
         "violations": violations,
         "pass": not violations,
     }
-

@@ -566,22 +566,22 @@ def _correspondence_chunk(verts: np.ndarray):
     per row the failures in the order of ``_CORRESPONDENCE_FAILURES`` (nonzero
     where failed; error codes for the rotation calls)."""
     length = verts.shape[1] - 1
-    codes = path_model.edge_codes(verts)
-    marks = path_model.instant_marks(codes)[0]
+    marks = path_model.instant_marks(path_model.edge_codes(verts))[0]
     ups = marks.sum(axis=1)
     # admissible: last step down and end level 2 * (marked instants) - L > 0
     admissible = ~marks[:, -1] & (2 * ups != length)
-    verts, codes, ups = verts[admissible], codes[admissible], ups[admissible]
+    verts, ups = verts[admissible], ups[admissible]
     images, shift_k, _, error = correspondence.to_marked_origin(verts)
-    image_codes = path_model.edge_codes(images)
-    image_marks = path_model.instant_marks(image_codes)[0]
+    image_marks = path_model.instant_marks(path_model.edge_codes(images))[0]
     sources, back_error = correspondence.from_marked_origin(images, shift_k)
+    # one call, so image and source rows count over the same edge codes
+    counts = correspondence.edge_multiset(np.concatenate((images, verts)))
     failures = np.column_stack((
         error,
         ~image_marks[:, -1],
         ~(image_marks & (images[:, 1:] == images[:, :1])).any(axis=1),
         image_marks.sum(axis=1) != ups,
-        (np.sort(image_codes, axis=1) != np.sort(codes, axis=1)).any(axis=1),
+        (counts[:len(verts)] != counts[len(verts):]).any(axis=1),
         back_error,
         (sources != verts).any(axis=1),
     ))
@@ -606,24 +606,26 @@ def _check_surgery(max_steps: int):
     for m, l in _classes_up_to(max_steps):
         if l < 1 or m < 1:
             continue
-        ups = [x for x in path_model.enumerate_trajectories(m, l) if x.steps[-1] == 1]
+        walks = path_model.enumerate_trajectories(m, l)
+        ups = walks[walks[:, -1] == 1]
+        levels = np.cumsum(ups, axis=1, dtype=np.int64) - ups  # x(0), ..., x(L - 1)
+        lowest_after = np.minimum.accumulate(levels[:, ::-1], axis=1)[:, ::-1]
+        # every (walk, cut) pair in the rotated shape, walk by walk: its level
+        # p = x(cut) - l + 1 is at least 1, and at most m
+        walk, cut = np.nonzero((levels >= l) & (lowest_after >= l - 1))
+        p_rows = levels[walk, cut] - l + 1
+        images = correspondence.trajectory_surgery(ups[walk], p_rows, cut)
+        pairs = np.bincount(p_rows, minlength=m + 1)
+        # an image is named by its up steps as bits, above them its level p
+        length = l + 2 * m
+        names = np.sort((p_rows << length) | ((images > 0) @ (1 << np.arange(length))))
+        fresh = np.diff(names, prepend=-1) != 0
+        distinct = np.bincount(names[fresh] >> length, minlength=m + 1)
         for p in range(1, m + 1):
-            images = set()
-            count = 0
-            for x in ups:
-                heights = x.levels()
-                for cut in range(0, x.length):
-                    if heights[cut] != l + p - 1:
-                        continue
-                    if any(h < l - 1 for h in heights[cut:]):
-                        continue
-                    out = correspondence.trajectory_surgery(x, p, cut)
-                    count += 1
-                    images.add(out.steps)
             target = path_model.count_trajectories(m - p, l + 2 * p)
-            if count != target or len(images) != target:
-                return params, {"m": m, "l": l, "p": p, "pairs": count,
-                                "distinct": len(images), "target": target}
+            if pairs[p] != target or distinct[p] != target:
+                return params, {"m": m, "l": l, "p": p, "pairs": int(pairs[p]),
+                                "distinct": int(distinct[p]), "target": target}
     return params, None
 
 

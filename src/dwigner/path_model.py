@@ -6,20 +6,18 @@ number of times up to and including ``j``, and *unmarked* otherwise. Reading
 marked instants as +1 steps and unmarked ones as -1 steps yields a
 nonnegative walk ending at the number ``l`` of odd-multiplicity edges; the
 walks with ``m`` down steps and end level ``l`` form the class counted by
-``count_trajectories(m, l)``.
+``count_trajectories(m, l)``. Paths are the rows of an ``(N, L + 1)`` integer
+array of labels and trajectories the rows of an ``(N, L)`` int8 array of +-1
+steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import accumulate, pairwise
 
 import numpy as np
 
 __all__ = [
-    "ClosedPath",
-    "Trajectory",
     "EnumerationLimitError",
     "edge_codes",
     "instant_marks",
@@ -34,73 +32,10 @@ __all__ = [
 ]
 
 ENUMERATION_STEP_CAP = 30
-_UNIT_STEPS = frozenset((-1, 1))
 
 
 class EnumerationLimitError(ValueError):
     """An exhaustive enumeration would exceed its guard."""
-
-
-@dataclass(frozen=True)
-class ClosedPath:
-    """A closed vertex walk ``i_0, ..., i_L = i_0`` on ``{1, ..., n}``.
-
-    Loops (``i_{j+1} == i_j``) are allowed. ``vertices`` stores the closed
-    sequence including the final repeat of the origin.
-    """
-
-    vertices: tuple[int, ...]
-    ambient_n: int
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise ValueError("a closed path needs at least one step")
-        if self.vertices[0] != self.vertices[-1]:
-            raise ValueError("path is not closed (last vertex != origin)")
-        if min(self.vertices) < 1 or max(self.vertices) > self.ambient_n:
-            raise ValueError("vertex outside {1, ..., ambient_n}")
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def edge_keys(self) -> list[tuple[int, int]]:
-        """Unordered edges of instants j = 1..L, smaller label first."""
-        return [(a, b) if a <= b else (b, a) for a, b in pairwise(self.vertices)]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Nonnegative +-1 walk; +1 per marked instant, -1 per unmarked.
-
-    Validation computes the heights once; they and ``end_level`` are kept on
-    the instance outside the dataclass fields, so equality, hash and repr see
-    only ``steps``.
-    """
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not _UNIT_STEPS.issuperset(self.steps):
-            raise ValueError("steps must be +-1")
-        levels = tuple(accumulate(self.steps, initial=0))
-        if min(levels) < 0:
-            raise ValueError("trajectory dips below zero")
-        stored = self.__dict__  # frozen: store past the dataclass __setattr__
-        stored["_levels"] = levels
-        stored["end_level"] = levels[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def down_steps(self) -> int:
-        return self.steps.count(-1)
-
-    def levels(self) -> tuple[int, ...]:
-        """Heights x(0), ..., x(L)."""
-        return self._levels
 
 
 def edge_codes(verts: np.ndarray) -> np.ndarray:
@@ -136,10 +71,10 @@ def instant_marks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ((parity >> bit) & 1).astype(bool), ((parity[:, -1:] >> bit) & 1).astype(bool)
 
 
-def trajectory_of(path: ClosedPath) -> Trajectory:
-    """The trajectory of one path: the one-row case of :func:`instant_marks`."""
-    marks = instant_marks(edge_codes(np.array([path.vertices])))[0][0]
-    return Trajectory(tuple(np.where(marks, 1, -1).tolist()))
+def trajectory_of(verts: np.ndarray) -> np.ndarray:
+    """The trajectories of closed paths, the rows of an ``(N, L + 1)`` label
+    array, as an ``(N, L)`` int8 array: +1 at marked instants, -1 elsewhere."""
+    return np.where(instant_marks(edge_codes(verts))[0], 1, -1).astype(np.int8)
 
 
 def count_trajectories(m: int, l: int) -> int:
@@ -217,10 +152,10 @@ def trajectory_rows(m: int, l: int):
                       admit)
 
 
-def enumerate_trajectories(m: int, l: int) -> list[Trajectory]:
-    """All trajectories of the (m, l) class, duplicate-free, ups first: the
-    rows of :func:`trajectory_rows` as objects."""
-    return [Trajectory(tuple(steps)) for rows in trajectory_rows(m, l) for steps in rows.tolist()]
+def enumerate_trajectories(m: int, l: int) -> np.ndarray:
+    """All trajectories of the (m, l) class as one int8 array of +-1 steps:
+    the arrays of :func:`trajectory_rows`, concatenated."""
+    return np.concatenate(list(trajectory_rows(m, l)))
 
 
 def last_step_split(m: int, l: int) -> tuple[int, int]:

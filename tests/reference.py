@@ -14,7 +14,12 @@ reflection count from any start height that ``sample_trajectory`` reads.
 order ``path_model.trajectory_rows`` must reproduce row for row.
 ``closed_path_tuples`` flattens the arrays of
 ``path_model.canonical_closed_paths`` into closed vertex tuples for the tests
-that read paths one at a time. ``dyck_failed_checks_mask`` is the
+that read paths one at a time. Paths here are closed vertex tuples and walks
+tuples of +-1 steps. ``surgery_reference``, ``glue_reference`` and
+``k_statistic_reference`` are the per-pair tuple algorithms that the row forms
+``correspondence.trajectory_surgery``, ``glue_paths`` and ``k_statistic``
+replaced, and ``preimage_census_reference`` is the dict-counting census that
+``correspondence.preimage_bound_check`` must reproduce. ``dyck_failed_checks_mask`` is the
 block-by-time mask form of the row checks of ``dyck_stats.dyck_decompose_rows``,
 which now reads each block's lowest height and the running maximum of the
 block ends instead.
@@ -25,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -32,9 +38,7 @@ from dwigner.ensembles import MatrixSample
 from dwigner.moment_oracle import MomentModel
 from dwigner.path_model import (
     ENUMERATION_STEP_CAP,
-    ClosedPath,
     EnumerationLimitError,
-    Trajectory,
     canonical_closed_paths,
 )
 
@@ -49,6 +53,12 @@ __all__ = [
     "sample_trajectory",
     "trajectory_from_string",
     "has_marked_origin",
+    "edge_keys",
+    "levels_of",
+    "surgery_reference",
+    "glue_reference",
+    "k_statistic_reference",
+    "preimage_census_reference",
 ]
 
 
@@ -130,12 +140,22 @@ def trace_power_dense(m: MatrixSample, power: int) -> float:
     return float(np.trace(acc).real)
 
 
+def edge_keys(verts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Unordered edges of instants j = 1..L of a closed path, smaller label first."""
+    return [(a, b) if a <= b else (b, a) for a, b in pairwise(verts)]
+
+
+def levels_of(steps: tuple[int, ...]) -> tuple[int, ...]:
+    """Heights x(0), ..., x(L) of a walk."""
+    return tuple(accumulate(steps, initial=0))
+
+
 def tally_edges(
-    path: ClosedPath,
+    verts: tuple[int, ...],
 ) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int], list[bool]]:
     """One pass over the edge keys: the keys of instants j = 1..L, each edge's
     traversal count (in first-traversal order) and the marks of the instants."""
-    keys = path.edge_keys()
+    keys = edge_keys(verts)
     counts: dict[tuple[int, int], int] = {}
     marks = []
     for key in keys:
@@ -153,7 +173,7 @@ def nonneg_walks(height: int, ups: int, downs: int) -> int:
     return math.comb(total, downs) - (math.comb(total, reflected) if reflected >= 0 else 0)
 
 
-def enumerate_trajectories_recursive(m: int, l: int) -> list[Trajectory]:
+def enumerate_trajectories_recursive(m: int, l: int) -> list[tuple[int, ...]]:
     """All trajectories of the (m, l) class, duplicate-free, ups first."""
     if m < 0 or l < 0:
         raise ValueError("m and l must be nonnegative")
@@ -161,12 +181,12 @@ def enumerate_trajectories_recursive(m: int, l: int) -> list[Trajectory]:
         raise EnumerationLimitError(
             f"enumeration of {l + 2 * m} steps exceeds the cap {ENUMERATION_STEP_CAP}"
         )
-    out: list[Trajectory] = []
+    out: list[tuple[int, ...]] = []
     steps: list[int] = []
 
     def rec(ups: int, downs: int, height: int) -> None:
         if ups == 0 and downs == 0:
-            out.append(Trajectory(tuple(steps)))
+            out.append(tuple(steps))
             return
         if ups > 0:
             steps.append(1)
@@ -213,7 +233,7 @@ def dyck_failed_checks_mask(steps, levels, kept, rises, starts, ends) -> np.ndar
     ))
 
 
-def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:
+def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform draw from the (m, l) class by exact sequential counting."""
     ups, downs, h = l + m, m, 0
     steps = []
@@ -229,17 +249,102 @@ def sample_trajectory(m: int, l: int, rng: np.random.Generator) -> Trajectory:
             steps.append(-1)
             downs -= 1
             h -= 1
-    return Trajectory(tuple(steps))
+    return tuple(steps)
 
 
-def trajectory_from_string(text: str) -> Trajectory:
+def trajectory_from_string(text: str) -> tuple[int, ...]:
     text = text.strip().upper()
     if any(ch not in "UD" for ch in text):
         raise ValueError("trajectory string must contain only U and D")
-    return Trajectory(tuple(1 if ch == "U" else -1 for ch in text))
+    return tuple(1 if ch == "U" else -1 for ch in text)
 
 
-def has_marked_origin(path: ClosedPath, traj: Trajectory) -> bool:
-    """True when some marked instant lands on the origin; ``traj`` is
-    ``trajectory_of(path)``."""
-    return (1, path.vertices[0]) in zip(traj.steps, path.vertices[1:])
+def has_marked_origin(verts: tuple[int, ...], steps: tuple[int, ...]) -> bool:
+    """True when some marked instant lands on the origin; ``steps`` is the
+    path's trajectory."""
+    return (1, verts[0]) in zip(steps, verts[1:])
+
+
+def surgery_reference(steps: tuple[int, ...], p: int, cut_time: int) -> tuple[int, ...]:
+    """Reverse-and-flip the tail of one rotated walk after ``cut_time``."""
+    length = len(steps)
+    heights = levels_of(steps)
+    l = heights[-1]
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    if not 0 <= cut_time < length:
+        raise ValueError("cut_time outside [0, L)")
+    if steps[-1] != 1:
+        raise ValueError("rotated trajectories end with an up step")
+    if heights[cut_time] != l + p - 1:
+        raise ValueError("level at cut_time is not l + p - 1")
+    if any(h < l - 1 for h in heights[cut_time:]):
+        raise ValueError("trajectory dips below l - 1 after the cut")
+    return steps[:cut_time] + (1,) + tuple(-s for s in reversed(steps[cut_time:length - 1]))
+
+
+def glue_reference(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[int, ...]:
+    """Merge two closed paths of equal length across their first shared edge."""
+    if len(p1) != len(p2):
+        raise ValueError("paths must have the same length")
+    if len(p1) < 3:
+        raise ValueError("gluing needs length >= 2")
+    edges2: dict[tuple[int, int], int] = {}
+    for t, key in enumerate(edge_keys(p2)):
+        edges2.setdefault(key, t)
+    keys1 = edge_keys(p1)
+    t1 = next((t for t, key in enumerate(keys1) if key in edges2), None)
+    if t1 is None:
+        raise ValueError("paths share no edge (uncorrelated pair)")
+    v, w = p1[t1], p1[t1 + 1]
+    t2 = edges2[keys1[t1]]
+    a2, b2 = p2[t2], p2[t2 + 1]
+    # Cycle of p2 with the shared traversal removed: walk from b2 around to a2.
+    base2 = list(p2[:-1])
+    order = base2[t2 + 1:] + base2[:t2 + 1]
+    walk = list(reversed(order)) if (a2, b2) == (v, w) else order
+    return tuple(list(p1[: t1 + 1]) + walk[1:] + list(p1[t1 + 2:]))
+
+
+def k_statistic_reference(steps: tuple[int, ...], window: int) -> int:
+    """Window starts tau in [0, L - window + 1] whose window stays at or above x(tau)."""
+    heights = levels_of(steps)
+    total = len(steps)
+    if window < 1 or window > total + 1:
+        raise ValueError("window must lie in [1, length + 1]")
+    return sum(all(h >= heights[tau] for h in heights[tau: tau + window])
+               for tau in range(0, total - window + 2))
+
+
+def preimage_census_reference(length: int, vertex_budget: int) -> dict:
+    """The gluing census pair by pair: glued paths counted in a dict in order of
+    first occurrence, each checked against ``2 L * k_statistic_reference``."""
+    paths = [combo + (combo[0],)
+             for combo in itertools.product(range(1, vertex_budget + 1), repeat=length)]
+    edge_sets = [set(edge_keys(p)) for p in paths]
+    counts: dict[tuple[int, ...], int] = {}
+    pairs = 0
+    for pa, keys_a in zip(paths, edge_sets):
+        for pb, keys_b in zip(paths, edge_sets):
+            if keys_a.isdisjoint(keys_b):
+                continue
+            pairs += 1
+            glued = glue_reference(pa, pb)
+            counts[glued] = counts.get(glued, 0) + 1
+    violations = []
+    worst_ratio = 0.0
+    for verts, c in counts.items():
+        steps = tuple(1 if marked else -1 for marked in tally_edges(verts)[2])
+        bound = 2 * length * k_statistic_reference(steps, length)
+        worst_ratio = max(worst_ratio, c / bound)
+        if c > bound:
+            violations.append({"glued": ",".join(map(str, verts)), "preimages": c, "bound": bound})
+    return {
+        "length": length,
+        "vertex_budget": vertex_budget,
+        "correlated_pairs": pairs,
+        "distinct_glued": len(counts),
+        "max_ratio": worst_ratio,
+        "violations": violations,
+        "pass": not violations,
+    }

@@ -16,13 +16,12 @@ from dwigner.dyck_stats import (
     tail_bound_check,
 )
 from dwigner.path_model import (
-    Trajectory,
     count_trajectories,
     enumerate_trajectories,
     trajectory_rows,
     trajectory_to_string,
 )
-from reference import dyck_failed_checks_mask, trajectory_from_string
+from reference import dyck_failed_checks_mask, levels_of, trajectory_from_string
 
 
 def _split(steps, rises, starts, ends):
@@ -30,25 +29,25 @@ def _split(steps, rises, starts, ends):
     the blocks of level 0 and of the levels where a rise ends."""
     levels = [h for h in range(len(rises)) if rises[h] or not h]
     return (tuple(rises[h] for h in levels[1:]),
-            tuple(Trajectory(tuple(steps[starts[h]:ends[h]])) for h in levels))
+            tuple(tuple(steps[starts[h]:ends[h]]) for h in levels))
 
 
 def _decomposition(text):
-    steps = trajectory_from_string(text).steps
+    steps = trajectory_from_string(text)
     return _split(steps, *(a[0].tolist() for a in dyck_decompose(np.array([steps]))))
 
 
 def test_decompose_examples():
     rises, blocks = _decomposition("UUDU")
     assert rises == (1, 1)
-    assert [b.length for b in blocks] == [0, 2, 0]
-    assert trajectory_to_string(blocks[1].steps) == "UD"
+    assert [len(b) for b in blocks] == [0, 2, 0]
+    assert trajectory_to_string(blocks[1]) == "UD"
 
     rises, blocks = _decomposition("UUDDUD")
     assert rises == () and blocks == (trajectory_from_string("UUDDUD"),)
 
     rises, blocks = _decomposition("UU")
-    assert rises == (2,) and [b.length for b in blocks] == [0, 0]
+    assert rises == (2,) and [len(b) for b in blocks] == [0, 0]
 
 
 def test_decompose_roundtrip_exhaustive():
@@ -59,35 +58,35 @@ def test_decompose_roundtrip_exhaustive():
                 arrays = (a.tolist() for a in dyck_decompose(rows))
                 for steps, *row in zip(rows.tolist(), *arrays):
                     rises, blocks = _split(steps, *row)
-                    rebuilt = list(blocks[0].steps)
+                    rebuilt = list(blocks[0])
                     for rise, block in zip(rises, blocks[1:]):
-                        rebuilt += [1] * rise + list(block.steps)
+                        rebuilt += [1] * rise + list(block)
                     assert rebuilt == steps
                     assert sum(rises) == l
-                    assert sum(b.length for b in blocks) == 2 * m
+                    assert sum(len(b) for b in blocks) == 2 * m
                     assert all(r >= 1 for r in rises)
-                    assert all(b.length for b in blocks[1:-1])
+                    assert all(blocks[1:-1])
 
 
-def reference_dyck_decompose(x):
+def reference_dyck_decompose(steps):
     """Rises and blocks by rescanning the remaining heights at every rise."""
-    heights = x.levels()
-    length = x.length
+    heights = levels_of(steps)
+    length = len(steps)
     last_zero = max(t for t in range(length + 1) if heights[t] == 0)
-    blocks = [Trajectory(x.steps[:last_zero])]
+    blocks = [steps[:last_zero]]
     rises = []
     cur_level, cur_time = 0, last_zero
     while cur_time < length:
-        down_levels = [heights[t] for t in range(cur_time + 1, length + 1) if x.steps[t - 1] == -1]
+        down_levels = [heights[t] for t in range(cur_time + 1, length + 1) if steps[t - 1] == -1]
         if not down_levels:
-            rises.append(x.end_level - cur_level)
-            blocks.append(Trajectory(()))
+            rises.append(heights[-1] - cur_level)
+            blocks.append(())
             break
         level = min(down_levels)
         rises.append(level - cur_level)
         t_first = next(t for t in range(cur_time, length + 1) if heights[t] == level)
         t_last = max(t for t in range(cur_time, length + 1) if heights[t] == level)
-        blocks.append(Trajectory(x.steps[t_first:t_last]))
+        blocks.append(steps[t_first:t_last])
         cur_level, cur_time = level, t_last
     return tuple(rises), tuple(blocks)
 
@@ -98,7 +97,7 @@ def test_decompose_rows_match_rescanning_reference():
             for rows in trajectory_rows(m, total - 2 * m):
                 arrays = (a.tolist() for a in dyck_decompose(rows))
                 for steps, *row in zip(rows.tolist(), *arrays):
-                    assert _split(steps, *row) == reference_dyck_decompose(Trajectory(tuple(steps)))
+                    assert _split(steps, *row) == reference_dyck_decompose(tuple(steps))
 
 
 def _decomposition_arrays(rows):
@@ -220,8 +219,8 @@ def test_max_level_pmf_examples():
 def test_max_level_pmf_matches_enumeration():
     for m in range(1, 8):
         tally = {}
-        for x in enumerate_trajectories(m, 0):
-            top = max(x.levels())
+        for x in enumerate_trajectories(m, 0).tolist():
+            top = max(levels_of(x))
             tally[top] = tally.get(top, 0) + 1
         total = sum(tally.values())
         pmf = max_level_distribution(m)

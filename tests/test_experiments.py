@@ -39,7 +39,8 @@ from dwigner.experiments import (
     trace_exp_residual,
 )
 from dwigner.spectral import Spectrum
-from reference import closed_path_tuples
+import reference
+from reference import closed_path_tuples, edge_keys, levels_of
 
 QUICK_LIMITS = {
     "trajectory_steps": 8,
@@ -419,7 +420,6 @@ def _reference_correspondence(max_length, max_vertices):
     checked = 0
     for length in range(1, max_length + 1):
         for verts in closed_path_tuples(length, max_vertices):
-            path = pm.ClosedPath(verts, max(verts))
             marks = marks_of(verts)
             if marks[-1] or 2 * sum(marks) == length:
                 continue
@@ -434,7 +434,7 @@ def _reference_correspondence(max_length, max_vertices):
                 reason = "image origin is not marked"
             elif sum(image_marks) != sum(marks):
                 reason = "class not preserved"
-            elif c.edge_multiset(pm.ClosedPath(image, max(image))) != c.edge_multiset(path):
+            elif Counter(edge_keys(image)) != Counter(edge_keys(verts)):
                 reason = "edge multiset not preserved"
             elif source_of(images, shift_k) != verts:
                 reason = "round trip failed"
@@ -533,7 +533,7 @@ def test_correspondence_check_with_more_vertices_than_steps(tmp_path):
 
 
 def _reference_trajectory_checks(check, limit):
-    """The per-walk loops the array checks replaced, over the objects of
+    """The per-walk loops the array checks replaced, over the step tuples of
     ``enumerate_trajectories`` and one-row ``dyck_decompose`` calls: the
     counterexample the battery must reproduce, a raised error recorded as the
     battery records it."""
@@ -543,31 +543,31 @@ def _reference_trajectory_checks(check, limit):
 
     def trajectory_counts():
         for m, l in classes:
-            listed = pm.enumerate_trajectories(m, l)
+            listed = pm.enumerate_trajectories(m, l).tolist()
             closed = pm.count_trajectories(m, l)
             factorial = pm.count_trajectories_factorial(m, l)
             if not len(listed) == closed == factorial:
                 return {"m": m, "l": l, "enumerated": len(listed),
                         "binomial_form": closed, "factorial_form": factorial}
             up, down = pm.last_step_split(m, l)
-            tally_up = sum(1 for x in listed if x.steps[-1] == 1)
+            tally_up = sum(1 for x in listed if x[-1] == 1)
             if up != tally_up or up + down != closed:
                 return {"m": m, "l": l, "split": (up, down), "tally_up": tally_up}
         return None
 
     def dyck_roundtrip():
         for m, l in classes:
-            for x in pm.enumerate_trajectories(m, l):
-                rises, starts, ends = d.dyck_decompose(np.array([x.steps]))
+            for x in pm.enumerate_trajectories(m, l).tolist():
+                rises, starts, ends = d.dyck_decompose(np.array([x]))
                 if rises.sum() != l or (ends - starts).sum() != 2 * m:
-                    return {"trajectory": pm.trajectory_to_string(x.steps),
+                    return {"trajectory": pm.trajectory_to_string(x),
                             "reason": "rise/block bookkeeping"}
         return None
 
     def max_level_pmf():
         for m in range(1, limit + 1):
             pmf = d.max_level_distribution(m)
-            tally = Counter(max(x.levels()) for x in pm.enumerate_trajectories(m, 0))
+            tally = Counter(max(levels_of(x)) for x in pm.enumerate_trajectories(m, 0).tolist())
             total = sum(tally.values())
             for k, mass in pmf.items():
                 if mass != Fraction(tally[k], total):
@@ -684,6 +684,52 @@ def test_verify_exact_report_bytes_are_pinned(tmp_path):
         "868cb51136a7d2e0f75a6e6c78548b65aa01fd0c7158b0b0b10a08408aaa15dc")
 
 
+def test_verify_large_surgery_and_census_report_bytes_are_pinned(tmp_path):
+    # sha256 of this report as written at commit 11f6614, before the surgery
+    # check and the gluing census moved to int8 rows. It reaches what the
+    # default and verify-exact pins do not: the surgery up to 16 steps and the
+    # census at L = 4 on 4 vertices.
+    out = tmp_path / "verify.json"
+    assert cli_main(["verify-combinatorics", "--surgery-steps", "16", "--glue-length", "4",
+                     "--glue-vertices", "4", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "325e25cdd52f46709a33061f3da43849fde7c5173150764d46ef8f8abaa582ab")
+
+
+def test_surgery_reports_the_first_class_that_misses_its_target(monkeypatch):
+    real = dwigner.path_model.count_trajectories
+
+    def one_more(m, l):  # (1, 4) is the target of (m, l, p) = (2, 2, 1) only
+        return real(m, l) + ((m, l) == (1, 4))
+
+    monkeypatch.setattr(dwigner.path_model, "count_trajectories", one_more)
+    code, report = run_combinatorics_verify({"surgery_steps": 8})
+    (rec,) = report["records"]
+    assert code == 1 and rec["check"] == "surgery_bijection" and not rec["pass"]
+    assert rec["counterexample"] == {"m": 2, "l": 2, "p": 1, "pairs": 5, "distinct": 5,
+                                     "target": 6}
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_gluing_violations_match_the_reference_when_k_shrinks(monkeypatch, block):
+    # with K halved (at least 1) in both routes, the census reports the
+    # reference's violations in the reference's order, whatever its block
+    real, real_reference = dwigner.correspondence.k_statistic, reference.k_statistic_reference
+    monkeypatch.setattr(dwigner.correspondence, "ROW_CHUNK", block)
+    monkeypatch.setattr(dwigner.correspondence, "k_statistic",
+                        lambda steps, window: np.maximum(real(steps, window) // 2, 1))
+    monkeypatch.setattr(reference, "k_statistic_reference",
+                        lambda steps, window: max(real_reference(steps, window) // 2, 1))
+    for length, vertices in ((3, 3), (4, 3)):
+        want = reference.preimage_census_reference(length, vertices)
+        assert len(want["violations"]) > 20
+        assert dwigner.correspondence.preimage_bound_check(length, vertices) == want
+    code, report = run_combinatorics_verify({"glue_length": 4, "glue_vertices": 3})
+    (rec,) = report["records"]
+    assert code == 1 and rec["check"] == "gluing_preimage_bound"
+    assert rec["counterexample"] == reference.preimage_census_reference(3, 3)["violations"][0]
+
+
 def test_verify_passes_under_python_optimize(tmp_path):
     # -O strips assert statements; the battery's guards are explicit raises
     out = tmp_path / "verify.json"
@@ -695,16 +741,13 @@ def test_verify_passes_under_python_optimize(tmp_path):
 
 
 # The first line hands the rotation inputs it must flag with a nonzero error code;
-# each `fires` case breaks one step of an exact routine and expects its guard to fire.
+# each `fires` case breaks one step of an exact routine and expects its guard to
+# fire. The surgery and the gluing read their reversals through `np.flip`.
 _GUARD_CASES = """
 import numpy as np
 
 import dwigner.correspondence as c
 import dwigner.dyck_stats as d
-from dwigner.path_model import ClosedPath, Trajectory
-
-def traj(text):
-    return Trajectory(tuple(1 if ch == "U" else -1 for ch in text))
 
 def fires(call, owner, name, fake):
     real = getattr(owner, name, None)  # None: a builtin the module does not define
@@ -723,13 +766,14 @@ def fires(call, owner, name, fake):
 image = np.array([(1, 1, 1, 1, 2, 2, 1)])  # admissible, but its own image is another path
 print(c.from_marked_origin(image, np.array([0]))[1][0] != 0,
       c.to_marked_origin(np.array([(1, 2, 3, 1)]))[3][0] != 0)  # last step up
+unflipped = lambda rows, axis=None: rows
 print(fires(lambda: d.dyck_decompose(np.array([[1, 1, -1, 1]], np.int8)),
             d, "_rebuilt_rows", lambda steps, *rest: -steps),
       fires(lambda: d.max_level_distribution(4), d, "confined_dyck_count", lambda m, k: 0),
-      fires(lambda: c.trajectory_surgery(traj("UUDU"), 1, 2),
-            c, "Trajectory", lambda steps: Trajectory(steps + (1, -1))),
-      fires(lambda: c.glue_paths(ClosedPath((1, 2, 3, 1), 4), ClosedPath((1, 2, 4, 1), 4)),
-            c, "reversed", lambda seq: iter(list(seq))))
+      fires(lambda: c.trajectory_surgery(np.array([[1, 1, -1, 1]], np.int8), 1, np.array([2])),
+            np, "flip", unflipped),
+      fires(lambda: c.glue_paths(np.array([(1, 2, 3, 1)]), np.array([(1, 2, 4, 1)])),
+            np, "flip", unflipped))
 """
 
 
