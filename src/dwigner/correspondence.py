@@ -21,7 +21,15 @@ import math
 
 import numpy as np
 
-from .path_model import ROW_CHUNK, count_trajectories, edge_codes, instant_marks, trajectory_of
+from .path_model import (
+    ROW_CHUNK,
+    count_trajectories,
+    edge_codes,
+    instant_marks,
+    raise_first_failure,
+    trajectory_of,
+    walk_levels,
+)
 
 __all__ = [
     "ROW_ERRORS",
@@ -73,25 +81,6 @@ def edge_multiset(verts: np.ndarray) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=n * width).reshape(n, width)
 
 
-def _raise_first_failure(failed: np.ndarray, messages: tuple[str, ...]) -> None:
-    """Raise the ``ValueError`` of the first failed check of the first row
-    that fails one; ``failed`` is an ``(N, len(messages))`` bool array."""
-    bad = np.flatnonzero(failed.any(axis=1))
-    if bad.size:
-        raise ValueError(messages[int(np.argmax(failed[bad[0]]))])
-
-
-def _walk_levels(steps: np.ndarray) -> np.ndarray:
-    """Heights x(0), ..., x(L) of walks, the rows of an ``(N, L)`` array of
-    steps; the first row that is not a nonnegative +-1 walk raises."""
-    levels = np.zeros((steps.shape[0], steps.shape[1] + 1), np.int64)
-    np.cumsum(steps, axis=1, out=levels[:, 1:])
-    _raise_first_failure(np.column_stack(((np.abs(steps) != 1).any(axis=1),
-                                          (levels < 0).any(axis=1))),
-                         ("steps must be +-1", "trajectory dips below zero"))
-    return levels
-
-
 def to_marked_origin(verts: np.ndarray):
     """Rotate last-step-down closed paths, the rows of an ``(N, L + 1)`` label
     array, to the marked-origin, last-step-up form.
@@ -135,11 +124,11 @@ def from_marked_origin(images: np.ndarray, shift_k: np.ndarray):
 
 # What a (walk, p, cut) triple of the surgery can fail, in the order it is checked.
 _SURGERY_ERRORS = (
-    "p must be nonnegative",
-    "cut_time outside [0, L)",
-    "rotated trajectories end with an up step",
-    "level at cut_time is not l + p - 1",
-    "trajectory dips below l - 1 after the cut",
+    (ValueError, "p must be nonnegative"),
+    (ValueError, "cut_time outside [0, L)"),
+    (ValueError, "rotated trajectories end with an up step"),
+    (ValueError, "level at cut_time is not l + p - 1"),
+    (ValueError, "trajectory dips below l - 1 after the cut"),
 )
 
 
@@ -156,12 +145,12 @@ def trajectory_surgery(steps: np.ndarray, p, cuts: np.ndarray) -> np.ndarray:
     steps, cuts = np.asarray(steps, np.int8), np.asarray(cuts)
     p = np.broadcast_to(p, cuts.shape)
     length = steps.shape[1]
-    levels = _walk_levels(steps)
+    levels = walk_levels(steps)
     l = levels[:, -1]
     cut = cuts[:, None]
     at_cut = np.take_along_axis(levels, np.clip(cut, 0, length), axis=1)[:, 0]
     after_cut = np.arange(length + 1) >= cut
-    _raise_first_failure(np.column_stack((
+    raise_first_failure(np.column_stack((
         p < 0,
         (cuts < 0) | (cuts >= length),
         (steps[:, -1:] != 1).any(axis=1),
@@ -203,8 +192,8 @@ def verify_count_identity(m: int, l: int) -> bool:
 
 # What a pair of the gluing can fail, in the order it is checked.
 _GLUE_ERRORS = (
-    "path is not closed (last vertex != origin)",
-    "paths share no edge (uncorrelated pair)",
+    (ValueError, "path is not closed (last vertex != origin)"),
+    (ValueError, "paths share no edge (uncorrelated pair)"),
 )
 
 
@@ -225,7 +214,7 @@ def glue_paths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if length < 2:
         raise ValueError("gluing needs length >= 2")
     shared = edge_codes(a)[:, :, None] == edge_codes(b)[:, None, :]  # [r, s, t]: a's s is b's t
-    _raise_first_failure(np.column_stack(((a[:, 0] != a[:, -1]) | (b[:, 0] != b[:, -1]),
+    raise_first_failure(np.column_stack(((a[:, 0] != a[:, -1]) | (b[:, 0] != b[:, -1]),
                                           ~shared.any(axis=(1, 2)))), _GLUE_ERRORS)
     rows = np.arange(len(a))
     t1 = shared.any(axis=2).argmax(axis=1)
@@ -252,7 +241,7 @@ def k_statistic(steps: np.ndarray, window: int) -> np.ndarray:
     length = steps.shape[1]
     if window < 1 or window > length + 1:
         raise ValueError("window must lie in [1, length + 1]")
-    levels = _walk_levels(steps)
+    levels = walk_levels(steps)
     windows = np.lib.stride_tricks.sliding_window_view(levels, window, axis=1)
     return (windows.min(axis=2) >= levels[:, :length + 2 - window]).sum(axis=1)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .path_model import count_trajectories
+from .path_model import count_trajectories, raise_first_failure, walk_levels
 
 __all__ = [
     "dyck_decompose",
@@ -110,13 +110,10 @@ def dyck_decompose(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     error of its first failed check (``_DYCK_ROW_ERRORS``).
     """
     steps = np.asarray(steps, dtype=np.int8)
-    n, length = steps.shape
-    levels = np.zeros((n, length + 1), np.int64)
-    np.cumsum(steps, axis=1, out=levels[:, 1:])
-    top = int(levels[0, -1]) if n else 0
-    if not (np.isin(steps, (-1, 1)).all() and levels.min(initial=0) >= 0
-            and (levels[:, -1] == top).all()):
-        raise ValueError("rows must be nonnegative +-1 walks with one end level")
+    levels = walk_levels(steps)
+    top = int(levels[0, -1]) if len(levels) else 0
+    if (levels[:, -1] != top).any():
+        raise ValueError("walks must end at one level")
     ends = _last_visits(levels, top)
     starts = np.zeros_like(ends)
     starts[:, 1:] = ends[:, :-1] + 1
@@ -127,11 +124,8 @@ def dyck_decompose(steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rises = np.zeros_like(ends)
     rises[:, 1:] = np.where(kept[:, 1:], starts[:, 1:] - below[:, :-1], 0)
 
-    failed = _failed_checks(steps, levels, kept, rises, starts, ends)
-    bad = np.flatnonzero(failed.any(axis=1))
-    if bad.size:
-        error, message = _DYCK_ROW_ERRORS[int(np.argmax(failed[bad[0]]))]
-        raise error(message)
+    raise_first_failure(_failed_checks(steps, levels, kept, rises, starts, ends),
+                        _DYCK_ROW_ERRORS)
     return rises, starts, ends
 
 

@@ -9,6 +9,7 @@ counterexamples.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,7 @@ from .spectral import (
     Spectrum,
     eigenvalues,
     interlacing_check,
+    one_blas_thread,
     outlier_census,
     rank_one_spectra,
     rescaled_fluctuation,
@@ -112,9 +114,8 @@ def semicircle_cdf(x: float, sigma: float) -> float:
         return 0.0
     if x >= 2.0 * sigma:
         return 1.0
-    u = x / (2.0 * sigma)
-    return 0.5 + (x * math.sqrt(4.0 * sigma**2 - x**2)) / (4.0 * math.pi * sigma**2) \
-        + math.asin(u) / math.pi
+    u = x / (2.0 * sigma)  # forms no sigma**2, which underflows for a tiny sigma
+    return 0.5 + (u * math.sqrt(1.0 - u * u) + math.asin(u)) / math.pi
 
 
 def ks_statistic(sample, reference) -> KSResult:
@@ -161,8 +162,15 @@ def _map_indices(fn, indices, workers: int) -> list:
 
 
 def _draws(cfg: ExperimentConfig, one) -> list:
-    """``one(i)`` for every sample index, in index order."""
-    return _map_indices(one, range(cfg.n_samples), cfg.workers)
+    """``one(i)`` for every sample index, in index order.
+
+    A complex run holds OpenBLAS at one thread for all its draws, not only
+    for each reduction (``tridiagonal`` does that): so the rest of a draw's
+    BLAS calls run on one thread too, and no idle BLAS thread they woke spins
+    beside the next reduction. A real run leaves the threads as it finds them.
+    """
+    with one_blas_thread if cfg.base.symmetry.is_complex else contextlib.nullcontext():
+        return _map_indices(one, range(cfg.n_samples), cfg.workers)
 
 
 def _sample_records(rows, names) -> list[dict]:

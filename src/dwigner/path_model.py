@@ -22,6 +22,8 @@ __all__ = [
     "edge_codes",
     "instant_marks",
     "trajectory_of",
+    "walk_levels",
+    "raise_first_failure",
     "trajectory_rows",
     "enumerate_trajectories",
     "count_trajectories",
@@ -75,6 +77,30 @@ def trajectory_of(verts: np.ndarray) -> np.ndarray:
     """The trajectories of closed paths, the rows of an ``(N, L + 1)`` label
     array, as an ``(N, L)`` int8 array: +1 at marked instants, -1 elsewhere."""
     return np.where(instant_marks(edge_codes(verts))[0], 1, -1).astype(np.int8)
+
+
+def raise_first_failure(failed: np.ndarray, errors: tuple[tuple[type, str], ...]) -> None:
+    """Raise error j, an exception type and its message, for the first check j
+    that the first failing row fails; ``failed`` is an ``(N, len(errors))``
+    bool array, row r failing check j where it is True."""
+    bad = np.flatnonzero(failed.any(axis=1))
+    if bad.size:
+        error, message = errors[int(np.argmax(failed[bad[0]]))]
+        raise error(message)
+
+
+_WALK_ERRORS = ((ValueError, "steps must be +-1"), (ValueError, "trajectory dips below zero"))
+
+
+def walk_levels(steps: np.ndarray) -> np.ndarray:
+    """Heights x(0), ..., x(L) of walks, the rows of an ``(N, L)`` array of
+    steps, as an ``(N, L + 1)`` int64 array; the first row that is not a
+    nonnegative +-1 walk raises."""
+    levels = np.zeros((steps.shape[0], steps.shape[1] + 1), np.int64)
+    np.cumsum(steps, axis=1, out=levels[:, 1:])
+    raise_first_failure(np.column_stack(((np.abs(steps) != 1).any(axis=1),
+                                         (levels < 0).any(axis=1))), _WALK_ERRORS)
+    return levels
 
 
 def count_trajectories(m: int, l: int) -> int:

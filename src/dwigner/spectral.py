@@ -1,15 +1,18 @@
 """Dense eigenvalue computation and rescaled spectral statistics.
 
-Everything downstream consumes eigenvalues only, so this module exposes the
-full decomposition of one matrix, the pair of spectra of ``W`` and its rank-one
-deformation from one shared tridiagonal reduction, the rank-one interlacing
-check, the top-k edge rescaling and the outlier census.
+Everything downstream consumes eigenvalues only. Every spectrum of one matrix
+is a reduction to real tridiagonal form followed by ``dsterf``: this module
+exposes that reduction, the full spectrum of one matrix, the pair of spectra
+of ``W`` and its rank-one deformation from one shared reduction, a scope that
+holds OpenBLAS at one thread, the rank-one interlacing check, the top-k edge
+rescaling and the outlier census.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +22,10 @@ from .ensembles import MatrixSample, RegimeError, regime_of
 __all__ = [
     "Spectrum",
     "EigensolverError",
+    "tridiagonal",
     "eigenvalues",
     "rank_one_spectra",
+    "one_blas_thread",
     "interlacing_check",
     "rescaled_fluctuation",
     "outlier_census",
@@ -38,49 +43,42 @@ class Spectrum:
     values: np.ndarray = field(repr=False)
 
 
-def eigenvalues(m: MatrixSample) -> Spectrum:
-    """All eigenvalues of a Hermitian/symmetric matrix, descending.
-
-    Uses the standard unitary reduction to real symmetric tridiagonal form
-    followed by implicit-shift iteration (LAPACK ``syevd``/``heevd`` via
-    numpy); non-convergence is reported with the offending index.
-    """
-    if not m.is_hermitian():
-        raise ValueError("matrix is not exactly Hermitian/symmetric")
-    try:
-        vals = np.linalg.eigvalsh(m.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return Spectrum(values=np.ascontiguousarray(vals[::-1]))
-
-
-# LAPACKE entry points of the ILP64 OpenBLAS that numpy's linalg links.
-_LAPACKE_SYMBOLS = {
-    "zhetrd": "scipy_LAPACKE_zhetrd64_",
+# Entry points of the ILP64 OpenBLAS that numpy's linalg links. The two-stage
+# reduction has no LAPACKE wrapper there, so it is called as Fortran.
+_LAPACK_SYMBOLS = {
+    "zhetrd_2stage": "scipy_zhetrd_2stage_64_",
     "dsytrd": "scipy_LAPACKE_dsytrd64_",
     "dsterf": "scipy_LAPACKE_dsterf64_",
 }
+_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
 
 @functools.cache
-def _lapack_routines() -> dict | None:
-    """The tridiagonal LAPACKE routines, resolved once; None if one is missing.
+def _openblas() -> ctypes.CDLL:
+    """The library numpy's own linalg extension already loaded, so no
+    dependency is added; ctypes calls release the GIL."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
-    They come from the library numpy's own linalg extension already loaded, so
-    no dependency is added; ctypes calls release the GIL.
-    """
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+@functools.cache
+def _lapack_routines() -> dict | None:
+    """The tridiagonal LAPACK routines, resolved once; None if one is missing."""
     try:
-        found = {name: getattr(lib, symbol) for name, symbol in _LAPACKE_SYMBOLS.items()}
+        found = {name: getattr(_openblas(), symbol) for name, symbol in _LAPACK_SYMBOLS.items()}
     except AttributeError:
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    for name in ("zhetrd", "dsytrd"):
-        found[name].argtypes = [ctypes.c_int, ctypes.c_char, i64, ptr, i64, ptr, ptr, ptr]
+    ref = ctypes.POINTER(i64)
+    # Fortran: every argument by reference, then the lengths of VECT and UPLO
+    found["zhetrd_2stage"].argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, ptr, ref, ptr,
+                                       ptr, ptr, ptr, ref, ptr, ref, ref,
+                                       ctypes.c_size_t, ctypes.c_size_t]
+    found["zhetrd_2stage"].restype = None
+    found["dsytrd"].argtypes = [ctypes.c_int, ctypes.c_char, i64, ptr, i64, ptr, ptr, ptr]
+    found["dsytrd"].restype = i64
     found["dsterf"].argtypes = [i64, ptr, ptr]
-    for fn in found.values():
-        fn.restype = i64
+    found["dsterf"].restype = i64
     return found
 
 
@@ -89,10 +87,133 @@ def _lapack_check(info: int, routine: str) -> None:
         raise EigensolverError(f"LAPACK {routine} returned info = {info}")
 
 
+@functools.cache
+def _thread_control() -> tuple | None:
+    """OpenBLAS's get and set of its thread count; None if one is missing."""
+    try:
+        get, put = (getattr(_openblas(), symbol) for symbol in _THREAD_SYMBOLS)
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+class _OneBlasThread:
+    """Context manager that holds OpenBLAS at one thread while any caller is
+    inside it, and leaves the threads alone without the thread symbols.
+
+    The two-stage reduction spends most of its time in serial steps, through
+    which a second OpenBLAS thread only spins. The count is process-wide, and
+    a reduction's last bits depend on it, so callers in different threads
+    share one saved count: the first to enter saves it and the last to leave
+    restores it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._restore = None  # (set, saved count) while the count is held at one
+
+    def __enter__(self) -> None:
+        with self._lock:
+            control = _thread_control() if self._inside == 0 else None
+            if control is not None:
+                get, put = control
+                self._restore = put, get()
+                put(1)
+            self._inside += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0 and self._restore is not None:
+                put, saved = self._restore
+                self._restore = None
+                put(saved)
+
+
+one_blas_thread = _OneBlasThread()
+
+
+def _zhetrd_2stage(routine, b: np.ndarray, d: np.ndarray, e: np.ndarray) -> int:
+    """``zhetrd_2stage`` with ``VECT = 'N'``, ``UPLO = 'L'`` on ``b``: a
+    workspace query, then the reduction. Returns LAPACK's ``info``."""
+    n, info = ctypes.c_int64(len(b)), ctypes.c_int64(0)
+    tau = np.empty(max(len(b) - 1, 1), np.complex128)
+
+    def call(hous2: np.ndarray, work: np.ndarray, query: bool) -> int:
+        lhous2 = ctypes.c_int64(-1 if query else hous2.size)
+        lwork = ctypes.c_int64(-1 if query else work.size)
+        routine(b"N", b"L", ctypes.byref(n), b.ctypes.data, ctypes.byref(n), d.ctypes.data,
+                e.ctypes.data, tau.ctypes.data, hous2.ctypes.data, ctypes.byref(lhous2),
+                work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info), 1, 1)
+        return info.value
+
+    hous2, work = np.zeros(1, np.complex128), np.zeros(1, np.complex128)
+    if call(hous2, work, query=True) != 0:
+        return info.value
+    return call(np.empty(max(1, int(hous2[0].real)), np.complex128),
+                np.empty(max(1, int(work[0].real)), np.complex128), query=False)
+
+
+def tridiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real symmetric tridiagonal form ``(d, e)`` of the Hermitian/symmetric
+    matrix ``b``, a C-ordered complex128 or float64 array that it overwrites.
+
+    ``d`` is the diagonal (n) and ``e`` the subdiagonal (n - 1) of a
+    tridiagonal matrix unitarily similar to ``b``. Complex input takes LAPACK's
+    two-stage reduction ``zhetrd_2stage`` (dense to band in BLAS-3, then
+    bulge chasing to tridiagonal) on one OpenBLAS thread; real input keeps the
+    one-stage ``dsytrd`` on the threads it finds, which is faster there. Both
+    reduce the lower triangle and fix ``e1``, so ``(d + theta e1, e)`` is the
+    form of ``b + theta e1 e1^T``. Read column-major, the C-order buffer of
+    ``b`` is ``conj(b)``, whose real tridiagonal form is the same. Requires
+    the LAPACK symbols.
+    """
+    if b.dtype not in (np.complex128, np.float64) or b.ndim != 2 \
+            or b.shape[0] != b.shape[1] or not b.flags.c_contiguous:
+        raise ValueError("tridiagonal needs a square C-ordered complex128 or float64 array")
+    routines = _lapack_routines()
+    n = len(b)
+    d, e = np.empty(n), np.empty(max(n - 1, 0))
+    if b.dtype == np.complex128:
+        with one_blas_thread:
+            info = _zhetrd_2stage(routines["zhetrd_2stage"], b, d, e)
+        _lapack_check(info, "zhetrd_2stage")
+    else:
+        tau = np.empty(max(n - 1, 1))
+        info = routines["dsytrd"](_COL_MAJOR, b"L", n, b.ctypes.data, n, d.ctypes.data,
+                                  e.ctypes.data, tau.ctypes.data)
+        _lapack_check(info, "dsytrd")
+    return d, e
+
+
 def _tridiagonal_spectrum(routines: dict, d: np.ndarray, e: np.ndarray) -> Spectrum:
     d, e = d.copy(), e.copy()  # dsterf overwrites both
     _lapack_check(routines["dsterf"](len(d), d.ctypes.data, e.ctypes.data), "dsterf")
     return Spectrum(values=np.ascontiguousarray(d[::-1]))
+
+
+def _lapack_dtype(entries: np.ndarray) -> type:
+    return np.complex128 if np.iscomplexobj(entries) else np.float64
+
+
+def eigenvalues(m: MatrixSample) -> Spectrum:
+    """All eigenvalues of a Hermitian/symmetric matrix, descending:
+    :func:`tridiagonal` on a copy, then ``dsterf``. Without the LAPACK symbols
+    they come from ``np.linalg.eigvalsh``."""
+    if not m.is_hermitian():
+        raise ValueError("matrix is not exactly Hermitian/symmetric")
+    routines = _lapack_routines()
+    if routines is None:
+        try:
+            vals = np.linalg.eigvalsh(m.entries)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+            raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
+        return Spectrum(values=np.ascontiguousarray(vals[::-1]))
+    b = np.array(m.entries, dtype=_lapack_dtype(m.entries), order="C")
+    return _tridiagonal_spectrum(routines, *tridiagonal(b))
 
 
 def rank_one_spectra(m: MatrixSample, theta: float) -> tuple[Spectrum, Spectrum]:
@@ -100,11 +221,10 @@ def rank_one_spectra(m: MatrixSample, theta: float) -> tuple[Spectrum, Spectrum]
 
     The real Householder reflector ``H = I - tau v v^T``, ``v = u - e1``, maps
     ``u`` to ``e1``, so ``B = H W H`` (one rank-2 update) is similar to ``W``
-    and ``B + theta e1 e1^T`` to the deformed matrix. LAPACK's lower
-    tridiagonal reduction (``zhetrd``/``dsytrd``) never moves ``e1``: one
-    reduction of ``B`` to ``(d, e)`` serves both matrices, and ``dsterf`` on
-    ``(d, e)`` and on ``(d + theta e1, e)`` gives the two spectra. Without the
-    LAPACKE symbols both come from :func:`eigenvalues`.
+    and ``B + theta e1 e1^T`` to the deformed matrix. One :func:`tridiagonal`
+    reduction of ``B`` serves both, and ``dsterf`` on ``(d, e)`` and on
+    ``(d + theta e1, e)`` gives the two spectra. Without the LAPACK symbols
+    both come from :func:`eigenvalues`.
     """
     if not m.is_hermitian():
         raise ValueError("matrix is not exactly Hermitian/symmetric")
@@ -112,7 +232,7 @@ def rank_one_spectra(m: MatrixSample, theta: float) -> tuple[Spectrum, Spectrum]
     routines = _lapack_routines()
     if routines is None:
         return eigenvalues(m), eigenvalues(MatrixSample(entries=m.entries + theta / n))
-    w = np.asarray(m.entries, dtype=np.complex128 if np.iscomplexobj(m.entries) else np.float64)
+    w = np.asarray(m.entries, dtype=_lapack_dtype(m.entries))
     if n == 1:  # u = e1: the reflector is the identity
         b = w.copy()
     else:
@@ -127,12 +247,7 @@ def rank_one_spectra(m: MatrixSample, theta: float) -> tuple[Spectrum, Spectrum]
         b[0] += x.conj()
         b -= (c * x)[:, None]
         b[:, 0] += x
-    # Read column-major, the C-order buffer of B is conj(B): the same real
-    # tridiagonal form, and the lower reduction still fixes e1.
-    d, e, tau_out = np.empty(n), np.empty(n - 1), np.empty(n - 1, dtype=b.dtype)
-    routine = "zhetrd" if b.dtype == np.complex128 else "dsytrd"
-    _lapack_check(routines[routine](_COL_MAJOR, b"L", n, b.ctypes.data, n, d.ctypes.data,
-                                    e.ctypes.data, tau_out.ctypes.data), routine)
+    d, e = tridiagonal(b)
     base = _tridiagonal_spectrum(routines, d, e)
     d[0] += theta
     return base, _tridiagonal_spectrum(routines, d, e)
@@ -181,4 +296,3 @@ def outlier_census(spectrum: Spectrum, theta: float, sigma: float, n: int) -> tu
     count_mid = int(np.sum(lam[1:] > mid))
     count_far = int(np.sum(lam > far))
     return count_mid, count_far
-

@@ -3,6 +3,8 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -16,6 +18,7 @@ import dwigner.correspondence
 import dwigner.dyck_stats
 import dwigner.experiments
 import dwigner.path_model
+import dwigner.spectral
 from dwigner.cli import main as cli_main
 from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of, sample_deformed
 from dwigner.experiments import (
@@ -38,7 +41,7 @@ from dwigner.experiments import (
     semicircle_cdf,
     trace_exp_residual,
 )
-from dwigner.spectral import Spectrum
+from dwigner.spectral import Spectrum, one_blas_thread
 import reference
 from reference import closed_path_tuples, edge_keys, levels_of
 
@@ -82,6 +85,9 @@ def test_semicircle_cdf_basics():
     assert semicircle_cdf(2.0, 1.0) == 1.0
     assert semicircle_cdf(-2.0, 1.0) == 0.0
     assert semicircle_cdf(5.0, 1.5) == 1.0
+    # sigma**2 underflows to 0 here; the CDF is read in x / (2 sigma) alone
+    assert semicircle_cdf(0.0, 1e-310) == 0.5
+    assert semicircle_cdf(1e-320, 1e-320) == pytest.approx(semicircle_cdf(1.0, 1.0), abs=1e-3)
 
 
 def test_semicircle_cdf_against_quadrature():
@@ -946,6 +952,18 @@ def test_cli_trace_growth_empty_exp_window_reports_infinite_ratio(capsys):
     assert "mean_exp_sum: 0.0" in out and "residual_ratio: inf" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["--sigma", "1e-310", "--theta", "2"],
+    ["--sigma", "1e-320", "--theta", "2"],
+    ["--sigma", "1e-310", "--theta", "0"],
+], ids=["sigma-1e-310", "sigma-1e-320", "theta-0"])
+def test_cli_census_with_a_tiny_sigma_exits_without_a_traceback(args, tmp_path):
+    proc = run_cli("census", "--n", "5", "--samples", "2", *args,
+                   "--out", str(tmp_path / "census.csv"))
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("args,name", [
     (["trace-growth", "--theta", "2", "--t-scale", "inf"], "t_scale"),
     (["fluctuations", "--theta", "inf"], "theta"),
@@ -1049,3 +1067,129 @@ def test_cli_config_type_error_names_key_and_file(tmp_path, capsys):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last == f"dwigner: error: {cfg}: config n='abc': expected int"
 
+
+# --------------------------------------------------------------------------
+# OpenBLAS thread count around the runners
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS at two threads for the test, so a count held at one shows on
+    any machine; yields the count's getter and puts the count found back."""
+    get, put = dwigner.spectral._thread_control()
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
+
+
+def _record_threads(monkeypatch, name, get):
+    """Wrap ``experiments.<name>``; returns the thread counts read at its calls."""
+    seen = []
+    real = getattr(dwigner.experiments, name)
+    monkeypatch.setattr(dwigner.experiments, name,
+                        lambda *args: seen.append(get()) or real(*args))
+    return seen
+
+
+# runner, the experiments name each draw calls, theta
+_THREAD_RUNS = {
+    "census": (run_spectrum_census, "rank_one_spectra", 2.0),
+    "fluctuations-super": (run_fluctuations, "eigenvalues", 2.0),
+    "fluctuations-sub": (run_fluctuations, "eigenvalues", 0.5),
+    "trace-growth": (run_trace_growth, "eigenvalues", 2.0),
+}
+
+
+def _thread_run_config(run, symmetry, workers):
+    base = EnsembleConfig.create(n=12, sigma=1.0, theta=_THREAD_RUNS[run][2], law="gaussian",
+                                 symmetry=symmetry, master_seed=3)
+    return ExperimentConfig(base=base, n_samples=4, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+@pytest.mark.parametrize("run", _THREAD_RUNS)
+def test_complex_runs_hold_one_blas_thread_and_restore_the_count(blas_threads, monkeypatch,
+                                                                 run, symmetry, workers):
+    runner, traced, _ = _THREAD_RUNS[run]
+    seen = _record_threads(monkeypatch, traced, blas_threads)
+    runner(_thread_run_config(run, symmetry, workers))
+    assert seen and set(seen) == {1 if symmetry == "complex" else 2}
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_draw_that_raises_restores_the_blas_count(blas_threads, monkeypatch, workers):
+    def broken(*args):
+        raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(dwigner.experiments, "rank_one_spectra", broken)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        run_spectrum_census(_thread_run_config("census", "complex", workers))
+    assert blas_threads() == 2
+
+
+def test_oracle_compare_leaves_the_blas_count_alone(blas_threads, monkeypatch):
+    seen = _record_threads(monkeypatch, "sample_batch", blas_threads)
+    base = EnsembleConfig.create(n=3, sigma=1.0, theta=2.0, law="rademacher",
+                                 symmetry="complex", master_seed=3)
+    # 5000 samples span three Monte Carlo batches on two workers
+    run_oracle_compare(ExperimentConfig(base=base, n_samples=5000, workers=2), 4)
+    assert len(seen) == 3 and set(seen) == {2}
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("run", ["census", "fluctuations-super"])
+def test_runs_without_the_thread_symbols_leave_the_count_alone(blas_threads, monkeypatch, run):
+    monkeypatch.setattr(dwigner.spectral, "_thread_control", lambda: None)
+    runner, traced, _ = _THREAD_RUNS[run]
+    seen = _record_threads(monkeypatch, traced, blas_threads)
+    assert runner(_thread_run_config(run, "complex", 2))["exit_code"] == 0
+    assert seen and set(seen) == {2}
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_a_reduction_outside_a_run_holds_one_thread_for_complex_input(blas_threads,
+                                                                     monkeypatch, symmetry):
+    # criterion 8 calls eigenvalues from its own pool, outside any runner
+    seen = []
+    routines = dict(dwigner.spectral._lapack_routines())
+    two_stage, one_stage = dwigner.spectral._zhetrd_2stage, routines["dsytrd"]
+    monkeypatch.setattr(dwigner.spectral, "_zhetrd_2stage",
+                        lambda *args: seen.append(blas_threads()) or two_stage(*args))
+    routines["dsytrd"] = lambda *args: seen.append(blas_threads()) or one_stage(*args)
+    monkeypatch.setattr(dwigner.spectral, "_lapack_routines", lambda: routines)
+    cfg = EnsembleConfig.create(n=12, sigma=1.0, theta=2.0, law="gaussian",
+                                symmetry=symmetry, master_seed=3)
+    dwigner.spectral.eigenvalues(sample_deformed(cfg, 0))
+    assert seen == [1 if symmetry == "complex" else 2]
+    assert blas_threads() == 2
+
+
+def test_overlapping_scopes_share_one_saved_count(blas_threads):
+    # more threads than cores entering and leaving at a short switch interval:
+    # a scope that restored the count while another was inside would show a 2
+    seen, start = [], threading.Barrier(8)
+
+    def enter_and_leave():
+        start.wait(timeout=60)
+        for _ in range(50):
+            with one_blas_thread:
+                time.sleep(0)  # let another thread enter or leave
+                seen.append(blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8 * 50 and set(seen) == {1}
+    assert blas_threads() == 2

@@ -191,6 +191,11 @@ def scaled_wigner(law, symmetry, n, index=0):
     return MatrixSample(entries=sample_wigner(cfg, index).entries / math.sqrt(n))
 
 
+def dense_spectrum(entries) -> Spectrum:
+    """The second route: numpy's dense eigvalsh, descending."""
+    return Spectrum(values=np.linalg.eigvalsh(entries)[::-1])
+
+
 def max_gap_within_bound(got: Spectrum, want: Spectrum) -> bool:
     radius = float(np.max(np.abs(want.values)))
     return float(np.max(np.abs(got.values - want.values))) <= RANK_ONE_TOL * (1.0 + radius)
@@ -205,9 +210,8 @@ def test_rank_one_spectra_match_two_dense_eigensolves(law, symmetry, n):
         base, deformed = rank_one_spectra(w, theta)
         assert base.values.shape == deformed.values.shape == (n,)
         assert np.all(np.diff(base.values) <= 0) and np.all(np.diff(deformed.values) <= 0)
-        assert max_gap_within_bound(base, eigenvalues(w))
-        deformed_dense = eigenvalues(MatrixSample(entries=w.entries + theta / n))
-        assert max_gap_within_bound(deformed, deformed_dense)
+        assert max_gap_within_bound(base, dense_spectrum(w.entries))
+        assert max_gap_within_bound(deformed, dense_spectrum(w.entries + theta / n))
 
 
 def test_rank_one_spectra_leave_the_input_untouched():
@@ -241,18 +245,69 @@ def test_census_without_lapacke_symbols_matches_shared_reduction(monkeypatch, sy
     shared = run_spectrum_census(cfg)["records"]
     monkeypatch.setattr(spectral, "_lapack_routines", lambda: None)
     calls = []
-    monkeypatch.setattr(spectral, "eigenvalues", lambda m: calls.append(1) or eigenvalues(m))
+    monkeypatch.setattr(spectral, "eigenvalues",
+                        lambda m: calls.append(1) or dense_spectrum(m.entries))
     dense = run_spectrum_census(cfg)["records"]
     assert len(calls) == 2 * 6  # the fallback: two dense eigensolves per draw
     assert [(r["sample"], r["statistic"]) for r in shared] == \
         [(r["sample"], r["statistic"]) for r in dense]
-    radius = max(float(np.max(np.abs(eigenvalues(sample_deformed(base, i)).values)))
+    radius = max(float(np.max(np.abs(np.linalg.eigvalsh(sample_deformed(base, i).entries))))
                  for i in range(6))
     for got, want in zip(shared, dense):
         if isinstance(want["value"], float):
             assert abs(got["value"] - want["value"]) <= RANK_ONE_TOL * (1.0 + radius), want
         else:
             assert got["value"] == want["value"], want
+
+
+# tridiagonal and eigenvalues against numpy's dense eigvalsh; the seed was
+# fixed before the first run, the bound is RANK_ONE_TOL's.
+TRIDIAGONAL_SEED = 2020
+
+
+def tridiagonal_matrix(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform-symmetric"])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 200, 700])
+def test_tridiagonal_and_eigenvalues_match_dense_eigvalsh(law, symmetry, n):
+    cfg = EnsembleConfig.create(n=n, sigma=1.0, theta=0.0, law=law, symmetry=symmetry,
+                                master_seed=TRIDIAGONAL_SEED)
+    w = MatrixSample(entries=sample_wigner(cfg, 0).entries / math.sqrt(n))
+    want = dense_spectrum(w.entries)
+    got = eigenvalues(w)
+    assert got.values.shape == (n,) and np.all(np.diff(got.values) <= 0)
+    assert max_gap_within_bound(got, want)
+    # the form is similar to w and keeps e1 in place: (d + theta e1, e) is the
+    # form of w + theta e1 e1^T
+    d, e = spectral.tridiagonal(np.array(w.entries))
+    assert d.shape == (n,) and e.shape == (n - 1,)
+    assert max_gap_within_bound(dense_spectrum(tridiagonal_matrix(d, e)), want)
+    shifted = w.entries.copy()
+    shifted[0, 0] += 2.0
+    d[0] += 2.0
+    assert max_gap_within_bound(dense_spectrum(tridiagonal_matrix(d, e)),
+                                dense_spectrum(shifted))
+
+
+def test_eigenvalues_without_lapack_symbols_are_eigvalsh(monkeypatch):
+    w = scaled_wigner("gaussian", "complex", 17)
+    monkeypatch.setattr(spectral, "_lapack_routines", lambda: None)
+    assert np.array_equal(eigenvalues(w).values, np.linalg.eigvalsh(w.entries)[::-1])
+
+
+@pytest.mark.parametrize("b", [
+    np.eye(3, dtype=np.complex64),
+    np.eye(3, dtype=np.int64),
+    np.zeros((3, 4)),
+    np.eye(4)[::2, ::2],
+    np.asfortranarray(np.arange(9.0).reshape(3, 3)),
+], ids=["complex64", "int64", "not-square", "strided", "fortran-order"])
+def test_tridiagonal_refuses_arrays_lapack_cannot_overwrite(b):
+    with pytest.raises(ValueError, match="C-ordered"):
+        spectral.tridiagonal(b)
 
 
 @pytest.mark.parametrize("symmetry", ["complex", "real"])
