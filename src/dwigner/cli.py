@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .correspondence import GLUE_CENSUS_GUARD
 from .dyck_stats import PMF_M_GUARD
-from .ensembles import EnsembleConfig
+from .ensembles import SYMMETRIES, EnsembleConfig
 from .experiments import (
     DEFAULT_VERIFY_LIMITS,
     ExperimentConfig,
@@ -41,7 +41,7 @@ _OPTIONS = {
     "theta": (float, None, "deformation strength", _RUNNERS),
     "sigma": (float, None, "off-diagonal scale", _RUNNERS),
     "law": (str, _LAWS, "entry law", _RUNNERS),
-    "symmetry": (str, ("complex", "real"), "symmetry class", _RUNNERS),
+    "symmetry": (str, SYMMETRIES, "symmetry class", _RUNNERS),
     "seed": (int, None, "master seed", _RUNNERS),
     "t_scale": (float, None, "trace exponent scale t (s = floor(t sqrt(n)))", ("trace-growth",)),
     "top_k": (int, None, "edge statistics depth", ("fluctuations",)),

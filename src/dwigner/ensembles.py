@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "EntryLaw",
-    "SymmetryClass",
     "EnsembleConfig",
     "MatrixSample",
     "Regime",
@@ -40,78 +37,27 @@ __all__ = [
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 LAW_KINDS = ("gaussian", "rademacher", "uniform-symmetric")
+SYMMETRIES = ("complex", "real")
 
 
 class RegimeError(ValueError):
     """A statistic was requested outside the regime where it is defined."""
 
 
-class SymmetryClass(Enum):
-    COMPLEX_HERMITIAN = "complex-hermitian"
-    REAL_SYMMETRIC = "real-symmetric"
-
-    @property
-    def is_complex(self) -> bool:
-        return self is SymmetryClass.COMPLEX_HERMITIAN
-
-
-def _double_factorial_odd(k: int) -> int:
-    # (2k-1)!! = 1 * 3 * ... * (2k-1)
-    out = 1
-    for j in range(1, 2 * k, 2):
-        out *= j
-    return out
-
-
-@dataclass(frozen=True)
-class EntryLaw:
-    """Symmetric law of one real entry component.
-
-    ``component_variance`` is the variance of a single real component: for a
-    complex Hermitian ensemble of scale ``sigma`` each of Re and Im carries
-    ``sigma**2 / 2``, for a real symmetric one the single component carries
-    ``sigma**2``.
-    """
-
-    kind: str
-    component_variance: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in LAW_KINDS:
-            raise ValueError(f"unknown entry law {self.kind!r}; expected one of {LAW_KINDS}")
-        if not self.component_variance > 0:
-            raise ValueError("component_variance must be positive")
-
-    def moment(self, order: int) -> float:
-        """Exact moment E[X**order] of one component; odd orders vanish."""
-        if order < 0:
-            raise ValueError("moment order must be nonnegative")
-        if order % 2 == 1:
-            return 0.0
-        k = order // 2
-        v = self.component_variance
-        if self.kind == "gaussian":
-            return _double_factorial_odd(k) * v**k
-        if self.kind == "rademacher":
-            return v**k
-        # uniform on [-sqrt(3 v), sqrt(3 v)]: E[X^{2k}] = (3v)^k / (2k + 1)
-        return 3**k * v**k / (2 * k + 1)
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Parameters of one deformed ensemble.
 
+    ``symmetry`` is ``"complex"`` (Hermitian) or ``"real"`` (symmetric) and
     ``law`` names the entry law (one of ``LAW_KINDS``). Prefer
-    :meth:`create`, which accepts symmetry names and defaults ``diag_sigma``
-    to ``sigma``.
+    :meth:`create`, which defaults ``diag_sigma`` to ``sigma``.
     """
 
     n: int
     sigma: float
     theta: float
     diag_sigma: float
-    symmetry: SymmetryClass
+    symmetry: str
     law: str
     master_seed: int
 
@@ -127,8 +73,14 @@ class EnsembleConfig:
             raise ValueError("theta must be nonnegative")
         if not self.diag_sigma > 0:
             raise ValueError("diag_sigma must be positive")
+        if self.symmetry not in SYMMETRIES:
+            raise ValueError(f"unknown symmetry {self.symmetry!r}; expected one of {SYMMETRIES}")
         if self.law not in LAW_KINDS:
             raise ValueError(f"unknown entry law {self.law!r}; expected one of {LAW_KINDS}")
+
+    @property
+    def is_complex(self) -> bool:
+        return self.symmetry == "complex"
 
     @classmethod
     def create(
@@ -137,15 +89,10 @@ class EnsembleConfig:
         sigma: float,
         theta: float,
         law: str = "gaussian",
-        symmetry: SymmetryClass | str = SymmetryClass.COMPLEX_HERMITIAN,
+        symmetry: str = "complex",
         master_seed: int = 0,
         diag_sigma: float | None = None,
     ) -> "EnsembleConfig":
-        if isinstance(symmetry, str):
-            symmetry = {
-                "complex": SymmetryClass.COMPLEX_HERMITIAN,
-                "real": SymmetryClass.REAL_SYMMETRIC,
-            }.get(symmetry) or SymmetryClass(symmetry)
         return cls(
             n=n,
             sigma=sigma,
@@ -369,7 +316,7 @@ def _wigner_stack(config: EnsembleConfig, indices) -> np.ndarray:
     """
     n = config.n
     n_off = n * (n - 1) // 2
-    is_complex = config.symmetry.is_complex
+    is_complex = config.is_complex
     k_off = 2 * n_off if is_complex else n_off
     off_std = config.sigma / math.sqrt(2.0) if is_complex else config.sigma
     draws = _law_draws(config, indices, ((k_off, off_std), (n, config.diag_sigma)))

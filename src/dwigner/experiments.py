@@ -169,7 +169,7 @@ def _draws(cfg: ExperimentConfig, one) -> list:
     BLAS calls run on one thread too, and no idle BLAS thread they woke spins
     beside the next reduction. A real run leaves the threads as it finds them.
     """
-    with one_blas_thread if cfg.base.symmetry.is_complex else contextlib.nullcontext():
+    with one_blas_thread if cfg.base.is_complex else contextlib.nullcontext():
         return _map_indices(one, range(cfg.n_samples), cfg.workers)
 
 
@@ -230,9 +230,12 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
         rho = regime.rho_theta
         var = regime.sigma_theta**2
         label = "theorem"
-        if not base.symmetry.is_complex:
+        if not base.is_complex:
             var = 2.0 * regime.sigma_theta**2
             label = "conjecture"
+        if not var > 0:
+            raise ValueError(f"sigma (--sigma) = {base.sigma} is too small: sigma_theta**2 "
+                             f"underflows to 0 at theta = {base.theta}")
         devs = _draws(cfg, lambda i: math.sqrt(base.n)
                       * (float(eigenvalues(sample_deformed(base, i)).values[0]) - rho))
         records = _sample_records([(d,) for d in devs], ("sqrt_n_dev_1",))

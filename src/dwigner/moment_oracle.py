@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import path_model
-from .ensembles import EnsembleConfig, EntryLaw, SymmetryClass, regime_of
+from .ensembles import LAW_KINDS, EnsembleConfig, regime_of
 
 __all__ = [
     "MomentModel",
@@ -34,27 +34,50 @@ SHAPE_SUM_GUARD = 100_000_000
 MAX_MOMENT_ORDER = 32
 
 
+def _component_moment(law: str, variance: float, order: int) -> float:
+    """Exact moment E[X**order] of one real component of ``law`` with the given
+    variance; odd orders vanish."""
+    if order < 0:
+        raise ValueError("moment order must be nonnegative")
+    if order % 2 == 1:
+        return 0.0
+    k = order // 2
+    if law == "gaussian":
+        # (2k-1)!! = 1 * 3 * ... * (2k-1)
+        return math.prod(range(1, 2 * k, 2)) * variance**k
+    if law == "rademacher":
+        return variance**k
+    # uniform on [-sqrt(3 v), sqrt(3 v)]: E[X^{2k}] = (3v)^k / (2k + 1)
+    return 3**k * variance**k / (2 * k + 1)
+
+
 @dataclass(frozen=True)
 class MomentModel:
     """Exact joint entry moments of one ensemble.
 
-    ``law`` carries the component law of an off-diagonal entry (complex
-    case: each of Re and Im), ``diag_law`` the real diagonal law. Joint
-    moments above ``MAX_MOMENT_ORDER`` are refused rather than silently
-    computed.
+    ``variance`` is that of one real component of an off-diagonal entry
+    (complex case: each of Re and Im carries ``sigma**2 / 2``, real case the
+    single component carries ``sigma**2``); ``diag_variance`` is that of the
+    real diagonal. Both follow the entry law ``law``. Joint moments above
+    ``MAX_MOMENT_ORDER`` are refused rather than silently computed.
     """
 
-    symmetry: SymmetryClass
-    law: EntryLaw
-    diag_law: EntryLaw
+    is_complex: bool
+    law: str
+    variance: float
+    diag_variance: float
+
+    def __post_init__(self) -> None:
+        if self.law not in LAW_KINDS:
+            raise ValueError(f"unknown entry law {self.law!r}; expected one of {LAW_KINDS}")
 
     @classmethod
     def from_config(cls, config: EnsembleConfig) -> "MomentModel":
-        is_complex = config.symmetry.is_complex
         return cls(
-            symmetry=config.symmetry,
-            law=EntryLaw(config.law, config.sigma**2 / 2 if is_complex else config.sigma**2),
-            diag_law=EntryLaw(config.law, config.diag_sigma**2),
+            is_complex=config.is_complex,
+            law=config.law,
+            variance=config.sigma**2 / 2 if config.is_complex else config.sigma**2,
+            diag_variance=config.diag_sigma**2,
         )
 
     def offdiag_joint(self, a: int, b: int) -> float:
@@ -66,19 +89,19 @@ class MomentModel:
             raise ValueError("moment orders must be nonnegative")
         if a + b > MAX_MOMENT_ORDER:
             raise ValueError(f"moment order {a + b} beyond the model table ({MAX_MOMENT_ORDER})")
-        return _offdiag_joint(self.symmetry, self.law, a, b)
+        return _offdiag_joint(self.is_complex, self.law, self.variance, a, b)
 
     def diag_moment(self, order: int) -> float:
         """E[W_ii**order] for the real diagonal entry."""
         if order > MAX_MOMENT_ORDER:
             raise ValueError(f"moment order {order} beyond the model table ({MAX_MOMENT_ORDER})")
-        return self.diag_law.moment(order)
+        return _component_moment(self.law, self.diag_variance, order)
 
 
 @functools.cache
-def _offdiag_joint(symmetry: SymmetryClass, law: EntryLaw, a: int, b: int) -> float:
-    if not symmetry.is_complex:
-        return law.moment(a + b)
+def _offdiag_joint(is_complex: bool, law: str, variance: float, a: int, b: int) -> float:
+    if not is_complex:
+        return _component_moment(law, variance, a + b)
     if (a + b) % 2 == 1:
         return 0.0
     # W = X + iY with independent symmetric components:
@@ -95,8 +118,8 @@ def _offdiag_joint(symmetry: SymmetryClass, law: EntryLaw, a: int, b: int) -> fl
                 math.comb(a, j)
                 * math.comb(b, k)
                 * phase
-                * law.moment(j + k)
-                * law.moment(rest)
+                * _component_moment(law, variance, j + k)
+                * _component_moment(law, variance, rest)
             )
     return total
 
@@ -190,9 +213,7 @@ def exact_trace_expectation(n: int, power: int, model: MomentModel, theta: float
 
     @functools.cache
     def edge_factor(a: int, b: int, diag: bool) -> float:
-        if diag:
-            return edge_moment(model, a + b, 0, True, theta, n)
-        return edge_moment(model, a, b, False, theta, n)
+        return edge_moment(model, a, b, diag, theta, n)
 
     terms = []
     for sig, counts in _shape_table(power, max_vertices):
@@ -303,11 +324,9 @@ def trace_universality_probe(
         e1 = exact_trace_expectation(n, power, m1, theta)
         e2 = exact_trace_expectation(n, power, m2, theta)
         delta = abs(e1 - e2) / abs(e1) if e1 else abs(e1 - e2)
-        rows.append({"n": n, "value_1": e1, "value_2": e2, "delta": delta})
+        rows.append({"n": n, "delta": delta})
     deltas = [r["delta"] for r in rows]
     return {
-        "power": power,
-        "theta": theta,
         "rows": rows,
         "decreasing": all(d == 0.0 for d in deltas)
         or all(deltas[i] > deltas[i + 1] for i in range(len(deltas) - 1)),

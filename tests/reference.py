@@ -87,7 +87,7 @@ def symbolic_trace_expectation(n: int, power: int, model: MomentModel, theta: fl
         raise ValueError("symbolic route is for desk-scale inputs only")
     t = theta / n
     inv = 1.0 / math.sqrt(n)
-    is_complex = model.symmetry.is_complex
+    is_complex = model.is_complex
 
     def entry(i: int, j: int) -> dict:
         if i == j:

@@ -11,7 +11,6 @@ from dwigner.ensembles import (
     KERNEL_MAX_WORDS,
     KERNEL_MIN_BATCH,
     EnsembleConfig,
-    EntryLaw,
     RegimeError,
     _law_draws,
     _philox_words,
@@ -80,7 +79,7 @@ def _reference_wigner(cfg, sample_index):
 
     n = cfg.n
     n_off = n * (n - 1) // 2
-    if cfg.symmetry.is_complex:
+    if cfg.is_complex:
         parts = draw(2 * n_off, cfg.sigma / math.sqrt(2.0))
         w = np.zeros((n, n), dtype=np.complex128)
         w[np.triu_indices(n, 1)] = parts[:n_off] + 1j * parts[n_off:]
@@ -251,31 +250,7 @@ def test_empirical_entry_moments_n50():
         assert abs(sq.mean() - 0.5) <= 4 * se
 
 
-@pytest.mark.parametrize("law,variance,expected", [
-    # complex rademacher component: E[X^{2k}] = (sigma^2/2)^k
-    ("rademacher", 0.5, lambda k: Fraction(1, 2) ** k),
-    # uniform component: E[X^{2k}] = 3^k v^k / (2k+1)
-    ("uniform-symmetric", 0.5, lambda k: Fraction(3, 2) ** k / (2 * k + 1)),
-])
-def test_component_moments_exact_to_order_twelve(law, variance, expected):
-    entry = EntryLaw(law, variance)
-    for k in range(0, 7):
-        assert entry.moment(2 * k) == pytest.approx(float(expected(k)), rel=0, abs=0)
-        assert entry.moment(2 * k + 1) == 0.0
-
-
-def test_gaussian_moments_and_beta_bound():
-    entry = EntryLaw("gaussian", 1.0)
-    assert entry.moment(2) == 1.0
-    assert entry.moment(4) == 3.0
-    assert entry.moment(6) == 15.0
-
-
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        EntryLaw("poisson", 1.0)
-    with pytest.raises(ValueError):
-        EntryLaw("gaussian", 0.0)
     with pytest.raises(ValueError):
         make_config(n=0)
     with pytest.raises(ValueError):
@@ -284,8 +259,29 @@ def test_validation_errors():
         make_config(theta=-0.1)
     with pytest.raises(ValueError, match="unknown entry law 'poisson'"):
         make_config(law="poisson")
-    with pytest.raises(ValueError, match="unknown entry law 'poisson'"):
-        replace(make_config(), law="poisson")
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("n", 0, "n must be >= 1"),
+    ("sigma", -1.0, "sigma must be positive"),
+    ("theta", -1.0, "theta must be nonnegative"),
+    ("diag_sigma", 0.0, "diag_sigma must be positive"),
+    ("symmetry", "bogus", "unknown symmetry 'bogus'"),
+    ("law", "poisson", "unknown entry law 'poisson'"),
+])
+def test_replace_rejects_a_bad_value_of_every_field(field, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        replace(make_config(), **{field: bad})
+
+
+def test_replace_to_real_samples_as_create_does():
+    replaced = replace(make_config(n=6), symmetry="real")
+    created = make_config(n=6, symmetry="real")
+    assert replaced == created and not replaced.is_complex
+    for index in range(3):
+        assert sample_wigner(replaced, index).entries.tobytes() == \
+            sample_wigner(created, index).entries.tobytes()
+    assert MomentModel.from_config(replaced) == MomentModel.from_config(created)
 
 
 @pytest.mark.parametrize("name", ["sigma", "theta", "diag_sigma"])

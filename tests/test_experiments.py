@@ -964,6 +964,26 @@ def test_cli_census_with_a_tiny_sigma_exits_without_a_traceback(args, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, args", [
+    ("fluctuations", ["--n", "5", "--samples", "3"]),
+    ("fluctuations", ["--n", "5", "--samples", "3", "--symmetry", "real"]),
+    ("oracle-compare", ["--n", "3", "--samples", "20"]),
+], ids=["fluctuations-complex", "fluctuations-real", "oracle-compare"])
+def test_cli_supercritical_run_with_a_tiny_sigma_reports_or_names_the_flag(command, args,
+                                                                            capsys):
+    # sigma_theta**2 and the component variance sigma**2 / 2 underflow to 0
+    try:
+        code = cli_main([command, *args, "--sigma", "1e-310", "--theta", "2"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "variance" not in err
+    if code == 2:
+        assert "--sigma" in err.splitlines()[-1]
+    else:
+        assert code in (0, 1) and out
+
+
 @pytest.mark.parametrize("args,name", [
     (["trace-growth", "--theta", "2", "--t-scale", "inf"], "t_scale"),
     (["fluctuations", "--theta", "inf"], "theta"),

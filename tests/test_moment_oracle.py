@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -50,6 +51,43 @@ def test_joint_moment_symmetries():
             assert m.offdiag_joint(1, 1) == pytest.approx(1.0, rel=1e-12)  # sigma^2
             assert m.diag_moment(1) == 0.0
             assert m.diag_moment(2) == pytest.approx(1.0, rel=1e-12)  # diag_sigma^2
+
+
+@pytest.mark.parametrize("law,variance,expected", [
+    # complex rademacher component: E[X^{2k}] = (sigma^2/2)^k
+    ("rademacher", 0.5, lambda k: Fraction(1, 2) ** k),
+    # uniform component: E[X^{2k}] = 3^k v^k / (2k+1)
+    ("uniform-symmetric", 0.5, lambda k: Fraction(3, 2) ** k / (2 * k + 1)),
+])
+def test_component_moments_exact_to_order_twelve(law, variance, expected):
+    # a real model's off-diagonal joint moment of order (p, 0) and its
+    # diagonal moment of order p are both the p-th component moment
+    m = MomentModel(is_complex=False, law=law, variance=variance, diag_variance=variance)
+    for k in range(0, 7):
+        for moment in (m.offdiag_joint(2 * k, 0), m.diag_moment(2 * k)):
+            assert moment == pytest.approx(float(expected(k)), rel=0, abs=0)
+        assert m.offdiag_joint(2 * k + 1, 0) == 0.0
+        assert m.diag_moment(2 * k + 1) == 0.0
+
+
+def test_gaussian_moments():
+    m = MomentModel(is_complex=False, law="gaussian", variance=1.0, diag_variance=1.0)
+    assert [m.diag_moment(p) for p in (2, 4, 6)] == [1.0, 3.0, 15.0]
+    assert [m.offdiag_joint(p, 0) for p in (2, 4, 6)] == [1.0, 3.0, 15.0]
+
+
+def test_model_rejects_an_unknown_law():
+    with pytest.raises(ValueError, match="unknown entry law 'poisson'"):
+        MomentModel(is_complex=True, law="poisson", variance=0.5, diag_variance=1.0)
+
+
+def test_tiny_sigma_model_has_vanishing_moments():
+    # sigma**2 / 2 underflows to 0.0: the model keeps it, and only the
+    # order-0 moment survives
+    m = model_for("gaussian", "complex", sigma=1e-310)
+    assert m.variance == 0.0
+    assert m.offdiag_joint(0, 0) == 1.0 and m.offdiag_joint(1, 1) == 0.0
+    assert exact_trace_expectation(3, 2, m, 2.0) == pytest.approx(4.0)
 
 
 def test_moment_order_guard():
