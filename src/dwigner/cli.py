@@ -194,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits with code 2
     except OverflowError as exc:
         parser.error(f"a parameter overflows a float: {exc}")
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; --n sets its size
+        parser.error(f"not enough memory for the matrices of this --n: {exc}")
 
     if args.command == "verify-combinatorics":
         for rec in report["records"]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +110,24 @@ class MatrixSample:
     entries: np.ndarray = field(repr=False)
 
     def is_hermitian(self) -> bool:
-        return bool(np.array_equal(self.entries, self.entries.conj().T))
+        """Whether the entries equal their conjugate transpose exactly.
+
+        Each block of rows, from the diagonal on, is compared with the
+        conjugate of the matching block of columns, so the check copies one
+        block of at most ``_HERMITIAN_BLOCK`` entries, never the matrix.
+        """
+        a = self.entries
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            return False
+        n = len(a)
+        step = max(1, _HERMITIAN_BLOCK // max(n, 1))
+        return all(np.array_equal(a[r:r + step, r:], a[r:, r:r + step].conj().T)
+                   for r in range(0, n, step))
+
+
+# Entries of the conjugate copy that MatrixSample.is_hermitian makes per
+# block: 128 KiB of complex128.
+_HERMITIAN_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -303,16 +319,19 @@ def _law_draws(config: EnsembleConfig, indices, blocks) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _upper_indices(n: int):
-    return np.triu_indices(n, 1)
-
-
 def _wigner_stack(config: EnsembleConfig, indices) -> np.ndarray:
     """The ``(len(indices), n, n)`` stack of ``W``, slice b drawn for ``indices[b]``.
 
     The draws of one index are the off-diagonal components (complex case:
-    all real parts, then all imaginary parts), then the diagonal.
+    all real parts, then all imaginary parts), then the diagonal. The stack
+    is allocated once and every entry written once: each upper row segment
+    straight from the draws, then its conjugate into the column below the
+    diagonal, and the diagonal last. So a draw holds the draws and the stack,
+    and nothing else of size n**2.
+
+    An off-diagonal component ``x`` is stored as ``x + 0.0`` (a lower
+    imaginary part as ``0.0 - y``), the bits of ``conj(U^T) + U`` for the
+    zero-filled upper triangle ``U``: the zero terms turn -0.0 into +0.0.
     """
     n = config.n
     n_off = n * (n - 1) // 2
@@ -320,18 +339,23 @@ def _wigner_stack(config: EnsembleConfig, indices) -> np.ndarray:
     k_off = 2 * n_off if is_complex else n_off
     off_std = config.sigma / math.sqrt(2.0) if is_complex else config.sigma
     draws = _law_draws(config, indices, ((k_off, off_std), (n, config.diag_sigma)))
-    upper = draws[:, :n_off] + 1j * draws[:, n_off:k_off] if is_complex else draws[:, :n_off]
-    w = np.zeros((len(indices), n, n), dtype=upper.dtype)
-    rows, cols = _upper_indices(n)
-    w[:, rows, cols] = upper
-    del upper  # the complex values are copied into w; free them before the mirror
-    # w + conj(w^T), summed as conj(w^T) + w into one new C-ordered array
-    # (addition commutes bit for bit), so the mirror holds two stacks, not three.
-    m = np.conjugate(w.swapaxes(1, 2), order="C")
-    m += w
-    del w
-    d = np.arange(n)
-    m[:, d, d] = draws[:, k_off:]
+    m = np.empty((len(indices), n, n), np.complex128 if is_complex else np.float64)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        upper, lower = m[:, i, i + 1:], m[:, i + 1:, i]
+        re = draws[:, start:stop]
+        if is_complex:
+            im = draws[:, n_off + start:n_off + stop]
+            np.add(re, 0.0, out=upper.real)
+            np.add(im, 0.0, out=upper.imag)
+            np.add(re, 0.0, out=lower.real)
+            np.subtract(0.0, im, out=lower.imag)
+        else:
+            np.add(re, 0.0, out=upper)
+            np.add(re, 0.0, out=lower)
+        start = stop
+    m.reshape(len(indices), n * n)[:, :: n + 1] = draws[:, k_off:]
     return m
 
 

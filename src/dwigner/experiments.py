@@ -21,7 +21,6 @@ import numpy as np
 from . import correspondence, dyck_stats, path_model
 from .ensembles import (
     EnsembleConfig,
-    MatrixSample,
     RegimeError,
     regime_of,
     sample_batch,
@@ -35,11 +34,12 @@ from .moment_oracle import (
 )
 from .spectral import (
     Spectrum,
+    _owned_eigenvalues,
+    _owned_rank_one_spectra,
     eigenvalues,
     interlacing_check,
     one_blas_thread,
     outlier_census,
-    rank_one_spectra,
     rescaled_fluctuation,
 )
 
@@ -364,8 +364,11 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
     sqrt_n = math.sqrt(base.n)
 
     def one(i: int):
-        scaled = MatrixSample(entries=sample_wigner(base, i).entries / sqrt_n)
-        base_spec, spec = rank_one_spectra(scaled, base.theta)
+        # the draw is this sample's own buffer: scaled, turned into the
+        # reflected matrix and reduced in place, never copied
+        w = sample_wigner(base, i).entries
+        w /= sqrt_n
+        base_spec, spec = _owned_rank_one_spectra(w, base.theta)
         ks = ks_statistic(
             np.asarray(spec.values, dtype=np.float64), lambda x: semicircle_cdf(x, base.sigma))
         violations = interlacing_check(spec, base_spec)
@@ -404,6 +407,14 @@ def _mc_batch(n: int) -> int:
     return min(MC_BATCH_MAX, max(1, MC_BATCH_ENTRIES // n**2))
 
 
+# The smallest n at which _mc_batch(n) is 1 (453). From there on each draw is
+# reduced alone, in its own buffer, by the route of spectral.eigenvalues (the
+# complex reduction on one BLAS thread), which beats numpy's eigvalsh there.
+# The route is keyed on n, never on the size of a batch, so that the moments
+# at a given n do not depend on how the samples are batched.
+MC_SINGLE_DRAW_N = math.isqrt(MC_BATCH_ENTRIES // 2) + 1
+
+
 def mc_trace_moments(
     config: EnsembleConfig,
     n_samples: int,
@@ -413,16 +424,22 @@ def mc_trace_moments(
     """Monte Carlo mean and standard error of Tr M**L for each power.
 
     Each batch of ``_mc_batch(n)`` matrices is drawn with one ``sample_batch``
-    call and decomposed with one batched eigenvalue call; per-sample values
-    stay tied to their sample index, so the result is independent of batching
-    and worker count.
+    call. Below ``MC_SINGLE_DRAW_N`` it is decomposed with one batched
+    ``eigvalsh`` call; from there on each matrix is reduced in place in the
+    batch's buffer. Per-sample values stay tied to their sample index, so the
+    result is independent of batching and worker count.
     """
     batch = _mc_batch(config.n)
     starts = list(range(0, n_samples, batch))
 
     def run_batch(start: int) -> np.ndarray:
         stop = min(start + batch, n_samples)
-        lam = np.linalg.eigvalsh(sample_batch(config, range(start, stop)))
+        stack = sample_batch(config, range(start, stop))
+        if config.n >= MC_SINGLE_DRAW_N:
+            # ascending, the order eigvalsh returns and the sums add them in
+            lam = np.stack([_owned_eigenvalues(m).values[::-1] for m in stack])
+        else:
+            lam = np.linalg.eigvalsh(stack)
         return np.stack([np.sum(lam**p, axis=1) for p in powers], axis=0)
 
     chunks = _map_indices(run_batch, starts, workers)

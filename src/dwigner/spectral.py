@@ -24,7 +24,6 @@ __all__ = [
     "EigensolverError",
     "tridiagonal",
     "eigenvalues",
-    "rank_one_spectra",
     "one_blas_thread",
     "interlacing_check",
     "rescaled_fluctuation",
@@ -199,21 +198,55 @@ def _lapack_dtype(entries: np.ndarray) -> type:
     return np.complex128 if np.iscomplexobj(entries) else np.float64
 
 
-def eigenvalues(m: MatrixSample) -> Spectrum:
-    """All eigenvalues of a Hermitian/symmetric matrix, descending:
-    :func:`tridiagonal` on a copy, then ``dsterf``. Without the LAPACK symbols
-    they come from ``np.linalg.eigvalsh``."""
-    if not m.is_hermitian():
+def _owned_eigenvalues(b: np.ndarray) -> Spectrum:
+    """:func:`eigenvalues` of ``b``, a C-ordered complex128 or float64 array
+    that it overwrites."""
+    if not MatrixSample(entries=b).is_hermitian():
         raise ValueError("matrix is not exactly Hermitian/symmetric")
     routines = _lapack_routines()
     if routines is None:
         try:
-            vals = np.linalg.eigvalsh(m.entries)
+            vals = np.linalg.eigvalsh(b)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
             raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
         return Spectrum(values=np.ascontiguousarray(vals[::-1]))
-    b = np.array(m.entries, dtype=_lapack_dtype(m.entries), order="C")
     return _tridiagonal_spectrum(routines, *tridiagonal(b))
+
+
+def eigenvalues(m: MatrixSample) -> Spectrum:
+    """All eigenvalues of a Hermitian/symmetric matrix, descending:
+    :func:`tridiagonal` on a copy, then ``dsterf``. Without the LAPACK symbols
+    they come from ``np.linalg.eigvalsh``."""
+    return _owned_eigenvalues(np.array(m.entries, dtype=_lapack_dtype(m.entries), order="C"))
+
+
+def _owned_rank_one_spectra(b: np.ndarray, theta: float) -> tuple[Spectrum, Spectrum]:
+    """:func:`rank_one_spectra` of ``b``, a C-ordered complex128 or float64
+    array that it overwrites: the reflector turns it into ``B`` in place and
+    :func:`tridiagonal` reduces ``B`` where it stands."""
+    if not MatrixSample(entries=b).is_hermitian():
+        raise ValueError("matrix is not exactly Hermitian/symmetric")
+    n = len(b)
+    routines = _lapack_routines()
+    if routines is None:
+        deformed = MatrixSample(entries=b + theta / n)
+        return eigenvalues(MatrixSample(entries=b)), eigenvalues(deformed)
+    if n > 1:  # at n = 1, u = e1: the reflector is the identity
+        c = 1.0 / np.sqrt(n)
+        v = np.full(n, c)
+        v[0] -= 1.0
+        tau = 2.0 / (v @ v)
+        wv = b @ v.astype(b.dtype)
+        x = tau * wv - (0.5 * tau * tau * (v @ wv).real) * v
+        # B = W - v x^H - x v^T, with v = c 1 - e1 applied as row and column broadcasts
+        b -= c * x.conj()
+        b[0] += x.conj()
+        b -= (c * x)[:, None]
+        b[:, 0] += x
+    d, e = tridiagonal(b)
+    base = _tridiagonal_spectrum(routines, d, e)
+    d[0] += theta
+    return base, _tridiagonal_spectrum(routines, d, e)
 
 
 def rank_one_spectra(m: MatrixSample, theta: float) -> tuple[Spectrum, Spectrum]:
@@ -223,34 +256,12 @@ def rank_one_spectra(m: MatrixSample, theta: float) -> tuple[Spectrum, Spectrum]
     ``u`` to ``e1``, so ``B = H W H`` (one rank-2 update) is similar to ``W``
     and ``B + theta e1 e1^T`` to the deformed matrix. One :func:`tridiagonal`
     reduction of ``B`` serves both, and ``dsterf`` on ``(d, e)`` and on
-    ``(d + theta e1, e)`` gives the two spectra. Without the LAPACK symbols
-    both come from :func:`eigenvalues`.
+    ``(d + theta e1, e)`` gives the two spectra. ``W`` is copied once, and
+    ``B`` built and reduced in that copy. Without the LAPACK symbols both
+    come from :func:`eigenvalues`.
     """
-    if not m.is_hermitian():
-        raise ValueError("matrix is not exactly Hermitian/symmetric")
-    n = m.entries.shape[0]
-    routines = _lapack_routines()
-    if routines is None:
-        return eigenvalues(m), eigenvalues(MatrixSample(entries=m.entries + theta / n))
-    w = np.asarray(m.entries, dtype=_lapack_dtype(m.entries))
-    if n == 1:  # u = e1: the reflector is the identity
-        b = w.copy()
-    else:
-        c = 1.0 / np.sqrt(n)
-        v = np.full(n, c)
-        v[0] -= 1.0
-        tau = 2.0 / (v @ v)
-        wv = w @ v.astype(w.dtype)
-        x = tau * wv - (0.5 * tau * tau * (v @ wv).real) * v
-        # B = W - v x^H - x v^T, with v = c 1 - e1 applied as row and column broadcasts
-        b = w - c * x.conj()
-        b[0] += x.conj()
-        b -= (c * x)[:, None]
-        b[:, 0] += x
-    d, e = tridiagonal(b)
-    base = _tridiagonal_spectrum(routines, d, e)
-    d[0] += theta
-    return base, _tridiagonal_spectrum(routines, d, e)
+    return _owned_rank_one_spectra(
+        np.array(m.entries, dtype=_lapack_dtype(m.entries), order="C"), theta)
 
 
 def interlacing_check(deformed: Spectrum, base: Spectrum) -> int:

@@ -22,7 +22,8 @@ replaced, and ``preimage_census_reference`` is the dict-counting census that
 ``correspondence.preimage_bound_check`` must reproduce. ``dyck_failed_checks_mask`` is the
 block-by-time mask form of the row checks of ``dyck_stats.dyck_decompose_rows``,
 which now reads each block's lowest height and the running maximum of the
-block ends instead.
+block ends instead. ``wigner_stack_reference`` is the mirror-sum assembly
+that ``ensembles._wigner_stack`` replaced with its in-place fill.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
+from dwigner import ensembles
 from dwigner.ensembles import MatrixSample
 from dwigner.moment_oracle import MomentModel
 from dwigner.path_model import (
@@ -59,6 +61,7 @@ __all__ = [
     "glue_reference",
     "k_statistic_reference",
     "preimage_census_reference",
+    "wigner_stack_reference",
 ]
 
 
@@ -138,6 +141,32 @@ def trace_power_dense(m: MatrixSample, power: int) -> float:
     for _ in range(power - 1):
         acc = acc @ m.entries
     return float(np.trace(acc).real)
+
+
+def wigner_stack_reference(config, indices) -> np.ndarray:
+    """The stack of ``ensembles._wigner_stack`` from the same draws, assembled
+    by the mirror sum: the (complex) upper triangle scattered into a zeroed
+    stack ``w``, then ``conj(w^T) + w``, then the diagonal.
+
+    The draws come through ``ensembles._law_draws``, looked up at each call,
+    so a test that patches the draws patches both routes.
+    """
+    n = config.n
+    n_off = n * (n - 1) // 2
+    k_off = 2 * n_off if config.is_complex else n_off
+    off_std = config.sigma / math.sqrt(2.0) if config.is_complex else config.sigma
+    draws = ensembles._law_draws(config, indices, ((k_off, off_std), (n, config.diag_sigma)))
+    if config.is_complex:
+        upper = draws[:, :n_off] + 1j * draws[:, n_off:k_off]
+    else:
+        upper = draws[:, :n_off]
+    w = np.zeros((len(indices), n, n), dtype=upper.dtype)
+    rows, cols = np.triu_indices(n, 1)
+    w[:, rows, cols] = upper
+    m = np.conjugate(w.swapaxes(1, 2)) + w
+    d = np.arange(n)
+    m[:, d, d] = draws[:, k_off:]
+    return m
 
 
 def edge_keys(verts: tuple[int, ...]) -> list[tuple[int, int]]:

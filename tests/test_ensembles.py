@@ -1,12 +1,14 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dwigner import ensembles
 from dwigner.ensembles import (
     KERNEL_MAX_WORDS,
     KERNEL_MIN_BATCH,
@@ -20,7 +22,9 @@ from dwigner.ensembles import (
     sample_deformed,
     sample_wigner,
 )
+from dwigner.experiments import ExperimentConfig, run_spectrum_census
 from dwigner.moment_oracle import MomentModel, exact_trace_expectation
+from reference import wigner_stack_reference
 
 
 def make_config(**kwargs):
@@ -148,6 +152,75 @@ def test_index_bytes_do_not_depend_on_the_batch_at_the_crossover(law, symmetry, 
     assert sample_batch(cfg, [i])[0].tobytes() == alone
     assert sample_batch(cfg, range(i - 3, i + 4))[3].tobytes() == alone
     assert sample_batch(cfg, range(i - 1000, i + 1048))[1000].tobytes() == alone
+
+
+def _signed_zero_draws(law_draws):
+    """``_law_draws`` with every third draw replaced by -0.0 and every third
+    from the second on by +0.0."""
+    def patched(*args):
+        draws = law_draws(*args)
+        draws[:, 0::3] = -0.0
+        draws[:, 1::3] = 0.0
+        return draws
+    return patched
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["draws", "signed-zero-draws"])
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform-symmetric"])
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_wigner_stack_bit_equal_to_the_mirror_sum(monkeypatch, law, symmetry, zeros):
+    # the in-place fill against the mirror sum conj(w^T) + w, sign bits
+    # included: tobytes compares -0.0 and +0.0 as different. Three indices
+    # take the per-index loop; at n <= 4 a batch of KERNEL_MIN_BATCH indices
+    # also takes the Philox kernel for the Rademacher and uniform laws.
+    if zeros:
+        monkeypatch.setattr(ensembles, "_law_draws", _signed_zero_draws(_law_draws))
+    for n in (1, 2, 4, 37, 300):
+        cfg = make_config(n=n, law=law, symmetry=symmetry, sigma=1.3, diag_sigma=0.37)
+        batches = [[0, 17, 2**63 + 11]]
+        if n <= 4:
+            batches.append(range(1000, 1000 + KERNEL_MIN_BATCH))
+        for indices in batches:
+            got, want = _wigner_stack(cfg, indices), wigner_stack_reference(cfg, indices)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+# Peak of the memory that numpy and Python allocate while one complex n = 300
+# Gaussian draw is sampled: the draws (n**2 float64: n (n - 1) off-diagonal
+# components and n diagonal ones, 720,000 bytes) and the stack (n**2
+# complex128, 1,440,000 bytes) are the only arrays of size n**2; the fill
+# allocates no more than views and scalars, which a 64 KiB margin covers.
+STACK_PEAK_N = 300
+STACK_PEAK_BOUND = STACK_PEAK_N**2 * (8 + 16) + 64 * 1024
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wigner_stack_peak_memory_is_the_draws_and_one_stack():
+    cfg = make_config(n=STACK_PEAK_N)
+    _wigner_stack(cfg, (0,))
+    peak = _traced_peak(lambda: _wigner_stack(cfg, (1,)))
+    assert peak <= STACK_PEAK_BOUND, peak
+
+
+def test_census_draw_peak_memory_is_the_draws_and_one_stack():
+    # One census draw at n = 300: sampling holds the draws and the stack;
+    # the draws are freed when the sampler returns, and the census scales,
+    # reflects and reduces the stack in place. What the reduction adds (the
+    # two-stage workspace, 0.34 MB at n = 300, and vectors of size n) stays
+    # below the draws, so the bound on the sampler holds for the whole draw.
+    cfg = ExperimentConfig(base=make_config(n=STACK_PEAK_N), n_samples=1)
+    run_spectrum_census(cfg)  # loads the LAPACK routines before tracing
+    peak = _traced_peak(lambda: run_spectrum_census(cfg))
+    assert peak <= STACK_PEAK_BOUND, peak
 
 
 def test_kernel_path_leaves_numpy_random_unloaded():

@@ -25,6 +25,7 @@ from dwigner.experiments import (
     _CHECKS,
     DEFAULT_VERIFY_LIMITS,
     MC_BATCH_ENTRIES,
+    MC_SINGLE_DRAW_N,
     ExperimentConfig,
     _mc_batch,
     gaussian_cdf,
@@ -41,7 +42,7 @@ from dwigner.experiments import (
     semicircle_cdf,
     trace_exp_residual,
 )
-from dwigner.spectral import Spectrum, one_blas_thread
+from dwigner.spectral import Spectrum, eigenvalues, one_blas_thread
 import reference
 from reference import closed_path_tuples, edge_keys, levels_of
 
@@ -276,6 +277,24 @@ def test_mc_trace_moments_matches_per_sample_draws(monkeypatch, workers):
         vals = np.sum(lam**p, axis=1)
         expected[p] = (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(100)))
     assert mc_trace_moments(cfg, 100, (2, 5), workers=workers) == expected
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_mc_trace_moments_reduce_each_draw_alone_from_n_453(monkeypatch, symmetry):
+    # from MC_SINGLE_DRAW_N on, a batch holds one matrix and each draw's
+    # moments are those of spectral.eigenvalues on that draw, bit for bit;
+    # the route is keyed on n, so batches of two give the same bits
+    assert MC_SINGLE_DRAW_N == 453 and _mc_batch(452) == 2 and _mc_batch(453) == 1
+    cfg = EnsembleConfig.create(n=MC_SINGLE_DRAW_N, sigma=1.0, theta=2.0, law="rademacher",
+                                symmetry=symmetry, master_seed=3)
+    lam = np.stack([eigenvalues(sample_deformed(cfg, i)).values[::-1] for i in range(3)])
+    expected = {}
+    for p in (2, 5):
+        vals = np.sum(lam**p, axis=1)
+        expected[p] = (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(3)))
+    assert mc_trace_moments(cfg, 3, (2, 5), workers=2) == expected
+    monkeypatch.setattr(dwigner.experiments, "_mc_batch", lambda n: 2)
+    assert mc_trace_moments(cfg, 3, (2, 5)) == expected
 
 
 def test_oracle_compare_report_bytes_are_pinned(tmp_path):
@@ -930,6 +949,24 @@ def test_cli_bad_input_exits_2_with_one_line(args, capsys):
     assert sum(line.startswith("dwigner: error: ") for line in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["census", "fluctuations", "oracle-compare"])
+def test_cli_out_of_memory_exits_2_with_one_line_naming_n(command, monkeypatch, capsys):
+    # The sampler raises as numpy does when it cannot allocate the stack. A
+    # real oversized allocation is never made: under overcommit it can
+    # succeed, and filling it then exhausts the machine.
+    def no_memory(config, indices):
+        raise MemoryError(f"Unable to allocate the stack of shape "
+                          f"({len(indices)}, {config.n}, {config.n})")
+    monkeypatch.setattr(dwigner.ensembles, "_wigner_stack", no_memory)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--n", "100000", "--theta", "2", "--samples", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("dwigner: error: ")]
+    assert line == err.splitlines()[-1] and "--n" in line
+
+
 def test_cli_trace_growth_t_scale_past_float_range_exits_2(capsys):
     # t n^{1/6} + log n above log(float max) would overflow the exponential
     # sum; at n = 100 the largest t allowed is 327.314
@@ -1114,7 +1151,7 @@ def _record_threads(monkeypatch, name, get):
 
 # runner, the experiments name each draw calls, theta
 _THREAD_RUNS = {
-    "census": (run_spectrum_census, "rank_one_spectra", 2.0),
+    "census": (run_spectrum_census, "_owned_rank_one_spectra", 2.0),
     "fluctuations-super": (run_fluctuations, "eigenvalues", 2.0),
     "fluctuations-sub": (run_fluctuations, "eigenvalues", 0.5),
     "trace-growth": (run_trace_growth, "eigenvalues", 2.0),
@@ -1144,7 +1181,7 @@ def test_a_draw_that_raises_restores_the_blas_count(blas_threads, monkeypatch, w
     def broken(*args):
         raise RuntimeError("draw failed")
 
-    monkeypatch.setattr(dwigner.experiments, "rank_one_spectra", broken)
+    monkeypatch.setattr(dwigner.experiments, "_owned_rank_one_spectra", broken)
     with pytest.raises(RuntimeError, match="draw failed"):
         run_spectrum_census(_thread_run_config("census", "complex", workers))
     assert blas_threads() == 2
