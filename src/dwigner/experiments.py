@@ -9,7 +9,6 @@ counterexamples.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +20,7 @@ import numpy as np
 from . import correspondence, dyck_stats, path_model
 from .ensembles import (
     EnsembleConfig,
+    MatrixSample,
     RegimeError,
     regime_of,
     sample_batch,
@@ -34,12 +34,10 @@ from .moment_oracle import (
 )
 from .spectral import (
     Spectrum,
-    _owned_eigenvalues,
-    _owned_rank_one_spectra,
     eigenvalues,
     interlacing_check,
-    one_blas_thread,
     outlier_census,
+    rank_one_spectra,
     rescaled_fluctuation,
 )
 
@@ -83,6 +81,8 @@ class ExperimentConfig:
             raise ValueError("top_k must be >= 1")
         if self.top_k > self.base.n:
             raise ValueError("top_k must be <= n")
+        if not math.isfinite(2.0 * self.base.sigma):
+            raise ValueError(f"sigma (--sigma) = {self.base.sigma} is too large: 2 sigma overflows")
         if not math.isfinite(self.t_scale):
             raise ValueError(f"t_scale must be finite, got {self.t_scale}")
         if not self.t_scale > 0:
@@ -158,19 +158,7 @@ def _map_indices(fn, indices, workers: int) -> list:
 
 
 # --------------------------------------------------------------------------
-# shared runner core: per-sample draws, records, report and KS gate
-
-
-def _draws(cfg: ExperimentConfig, one) -> list:
-    """``one(i)`` for every sample index, in index order.
-
-    A complex run holds OpenBLAS at one thread for all its draws, not only
-    for each reduction (``tridiagonal`` does that): so the rest of a draw's
-    BLAS calls run on one thread too, and no idle BLAS thread they woke spins
-    beside the next reduction. A real run leaves the threads as it finds them.
-    """
-    with one_blas_thread if cfg.base.is_complex else contextlib.nullcontext():
-        return _map_indices(one, range(cfg.n_samples), cfg.workers)
+# shared runner core: records, report and KS gate
 
 
 def _sample_records(rows, names) -> list[dict]:
@@ -236,8 +224,9 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
         if not var > 0:
             raise ValueError(f"sigma (--sigma) = {base.sigma} is too small: sigma_theta**2 "
                              f"underflows to 0 at theta = {base.theta}")
-        devs = _draws(cfg, lambda i: math.sqrt(base.n)
-                      * (float(eigenvalues(sample_deformed(base, i)).values[0]) - rho))
+        devs = _map_indices(lambda i: math.sqrt(base.n) * (
+            float(eigenvalues(sample_deformed(base, i)).values[0]) - rho),
+            range(cfg.n_samples), cfg.workers)
         records = _sample_records([(d,) for d in devs], ("sqrt_n_dev_1",))
         ks = ks_statistic(devs, lambda x: gaussian_cdf(x, 0.0, var))
         summary.update(
@@ -251,9 +240,9 @@ def run_fluctuations(cfg: ExperimentConfig) -> dict:
         worst = ks.statistic
     else:
         def edge_stats(config: EnsembleConfig, first: int) -> list:
-            return _draws(cfg, lambda i: rescaled_fluctuation(
+            return _map_indices(lambda i: rescaled_fluctuation(
                 eigenvalues(sample_deformed(config, first + i)), config.sigma, config.n,
-                cfg.top_k))
+                cfg.top_k), range(cfg.n_samples), cfg.workers)
 
         primary = edge_stats(base, 0)
         second = edge_stats(cfg.baseline or replace(base, law="gaussian"), cfg.n_samples)
@@ -337,7 +326,7 @@ def run_trace_growth(cfg: ExperimentConfig) -> dict:
         )
         return eps, exp_sum, grid_traces
 
-    rows = _draws(cfg, one)
+    rows = _map_indices(one, range(cfg.n_samples), cfg.workers)
     mean_abs_eps = math.fsum(abs(r[0]) for r in rows) / len(rows)
     mean_exp_sum = math.fsum(r[1] for r in rows) / len(rows)
     summary = {
@@ -368,14 +357,14 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
         # reflected matrix and reduced in place, never copied
         w = sample_wigner(base, i).entries
         w /= sqrt_n
-        base_spec, spec = _owned_rank_one_spectra(w, base.theta)
+        base_spec, spec = rank_one_spectra(w, base.theta)
         ks = ks_statistic(
             np.asarray(spec.values, dtype=np.float64), lambda x: semicircle_cdf(x, base.sigma))
         violations = interlacing_check(spec, base_spec)
         census = outlier_census(spec, base.theta, base.sigma, base.n) if supercritical else (0, 0)
         return (ks.statistic, violations, float(spec.values[0])) + census
 
-    rows = _draws(cfg, one)
+    rows = _map_indices(one, range(cfg.n_samples), cfg.workers)
     names = ["esd_ks", "interlacing_violations", "lambda_1"]
     summary = {
         "max_esd_ks": max(r[0] for r in rows),
@@ -408,8 +397,8 @@ def _mc_batch(n: int) -> int:
 
 
 # The smallest n at which _mc_batch(n) is 1 (453). From there on each draw is
-# reduced alone, in its own buffer, by the route of spectral.eigenvalues (the
-# complex reduction on one BLAS thread), which beats numpy's eigvalsh there.
+# reduced alone, in its own buffer, by spectral.eigenvalues (the complex
+# reduction on one BLAS thread), which beats numpy's eigvalsh there.
 # The route is keyed on n, never on the size of a batch, so that the moments
 # at a given n do not depend on how the samples are batched.
 MC_SINGLE_DRAW_N = math.isqrt(MC_BATCH_ENTRIES // 2) + 1
@@ -437,7 +426,7 @@ def mc_trace_moments(
         stack = sample_batch(config, range(start, stop))
         if config.n >= MC_SINGLE_DRAW_N:
             # ascending, the order eigvalsh returns and the sums add them in
-            lam = np.stack([_owned_eigenvalues(m).values[::-1] for m in stack])
+            lam = np.stack([eigenvalues(MatrixSample(entries=m)).values[::-1] for m in stack])
         else:
             lam = np.linalg.eigvalsh(stack)
         return np.stack([np.sum(lam**p, axis=1) for p in powers], axis=0)

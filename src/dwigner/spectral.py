@@ -1,15 +1,16 @@
 """Dense eigenvalue computation and rescaled spectral statistics.
 
 Everything downstream consumes eigenvalues only. Every spectrum of one matrix
-is a reduction to real tridiagonal form followed by ``dsterf``: this module
-exposes that reduction, the full spectrum of one matrix, the pair of spectra
-of ``W`` and its rank-one deformation from one shared reduction, a scope that
-holds OpenBLAS at one thread, the rank-one interlacing check, the top-k edge
-rescaling and the outlier census.
+is a reduction to real tridiagonal form, in the buffer it is handed, followed
+by ``dsterf``. The module exposes that reduction, the full spectrum of one
+matrix, the pair of spectra of ``W`` and its rank-one deformation from one
+shared reduction, the rank-one interlacing check, the top-k edge rescaling
+and the outlier census; only it holds OpenBLAS at one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import threading
@@ -24,7 +25,7 @@ __all__ = [
     "EigensolverError",
     "tridiagonal",
     "eigenvalues",
-    "one_blas_thread",
+    "rank_one_spectra",
     "interlacing_check",
     "rescaled_fluctuation",
     "outlier_census",
@@ -84,6 +85,9 @@ def _lapack_routines() -> dict | None:
 def _lapack_check(info: int, routine: str) -> None:
     if info != 0:
         raise EigensolverError(f"LAPACK {routine} returned info = {info}")
+
+
+_OVERFLOW = "the matrix overflows float64: its entry scale sigma (--sigma) is too large"
 
 
 @functools.cache
@@ -168,7 +172,7 @@ def tridiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reduce the lower triangle and fix ``e1``, so ``(d + theta e1, e)`` is the
     form of ``b + theta e1 e1^T``. Read column-major, the C-order buffer of
     ``b`` is ``conj(b)``, whose real tridiagonal form is the same. Requires
-    the LAPACK symbols.
+    the LAPACK symbols; raises ``OverflowError`` if ``b`` or its form overflows.
     """
     if b.dtype not in (np.complex128, np.float64) or b.ndim != 2 \
             or b.shape[0] != b.shape[1] or not b.flags.c_contiguous:
@@ -184,25 +188,39 @@ def tridiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tau = np.empty(max(n - 1, 1))
         info = routines["dsytrd"](_COL_MAJOR, b"L", n, b.ctypes.data, n, d.ctypes.data,
                                   e.ctypes.data, tau.ctypes.data)
+        if info < 0 and not np.isfinite(b).all():  # LAPACKE refuses a nan in b
+            raise OverflowError(_OVERFLOW)
         _lapack_check(info, "dsytrd")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise OverflowError(_OVERFLOW)
     return d, e
 
 
 def _tridiagonal_spectrum(routines: dict, d: np.ndarray, e: np.ndarray) -> Spectrum:
     d, e = d.copy(), e.copy()  # dsterf overwrites both
     _lapack_check(routines["dsterf"](len(d), d.ctypes.data, e.ctypes.data), "dsterf")
+    if not np.isfinite(d).all():  # finite (d, e) whose eigenvalues overflow
+        raise OverflowError(_OVERFLOW)
     return Spectrum(values=np.ascontiguousarray(d[::-1]))
 
 
-def _lapack_dtype(entries: np.ndarray) -> type:
-    return np.complex128 if np.iscomplexobj(entries) else np.float64
-
-
-def _owned_eigenvalues(b: np.ndarray) -> Spectrum:
-    """:func:`eigenvalues` of ``b``, a C-ordered complex128 or float64 array
-    that it overwrites."""
+def _check_hermitian(b: np.ndarray) -> None:
     if not MatrixSample(entries=b).is_hermitian():
+        if not np.isfinite(b).all():  # a complex inf scaled by a real is nan
+            raise OverflowError(_OVERFLOW)
         raise ValueError("matrix is not exactly Hermitian/symmetric")
+
+
+def eigenvalues(m: MatrixSample) -> Spectrum:
+    """All eigenvalues of a Hermitian/symmetric matrix, descending: the
+    Hermitian check, :func:`tridiagonal`, then ``dsterf``. Consumes ``m``:
+    entries that are a writable C-ordered complex128 or float64 array are
+    reduced in place, others are converted once. Without the LAPACK symbols
+    the values come from ``np.linalg.eigvalsh``.
+    """
+    dtype = np.complex128 if np.iscomplexobj(m.entries) else np.float64
+    b = np.require(m.entries, dtype, ("C", "W"))
+    _check_hermitian(b)
     routines = _lapack_routines()
     if routines is None:
         try:
@@ -213,55 +231,47 @@ def _owned_eigenvalues(b: np.ndarray) -> Spectrum:
     return _tridiagonal_spectrum(routines, *tridiagonal(b))
 
 
-def eigenvalues(m: MatrixSample) -> Spectrum:
-    """All eigenvalues of a Hermitian/symmetric matrix, descending:
-    :func:`tridiagonal` on a copy, then ``dsterf``. Without the LAPACK symbols
-    they come from ``np.linalg.eigvalsh``."""
-    return _owned_eigenvalues(np.array(m.entries, dtype=_lapack_dtype(m.entries), order="C"))
-
-
-def _owned_rank_one_spectra(b: np.ndarray, theta: float) -> tuple[Spectrum, Spectrum]:
-    """:func:`rank_one_spectra` of ``b``, a C-ordered complex128 or float64
-    array that it overwrites: the reflector turns it into ``B`` in place and
-    :func:`tridiagonal` reduces ``B`` where it stands."""
-    if not MatrixSample(entries=b).is_hermitian():
-        raise ValueError("matrix is not exactly Hermitian/symmetric")
+def _reflect(b: np.ndarray) -> None:
+    """Overwrite ``b`` with ``H b H``, where the real Householder reflector
+    ``H = I - tau v v^T``, ``v = u - e1``, maps ``u = 1/sqrt(n)`` to ``e1``;
+    ``b @ v`` is its one BLAS product."""
     n = len(b)
+    if n < 2:  # at n = 1, u = e1: the reflector is the identity
+        return
+    c = 1.0 / np.sqrt(n)
+    v = np.full(n, c)
+    v[0] -= 1.0
+    tau = 2.0 / (v @ v)
+    wv = b @ v.astype(b.dtype)
+    x = tau * wv - (0.5 * tau * tau * (v @ wv).real) * v
+    # H b H = b - v x^H - x v^T, with v = c 1 - e1 applied as row and column broadcasts
+    b -= c * x.conj()
+    b[0] += x.conj()
+    b -= (c * x)[:, None]
+    b[:, 0] += x
+
+
+def rank_one_spectra(b: np.ndarray, theta: float) -> tuple[Spectrum, Spectrum]:
+    """Spectra of ``W`` and ``W + theta u u^T`` with ``u = 1/sqrt(n)``, both
+    descending, from ``b`` holding ``W``: a C-ordered complex128 or float64
+    array that it overwrites. :func:`_reflect` makes ``b`` into ``B = H W H``,
+    and ``B + theta e1 e1^T`` is similar to the deformed matrix, so one
+    :func:`tridiagonal` reduction of ``B`` serves both: ``dsterf`` on
+    ``(d, e)`` and on ``(d + theta e1, e)``. Complex input is reflected and
+    reduced on one OpenBLAS thread. Without the LAPACK symbols both spectra
+    come from :func:`eigenvalues`.
+    """
+    _check_hermitian(b)
     routines = _lapack_routines()
     if routines is None:
-        deformed = MatrixSample(entries=b + theta / n)
+        deformed = MatrixSample(entries=b + theta / len(b))
         return eigenvalues(MatrixSample(entries=b)), eigenvalues(deformed)
-    if n > 1:  # at n = 1, u = e1: the reflector is the identity
-        c = 1.0 / np.sqrt(n)
-        v = np.full(n, c)
-        v[0] -= 1.0
-        tau = 2.0 / (v @ v)
-        wv = b @ v.astype(b.dtype)
-        x = tau * wv - (0.5 * tau * tau * (v @ wv).real) * v
-        # B = W - v x^H - x v^T, with v = c 1 - e1 applied as row and column broadcasts
-        b -= c * x.conj()
-        b[0] += x.conj()
-        b -= (c * x)[:, None]
-        b[:, 0] += x
-    d, e = tridiagonal(b)
+    with one_blas_thread if b.dtype == np.complex128 else contextlib.nullcontext():
+        _reflect(b)
+        d, e = tridiagonal(b)
     base = _tridiagonal_spectrum(routines, d, e)
     d[0] += theta
     return base, _tridiagonal_spectrum(routines, d, e)
-
-
-def rank_one_spectra(m: MatrixSample, theta: float) -> tuple[Spectrum, Spectrum]:
-    """Spectra of ``W`` and ``W + theta u u^T`` with ``u = 1/sqrt(n)``, both descending.
-
-    The real Householder reflector ``H = I - tau v v^T``, ``v = u - e1``, maps
-    ``u`` to ``e1``, so ``B = H W H`` (one rank-2 update) is similar to ``W``
-    and ``B + theta e1 e1^T`` to the deformed matrix. One :func:`tridiagonal`
-    reduction of ``B`` serves both, and ``dsterf`` on ``(d, e)`` and on
-    ``(d + theta e1, e)`` gives the two spectra. ``W`` is copied once, and
-    ``B`` built and reduced in that copy. Without the LAPACK symbols both
-    come from :func:`eigenvalues`.
-    """
-    return _owned_rank_one_spectra(
-        np.array(m.entries, dtype=_lapack_dtype(m.entries), order="C"), theta)
 
 
 def interlacing_check(deformed: Spectrum, base: Spectrum) -> int:

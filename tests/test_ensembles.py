@@ -24,6 +24,7 @@ from dwigner.ensembles import (
 )
 from dwigner.experiments import ExperimentConfig, run_spectrum_census
 from dwigner.moment_oracle import MomentModel, exact_trace_expectation
+from dwigner.spectral import eigenvalues
 from reference import wigner_stack_reference
 
 
@@ -220,6 +221,16 @@ def test_census_draw_peak_memory_is_the_draws_and_one_stack():
     cfg = ExperimentConfig(base=make_config(n=STACK_PEAK_N), n_samples=1)
     run_spectrum_census(cfg)  # loads the LAPACK routines before tracing
     peak = _traced_peak(lambda: run_spectrum_census(cfg))
+    assert peak <= STACK_PEAK_BOUND, peak
+
+
+def test_eigenvalues_draw_peak_memory_is_the_draws_and_one_stack():
+    # One draw of fluctuations or trace-growth at n = 300: eigenvalues
+    # reduces the sampled stack in place, so the bound on the sampler holds
+    # for the whole draw, as it does for the census.
+    cfg = make_config(n=STACK_PEAK_N)
+    eigenvalues(sample_deformed(cfg, 0))  # loads the LAPACK routines before tracing
+    peak = _traced_peak(lambda: eigenvalues(sample_deformed(cfg, 1)))
     assert peak <= STACK_PEAK_BOUND, peak
 
 

@@ -949,6 +949,31 @@ def test_cli_bad_input_exits_2_with_one_line(args, capsys):
     assert sum(line.startswith("dwigner: error: ") for line in err.splitlines()) == 1
 
 
+# At sigma = 1e308 the spectral edge 2 sigma overflows and every run is
+# refused; at 8e307 the edge is finite, and the matrices of these draws, or
+# their reductions, overflow inside spectral.
+_OVERFLOW_RUNS = [[command, "--law", law, "--symmetry", symmetry, "--sigma", "1e308"]
+                  for command in ("fluctuations", "census")
+                  for law in ("gaussian", "rademacher")
+                  for symmetry in ("real", "complex")] + [
+    ["fluctuations", "--symmetry", "real", "--sigma", "8e307"],
+    ["fluctuations", "--symmetry", "complex", "--sigma", "8e307"],
+    ["census", "--law", "rademacher", "--symmetry", "real", "--sigma", "8e307"],
+    ["census", "--symmetry", "complex", "--sigma", "8e307"],
+]
+
+
+@pytest.mark.parametrize("args", _OVERFLOW_RUNS, ids=[" ".join(a) for a in _OVERFLOW_RUNS])
+def test_cli_overflowing_matrices_exit_2_with_one_line_naming_sigma(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args + ["--n", "4", "--samples", "2", "--theta", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("dwigner: error: ")]
+    assert line == err.splitlines()[-1] and "--sigma" in line
+
+
 @pytest.mark.parametrize("command", ["census", "fluctuations", "oracle-compare"])
 def test_cli_out_of_memory_exits_2_with_one_line_naming_n(command, monkeypatch, capsys):
     # The sampler raises as numpy does when it cannot allocate the stack. A
@@ -1149,12 +1174,31 @@ def _record_threads(monkeypatch, name, get):
     return seen
 
 
-# runner, the experiments name each draw calls, theta
+def _record_spectral_threads(monkeypatch, get):
+    """Wrap the reflector and both reductions of ``spectral``; returns the
+    thread counts read inside their calls, keyed by ``"reflector"`` and
+    ``"reduction"``."""
+    seen = {"reflector": [], "reduction": []}
+
+    def reading(site, fn):
+        return lambda *args: seen[site].append(get()) or fn(*args)
+
+    routines = dict(dwigner.spectral._lapack_routines())
+    routines["dsytrd"] = reading("reduction", routines["dsytrd"])
+    monkeypatch.setattr(dwigner.spectral, "_lapack_routines", lambda: routines)
+    monkeypatch.setattr(dwigner.spectral, "_zhetrd_2stage",
+                        reading("reduction", dwigner.spectral._zhetrd_2stage))
+    monkeypatch.setattr(dwigner.spectral, "_reflect",
+                        reading("reflector", dwigner.spectral._reflect))
+    return seen
+
+
+# runner, the spectral steps each draw takes, theta
 _THREAD_RUNS = {
-    "census": (run_spectrum_census, "_owned_rank_one_spectra", 2.0),
-    "fluctuations-super": (run_fluctuations, "eigenvalues", 2.0),
-    "fluctuations-sub": (run_fluctuations, "eigenvalues", 0.5),
-    "trace-growth": (run_trace_growth, "eigenvalues", 2.0),
+    "census": (run_spectrum_census, ("reflector", "reduction"), 2.0),
+    "fluctuations-super": (run_fluctuations, ("reduction",), 2.0),
+    "fluctuations-sub": (run_fluctuations, ("reduction",), 0.5),
+    "trace-growth": (run_trace_growth, ("reduction",), 2.0),
 }
 
 
@@ -1169,21 +1213,27 @@ def _thread_run_config(run, symmetry, workers):
 @pytest.mark.parametrize("run", _THREAD_RUNS)
 def test_complex_runs_hold_one_blas_thread_and_restore_the_count(blas_threads, monkeypatch,
                                                                  run, symmetry, workers):
-    runner, traced, _ = _THREAD_RUNS[run]
-    seen = _record_threads(monkeypatch, traced, blas_threads)
+    runner, steps, _ = _THREAD_RUNS[run]
+    seen = _record_spectral_threads(monkeypatch, blas_threads)
     runner(_thread_run_config(run, symmetry, workers))
-    assert seen and set(seen) == {1 if symmetry == "complex" else 2}
+    assert [site for site in seen if seen[site]] == list(steps)
+    for site in steps:
+        assert set(seen[site]) == {1 if symmetry == "complex" else 2}
     assert blas_threads() == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_draw_that_raises_restores_the_blas_count(blas_threads, monkeypatch, workers):
+    seen = []
+
     def broken(*args):
+        seen.append(blas_threads())
         raise RuntimeError("draw failed")
 
-    monkeypatch.setattr(dwigner.experiments, "_owned_rank_one_spectra", broken)
+    monkeypatch.setattr(dwigner.spectral, "_reflect", broken)
     with pytest.raises(RuntimeError, match="draw failed"):
         run_spectrum_census(_thread_run_config("census", "complex", workers))
+    assert seen and set(seen) == {1}
     assert blas_threads() == 2
 
 
@@ -1200,10 +1250,12 @@ def test_oracle_compare_leaves_the_blas_count_alone(blas_threads, monkeypatch):
 @pytest.mark.parametrize("run", ["census", "fluctuations-super"])
 def test_runs_without_the_thread_symbols_leave_the_count_alone(blas_threads, monkeypatch, run):
     monkeypatch.setattr(dwigner.spectral, "_thread_control", lambda: None)
-    runner, traced, _ = _THREAD_RUNS[run]
-    seen = _record_threads(monkeypatch, traced, blas_threads)
+    runner, steps, _ = _THREAD_RUNS[run]
+    seen = _record_spectral_threads(monkeypatch, blas_threads)
     assert runner(_thread_run_config(run, "complex", 2))["exit_code"] == 0
-    assert seen and set(seen) == {2}
+    assert [site for site in seen if seen[site]] == list(steps)
+    for site in steps:
+        assert set(seen[site]) == {2}
     assert blas_threads() == 2
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_trace_invariance_random_sample():
     cfg = EnsembleConfig.create(n=50, sigma=1.0, theta=2.0, law="rademacher",
                                 symmetry="complex", master_seed=1)
     m = sample_deformed(cfg, 0)
-    s = eigenvalues(m)
+    s = eigenvalues(MatrixSample(entries=m.entries.copy()))
     bound = 1e-10 * m.entries.shape[0] * float(np.max(np.abs(m.entries)))
     assert abs(math.fsum(s.values) - float(np.trace(m.entries).real)) <= bound
     assert np.all(np.diff(s.values) <= 0)
@@ -207,26 +208,78 @@ def max_gap_within_bound(got: Spectrum, want: Spectrum) -> bool:
 def test_rank_one_spectra_match_two_dense_eigensolves(law, symmetry, n):
     w = scaled_wigner(law, symmetry, n)
     for theta in (0.0, 0.5, 1.0, 2.0):
-        base, deformed = rank_one_spectra(w, theta)
+        base, deformed = rank_one_spectra(w.entries.copy(), theta)
         assert base.values.shape == deformed.values.shape == (n,)
         assert np.all(np.diff(base.values) <= 0) and np.all(np.diff(deformed.values) <= 0)
         assert max_gap_within_bound(base, dense_spectrum(w.entries))
         assert max_gap_within_bound(deformed, dense_spectrum(w.entries + theta / n))
 
 
-def test_rank_one_spectra_leave_the_input_untouched():
-    w = scaled_wigner("gaussian", "complex", 17)
-    before = w.entries.copy()
-    rank_one_spectra(w, 2.0)
-    assert np.array_equal(w.entries, before)
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_rank_one_spectra_overwrite_the_input_and_copy_nothing(symmetry):
+    # The reflector and the reduction work in the array handed over: no n x n
+    # array is allocated beside it (what the reduction adds, the two-stage
+    # workspace and vectors of size n, stays below half of it at n = 300).
+    w = scaled_wigner("gaussian", symmetry, 300).entries
+    rank_one_spectra(w.copy(), 2.0)  # loads the LAPACK routines before tracing
+    b = w.copy()
+    peak = _traced_peak(lambda: rank_one_spectra(b, 2.0))
+    assert peak <= b.nbytes // 2, peak
+    assert not np.array_equal(b, w)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    np.asfortranarray,
+    read_only,
+    lambda a: a.astype(np.complex64),
+    lambda a: np.round(4 * a.real).astype(np.int64),
+], ids=["fortran-order", "read-only", "complex64", "int64"])
+def test_eigenvalues_leave_entries_lapack_cannot_overwrite_untouched(make):
+    entries = make(scaled_wigner("gaussian", "complex", 17).entries)
+    before = entries.copy()
+    got = eigenvalues(MatrixSample(entries=entries))
+    assert np.array_equal(entries, before)
+    assert max_gap_within_bound(got, dense_spectrum(entries.astype(np.complex128)))
 
 
 def test_rank_one_spectra_reject_non_hermitian():
     with pytest.raises(ValueError):
-        rank_one_spectra(matrix_of([[0, 1], [2, 0]]), 1.0)
+        rank_one_spectra(matrix_of([[0, 1], [2, 0]]).entries, 1.0)
     complex_entries = np.array([[0, 1j], [1j, 0]])
     with pytest.raises(ValueError):
-        rank_one_spectra(MatrixSample(entries=complex_entries), 1.0)
+        rank_one_spectra(complex_entries, 1.0)
+
+
+@pytest.mark.parametrize("entries", [
+    # symmetric; the reduction (and the reflector) make nans of it
+    [[1.0, 1.0, 1.0], [1.0, np.inf, 1.0], [1.0, 1.0, np.inf]],
+    [[np.nan, 0.0], [0.0, 1.0]],  # not equal to itself, so not symmetric
+    [[1.0, complex(np.nan, np.nan)], [complex(np.nan, np.nan), 1.0]],
+    [[1e308, 1e308], [1e308, 1e308]],  # finite, with the eigenvalue 2e308
+], ids=["real-inf", "real-nan", "complex-nan", "eigenvalue-overflows"])
+@pytest.mark.parametrize("route", ["eigenvalues", "rank_one_spectra"])
+def test_overflowing_matrices_raise_overflow_error_naming_sigma(entries, route):
+    b = np.array(entries)
+    with pytest.raises(OverflowError, match="--sigma"):
+        if route == "eigenvalues":
+            eigenvalues(MatrixSample(entries=b))
+        else:
+            rank_one_spectra(b, 1.0)
 
 
 def test_rank_one_spectra_report_lapack_failure(monkeypatch):
@@ -234,7 +287,7 @@ def test_rank_one_spectra_report_lapack_failure(monkeypatch):
     routines["dsterf"] = lambda n, d, e: 3  # did not converge
     monkeypatch.setattr(spectral, "_lapack_routines", lambda: routines)
     with pytest.raises(EigensolverError, match="dsterf"):
-        rank_one_spectra(scaled_wigner("gaussian", "real", 5), 1.0)
+        rank_one_spectra(scaled_wigner("gaussian", "real", 5).entries, 1.0)
 
 
 @pytest.mark.parametrize("symmetry", ["complex", "real"])
@@ -277,7 +330,7 @@ def test_tridiagonal_and_eigenvalues_match_dense_eigvalsh(law, symmetry, n):
                                 master_seed=TRIDIAGONAL_SEED)
     w = MatrixSample(entries=sample_wigner(cfg, 0).entries / math.sqrt(n))
     want = dense_spectrum(w.entries)
-    got = eigenvalues(w)
+    got = eigenvalues(MatrixSample(entries=w.entries.copy()))
     assert got.values.shape == (n,) and np.all(np.diff(got.values) <= 0)
     assert max_gap_within_bound(got, want)
     # the form is similar to w and keeps e1 in place: (d + theta e1, e) is the
