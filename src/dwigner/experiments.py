@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -34,10 +35,11 @@ from .moment_oracle import (
 )
 from .spectral import (
     Spectrum,
+    band_spectra,
     eigenvalues,
     interlacing_check,
     outlier_census,
-    rank_one_spectra,
+    reflected_band,
     rescaled_fluctuation,
 )
 
@@ -83,6 +85,10 @@ class ExperimentConfig:
             raise ValueError("top_k must be <= n")
         if not math.isfinite(2.0 * self.base.sigma):
             raise ValueError(f"sigma (--sigma) = {self.base.sigma} is too large: 2 sigma overflows")
+        theta, sigma = float(self.base.theta), self.base.sigma
+        if theta > sigma and not math.isfinite(theta * theta):
+            raise ValueError(f"theta (--theta) = {theta} and sigma (--sigma) = {sigma} are too "
+                             f"large: the supercritical regime forms theta**2, which overflows")
         if not math.isfinite(self.t_scale):
             raise ValueError(f"t_scale must be finite, got {self.t_scale}")
         if not self.t_scale > 0:
@@ -155,6 +161,34 @@ def _map_indices(fn, indices, workers: int) -> list:
         return [fn(i) for i in indices]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, indices))
+
+
+def _map_two_stage(first, second, then, indices, workers: int) -> list:
+    """``then(second(first(i)))`` for each index, in index order.
+
+    ``first`` runs on the calling thread, or on a pool of ``workers`` threads
+    when ``workers > 1``; ``second`` runs on one helper thread, overlapping the
+    next ``first``; ``then`` runs on the calling thread. At most ``workers``
+    calls of ``first`` run at once. The first failure in index order is
+    raised, and every thread is joined on every exit.
+    """
+    out, pending = [], None
+    with ThreadPoolExecutor(max_workers=1) as helper, \
+            ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        try:
+            for value in pool.map(first, indices) if pool else map(first, indices):
+                submitted = helper.submit(second, value)
+                previous, pending = pending, None
+                if previous is not None:
+                    out.append(then(previous.result()))
+                pending = submitted
+        except BaseException:
+            if pending is not None:  # first failed with an earlier draw still out
+                pending.result()
+            raise
+        if pending is not None:
+            out.append(then(pending.result()))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -346,30 +380,51 @@ def run_trace_growth(cfg: ExperimentConfig) -> dict:
 # spectrum census
 
 
+def _mean(values: list[float]) -> float:
+    """Mean of finite floats through ``fsum``. A sum that overflows is taken
+    over the values scaled by ``2**-k``, ``k = len(values).bit_length()``,
+    which cannot overflow, and its mean scaled back; a power-of-two scaling
+    changes no bit of a normal float."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / len(values), k)
+
+
 def run_spectrum_census(cfg: ExperimentConfig) -> dict:
-    """Per-sample ESD fit, paired interlacing check and outlier tallies."""
+    """Per-sample ESD fit, paired interlacing check and outlier tallies.
+
+    Each draw is a two-stage pipeline: the calling thread (or ``workers``
+    pool threads) samples, reflects and reduces it to a band, and one helper
+    thread finishes its two spectra while the next draw is sampled.
+    """
     base = cfg.base
     supercritical = base.theta > base.sigma
     sqrt_n = math.sqrt(base.n)
 
-    def one(i: int):
+    def band(i: int):
         # the draw is this sample's own buffer: scaled, turned into the
         # reflected matrix and reduced in place, never copied
         w = sample_wigner(base, i).entries
         w /= sqrt_n
-        base_spec, spec = rank_one_spectra(w, base.theta)
+        return reflected_band(w)
+
+    def row(spectra):
+        base_spec, spec = spectra
         ks = ks_statistic(
             np.asarray(spec.values, dtype=np.float64), lambda x: semicircle_cdf(x, base.sigma))
         violations = interlacing_check(spec, base_spec)
         census = outlier_census(spec, base.theta, base.sigma, base.n) if supercritical else (0, 0)
         return (ks.statistic, violations, float(spec.values[0])) + census
 
-    rows = _map_indices(one, range(cfg.n_samples), cfg.workers)
+    rows = _map_two_stage(band, lambda ab: band_spectra(ab, base.theta), row,
+                          range(cfg.n_samples), cfg.workers)
     names = ["esd_ks", "interlacing_violations", "lambda_1"]
     summary = {
         "max_esd_ks": max(r[0] for r in rows),
         "total_interlacing_violations": sum(r[1] for r in rows),
-        "mean_lambda_1": math.fsum(r[2] for r in rows) / len(rows),
+        "mean_lambda_1": _mean([r[2] for r in rows]),
     }
     if supercritical:
         names += ["count_mid", "count_far"]

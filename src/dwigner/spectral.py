@@ -4,8 +4,9 @@ Everything downstream consumes eigenvalues only. Every spectrum of one matrix
 is a reduction to real tridiagonal form, in the buffer it is handed, followed
 by ``dsterf``. The module exposes that reduction, the full spectrum of one
 matrix, the pair of spectra of ``W`` and its rank-one deformation from one
-shared reduction, the rank-one interlacing check, the top-k edge rescaling
-and the outlier census; only it holds OpenBLAS at one thread.
+shared reduction in two stages (dense to band, then band to spectra, which
+can run on different threads), the rank-one interlacing check, the top-k edge
+rescaling and the outlier census; only it holds OpenBLAS at one thread.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ __all__ = [
     "EigensolverError",
     "tridiagonal",
     "eigenvalues",
-    "rank_one_spectra",
+    "reflected_band",
+    "band_spectra",
     "interlacing_check",
     "rescaled_fluctuation",
     "outlier_census",
@@ -43,10 +45,13 @@ class Spectrum:
     values: np.ndarray = field(repr=False)
 
 
-# Entry points of the ILP64 OpenBLAS that numpy's linalg links. The two-stage
-# reduction has no LAPACKE wrapper there, so it is called as Fortran.
+# Entry points of the ILP64 OpenBLAS that numpy's linalg links. The two
+# stages of the complex reduction have no LAPACKE wrappers there, so they and
+# their block-size query are called as Fortran.
 _LAPACK_SYMBOLS = {
-    "zhetrd_2stage": "scipy_zhetrd_2stage_64_",
+    "ilaenv2stage": "scipy_ilaenv2stage_64_",
+    "zhetrd_he2hb": "scipy_zhetrd_he2hb_64_",
+    "zhetrd_hb2st": "scipy_zhetrd_hb2st_64_",
     "dsytrd": "scipy_LAPACKE_dsytrd64_",
     "dsterf": "scipy_LAPACKE_dsterf64_",
 }
@@ -68,13 +73,17 @@ def _lapack_routines() -> dict | None:
         found = {name: getattr(_openblas(), symbol) for name, symbol in _LAPACK_SYMBOLS.items()}
     except AttributeError:
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    ptr, i64, text, length = ctypes.c_void_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_size_t
     ref = ctypes.POINTER(i64)
-    # Fortran: every argument by reference, then the lengths of VECT and UPLO
-    found["zhetrd_2stage"].argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, ptr, ref, ptr,
-                                       ptr, ptr, ptr, ref, ptr, ref, ref,
-                                       ctypes.c_size_t, ctypes.c_size_t]
-    found["zhetrd_2stage"].restype = None
+    # Fortran: every argument by reference, then the length of each string
+    found["ilaenv2stage"].argtypes = [ref, text, text, ref, ref, ref, ref, length, length]
+    found["ilaenv2stage"].restype = i64
+    found["zhetrd_he2hb"].argtypes = [text, ref, ref, ptr, ref, ptr, ref, ptr, ptr, ref, ref,
+                                      length]
+    found["zhetrd_he2hb"].restype = None
+    found["zhetrd_hb2st"].argtypes = [text, text, text, ref, ref, ptr, ref, ptr, ptr, ptr, ref,
+                                      ptr, ref, ref, length, length, length]
+    found["zhetrd_hb2st"].restype = None
     found["dsytrd"].argtypes = [ctypes.c_int, ctypes.c_char, i64, ptr, i64, ptr, ptr, ptr]
     found["dsytrd"].restype = i64
     found["dsterf"].argtypes = [i64, ptr, ptr]
@@ -139,25 +148,106 @@ class _OneBlasThread:
 one_blas_thread = _OneBlasThread()
 
 
-def _zhetrd_2stage(routine, b: np.ndarray, d: np.ndarray, e: np.ndarray) -> int:
-    """``zhetrd_2stage`` with ``VECT = 'N'``, ``UPLO = 'L'`` on ``b``: a
-    workspace query, then the reduction. Returns LAPACK's ``info``."""
-    n, info = ctypes.c_int64(len(b)), ctypes.c_int64(0)
-    tau = np.empty(max(len(b) - 1, 1), np.complex128)
+def _blas_rule(a: np.ndarray):
+    """The thread rule for a reduction of ``a``: one OpenBLAS thread for
+    complex input, the threads as found for real input."""
+    return one_blas_thread if a.dtype == np.complex128 else contextlib.nullcontext()
 
-    def call(hous2: np.ndarray, work: np.ndarray, query: bool) -> int:
-        lhous2 = ctypes.c_int64(-1 if query else hous2.size)
-        lwork = ctypes.c_int64(-1 if query else work.size)
-        routine(b"N", b"L", ctypes.byref(n), b.ctypes.data, ctypes.byref(n), d.ctypes.data,
-                e.ctypes.data, tau.ctypes.data, hous2.ctypes.data, ctypes.byref(lhous2),
-                work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info), 1, 1)
+
+def _int(value: int):
+    """A Fortran integer argument: an int64 passed by reference."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _zhetrd_he2hb(routine, b: np.ndarray, ab: np.ndarray) -> int:
+    """``zhetrd_he2hb`` with ``UPLO = 'L'``: ``b`` to the lower band ``ab`` of
+    bandwidth ``ab.shape[1] - 1``. A workspace query, then the reduction.
+    Returns LAPACK's ``info``."""
+    n, kd = len(b), ab.shape[1] - 1
+    tau = np.empty(max(n - 1, 1), np.complex128)
+    info = ctypes.c_int64(0)
+
+    def call(work: np.ndarray, lwork: int) -> int:
+        routine(b"L", _int(n), _int(kd), b.ctypes.data, _int(n), ab.ctypes.data, _int(kd + 1),
+                tau.ctypes.data, work.ctypes.data, _int(lwork), ctypes.byref(info), 1)
         return info.value
 
-    hous2, work = np.zeros(1, np.complex128), np.zeros(1, np.complex128)
-    if call(hous2, work, query=True) != 0:
+    work = np.zeros(1, np.complex128)
+    if call(work, -1) != 0:
         return info.value
-    return call(np.empty(max(1, int(hous2[0].real)), np.complex128),
-                np.empty(max(1, int(work[0].real)), np.complex128), query=False)
+    size = max(1, int(work[0].real))
+    return call(np.empty(size, np.complex128), size)
+
+
+def _hb2st_workspace(routine, n: int, kd: int) -> tuple[np.ndarray, np.ndarray]:
+    """``HOUS`` and ``WORK`` of ``zhetrd_hb2st`` at ``(n, kd)``, sized by its
+    workspace query, which reads no other array."""
+    hous, work = np.zeros(1, np.complex128), np.zeros(1, np.complex128)
+    info = ctypes.c_int64(0)
+    routine(b"Y", b"N", b"L", _int(n), _int(kd), None, _int(kd + 1), None, None,
+            hous.ctypes.data, _int(-1), work.ctypes.data, _int(-1), ctypes.byref(info), 1, 1, 1)
+    return (np.empty(max(1, int(hous[0].real)), np.complex128),
+            np.empty(max(1, int(work[0].real)), np.complex128))
+
+
+def _zhetrd_hb2st(routine, ab: np.ndarray, d: np.ndarray, e: np.ndarray) -> int:
+    """``zhetrd_hb2st`` with ``STAGE1 = 'Y'``, ``VECT = 'N'``, ``UPLO = 'L'``:
+    bulge chasing from the lower band ``ab`` to ``(d, e)``. Returns LAPACK's
+    ``info``."""
+    n, kd = ab.shape[0], ab.shape[1] - 1
+    hous, work = _hb2st_workspace(routine, n, kd)
+    info = ctypes.c_int64(0)
+    routine(b"Y", b"N", b"L", _int(n), _int(kd), ab.ctypes.data, _int(kd + 1), d.ctypes.data,
+            e.ctypes.data, hous.ctypes.data, _int(hous.size), work.ctypes.data,
+            _int(work.size), ctypes.byref(info), 1, 1, 1)
+    return info.value
+
+
+def _band(b: np.ndarray) -> np.ndarray:
+    """Stage 1 of :func:`tridiagonal`: the lower band of a Hermitian band
+    matrix unitarily similar to ``b``, which it overwrites. Row ``j`` of the
+    C-ordered ``(n, kd + 1)`` result is column ``j`` of the band from the
+    diagonal down (LAPACK's lower band storage, read column-major). Complex
+    input takes ``zhetrd_he2hb`` (dense to band in BLAS-3) at the bandwidth
+    that ``zhetrd_2stage`` picks; real input is reduced all the way by
+    ``dsytrd``, to a band with ``kd = 1``: row ``j`` is ``(d_j, e_j)``.
+    """
+    if b.dtype not in (np.complex128, np.float64) or b.ndim != 2 \
+            or b.shape[0] != b.shape[1] or not b.flags.c_contiguous:
+        raise ValueError("tridiagonal needs a square C-ordered complex128 or float64 array")
+    routines = _lapack_routines()
+    n = len(b)
+    if b.dtype == np.complex128:
+        kd = routines["ilaenv2stage"](_int(1), b"ZHETRD_2STAGE", b"N", _int(n), _int(-1),
+                                      _int(-1), _int(-1), 13, 1)
+        ab = np.empty((n, kd + 1), np.complex128)
+        _lapack_check(_zhetrd_he2hb(routines["zhetrd_he2hb"], b, ab), "zhetrd_he2hb")
+        return ab
+    d, e, tau = np.empty(n), np.empty(max(n - 1, 0)), np.empty(max(n - 1, 1))
+    info = routines["dsytrd"](_COL_MAJOR, b"L", n, b.ctypes.data, n, d.ctypes.data,
+                              e.ctypes.data, tau.ctypes.data)
+    if info < 0 and not np.isfinite(b).all():  # LAPACKE refuses a nan in b
+        raise OverflowError(_OVERFLOW)
+    _lapack_check(info, "dsytrd")
+    ab = np.zeros((n, 2))
+    ab[:, 0], ab[:-1, 1] = d, e
+    return ab
+
+
+def _band_tridiagonal(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 2 of :func:`tridiagonal`: ``(d, e)`` of a band from
+    :func:`_band`, which it overwrites. A complex band takes the bulge
+    chasing of ``zhetrd_hb2st``; a real band holds ``(d, e)`` already."""
+    n = len(ab)
+    if ab.dtype == np.complex128:
+        d, e = np.empty(n), np.empty(max(n - 1, 0))
+        info = _zhetrd_hb2st(_lapack_routines()["zhetrd_hb2st"], ab, d, e)
+        _lapack_check(info, "zhetrd_hb2st")
+    else:
+        d, e = ab[:, 0].copy(), ab[:-1, 1].copy()
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise OverflowError(_OVERFLOW)
+    return d, e
 
 
 def tridiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,35 +255,19 @@ def tridiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix ``b``, a C-ordered complex128 or float64 array that it overwrites.
 
     ``d`` is the diagonal (n) and ``e`` the subdiagonal (n - 1) of a
-    tridiagonal matrix unitarily similar to ``b``. Complex input takes LAPACK's
-    two-stage reduction ``zhetrd_2stage`` (dense to band in BLAS-3, then
-    bulge chasing to tridiagonal) on one OpenBLAS thread; real input keeps the
-    one-stage ``dsytrd`` on the threads it finds, which is faster there. Both
-    reduce the lower triangle and fix ``e1``, so ``(d + theta e1, e)`` is the
-    form of ``b + theta e1 e1^T``. Read column-major, the C-order buffer of
-    ``b`` is ``conj(b)``, whose real tridiagonal form is the same. Requires
-    the LAPACK symbols; raises ``OverflowError`` if ``b`` or its form overflows.
+    tridiagonal matrix unitarily similar to ``b``. Complex input takes
+    LAPACK's two-stage reduction on one OpenBLAS thread: ``zhetrd_he2hb``
+    (dense to band in BLAS-3), then ``zhetrd_hb2st`` (bulge chasing to
+    tridiagonal), the two stages of ``zhetrd_2stage`` with its bandwidth and
+    bit for bit its result. Real input keeps the one-stage ``dsytrd`` on the
+    threads it finds, which is faster there. Both reduce the lower triangle
+    and fix ``e1``, so ``(d + theta e1, e)`` is the form of
+    ``b + theta e1 e1^T``. Read column-major, the C-order buffer of ``b`` is
+    ``conj(b)``, whose real tridiagonal form is the same. Requires the LAPACK
+    symbols; raises ``OverflowError`` if ``b`` or its form overflows.
     """
-    if b.dtype not in (np.complex128, np.float64) or b.ndim != 2 \
-            or b.shape[0] != b.shape[1] or not b.flags.c_contiguous:
-        raise ValueError("tridiagonal needs a square C-ordered complex128 or float64 array")
-    routines = _lapack_routines()
-    n = len(b)
-    d, e = np.empty(n), np.empty(max(n - 1, 0))
-    if b.dtype == np.complex128:
-        with one_blas_thread:
-            info = _zhetrd_2stage(routines["zhetrd_2stage"], b, d, e)
-        _lapack_check(info, "zhetrd_2stage")
-    else:
-        tau = np.empty(max(n - 1, 1))
-        info = routines["dsytrd"](_COL_MAJOR, b"L", n, b.ctypes.data, n, d.ctypes.data,
-                                  e.ctypes.data, tau.ctypes.data)
-        if info < 0 and not np.isfinite(b).all():  # LAPACKE refuses a nan in b
-            raise OverflowError(_OVERFLOW)
-        _lapack_check(info, "dsytrd")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise OverflowError(_OVERFLOW)
-    return d, e
+    with _blas_rule(b):
+        return _band_tridiagonal(_band(b))
 
 
 def _tridiagonal_spectrum(routines: dict, d: np.ndarray, e: np.ndarray) -> Spectrum:
@@ -251,24 +325,40 @@ def _reflect(b: np.ndarray) -> None:
     b[:, 0] += x
 
 
-def rank_one_spectra(b: np.ndarray, theta: float) -> tuple[Spectrum, Spectrum]:
-    """Spectra of ``W`` and ``W + theta u u^T`` with ``u = 1/sqrt(n)``, both
-    descending, from ``b`` holding ``W``: a C-ordered complex128 or float64
-    array that it overwrites. :func:`_reflect` makes ``b`` into ``B = H W H``,
-    and ``B + theta e1 e1^T`` is similar to the deformed matrix, so one
-    :func:`tridiagonal` reduction of ``B`` serves both: ``dsterf`` on
-    ``(d, e)`` and on ``(d + theta e1, e)``. Complex input is reflected and
-    reduced on one OpenBLAS thread. Without the LAPACK symbols both spectra
-    come from :func:`eigenvalues`.
+def reflected_band(b: np.ndarray) -> np.ndarray:
+    """Stage 1 of the spectra of ``W`` and ``W + theta u u^T`` with
+    ``u = 1/sqrt(n)``, from ``b`` holding ``W``: a C-ordered complex128 or
+    float64 array that it overwrites. After the Hermitian check,
+    :func:`_reflect` makes ``b`` into ``B = H W H`` and the first stage of
+    :func:`tridiagonal` reduces ``B`` to a band, which it returns for
+    :func:`band_spectra`. Complex input is reflected and reduced on one
+    OpenBLAS thread. Without the LAPACK symbols ``b`` itself is returned.
     """
     _check_hermitian(b)
+    if _lapack_routines() is None:
+        return b
+    with _blas_rule(b):
+        _reflect(b)
+        return _band(b)
+
+
+def band_spectra(band: np.ndarray, theta: float) -> tuple[Spectrum, Spectrum]:
+    """Stage 2: the spectra of ``W`` and ``W + theta u u^T``, both
+    descending, from the band that :func:`reflected_band` made of ``W``,
+    which it overwrites. ``B + theta e1 e1^T`` is similar to the deformed
+    matrix and both stages keep ``e1`` in place, so the one tridiagonal form
+    ``(d, e)`` of the band serves both: ``dsterf`` on ``(d, e)`` and on
+    ``(d + theta e1, e)``. A complex band is reduced on one OpenBLAS thread.
+    Its LAPACK calls release the GIL, so it can run on a second thread while
+    the next draw is sampled. Without the LAPACK symbols both spectra come
+    from :func:`eigenvalues` of the unreduced ``W``.
+    """
     routines = _lapack_routines()
     if routines is None:
-        deformed = MatrixSample(entries=b + theta / len(b))
-        return eigenvalues(MatrixSample(entries=b)), eigenvalues(deformed)
-    with one_blas_thread if b.dtype == np.complex128 else contextlib.nullcontext():
-        _reflect(b)
-        d, e = tridiagonal(b)
+        deformed = MatrixSample(entries=band + theta / len(band))
+        return eigenvalues(MatrixSample(entries=band)), eigenvalues(deformed)
+    with _blas_rule(band):
+        d, e = _band_tridiagonal(band)
     base = _tridiagonal_spectrum(routines, d, e)
     d[0] += theta
     return base, _tridiagonal_spectrum(routines, d, e)

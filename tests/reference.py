@@ -24,10 +24,13 @@ block-by-time mask form of the row checks of ``dyck_stats.dyck_decompose_rows``,
 which now reads each block's lowest height and the running maximum of the
 block ends instead. ``wigner_stack_reference`` is the mirror-sum assembly
 that ``ensembles._wigner_stack`` replaced with its in-place fill.
+``zhetrd_2stage_reference`` is the one-call Fortran ``zhetrd_2stage`` whose
+two stages ``spectral.tridiagonal`` calls one at a time.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from fractions import Fraction
@@ -35,7 +38,7 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
-from dwigner import ensembles
+from dwigner import ensembles, spectral
 from dwigner.ensembles import MatrixSample
 from dwigner.moment_oracle import MomentModel
 from dwigner.path_model import (
@@ -62,6 +65,7 @@ __all__ = [
     "k_statistic_reference",
     "preimage_census_reference",
     "wigner_stack_reference",
+    "zhetrd_2stage_reference",
 ]
 
 
@@ -377,3 +381,33 @@ def preimage_census_reference(length: int, vertex_budget: int) -> dict:
         "violations": violations,
         "pass": not violations,
     }
+
+
+def zhetrd_2stage_reference(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, e)`` of the C-ordered complex128 Hermitian ``b`` from one call of
+    the Fortran ``zhetrd_2stage`` (``VECT = 'N'``, ``UPLO = 'L'``, a
+    workspace query first) on one OpenBLAS thread; overwrites ``b``."""
+    routine = spectral._openblas().scipy_zhetrd_2stage_64_
+    ref = ctypes.POINTER(ctypes.c_int64)
+    routine.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, ctypes.c_void_p, ref,
+                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ref,
+                        ctypes.c_void_p, ref, ref, ctypes.c_size_t, ctypes.c_size_t]
+    routine.restype = None
+    n, info = ctypes.c_int64(len(b)), ctypes.c_int64(0)
+    d, e = np.empty(len(b)), np.empty(max(len(b) - 1, 0))
+    tau = np.empty(max(len(b) - 1, 1), np.complex128)
+
+    def call(hous2: np.ndarray, work: np.ndarray, query: bool) -> None:
+        lhous2 = ctypes.c_int64(-1 if query else hous2.size)
+        lwork = ctypes.c_int64(-1 if query else work.size)
+        routine(b"N", b"L", ctypes.byref(n), b.ctypes.data, ctypes.byref(n), d.ctypes.data,
+                e.ctypes.data, tau.ctypes.data, hous2.ctypes.data, ctypes.byref(lhous2),
+                work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info), 1, 1)
+        assert info.value == 0, info.value
+
+    hous2, work = np.zeros(1, np.complex128), np.zeros(1, np.complex128)
+    with spectral.one_blas_thread:
+        call(hous2, work, query=True)
+        call(np.empty(max(1, int(hous2[0].real)), np.complex128),
+             np.empty(max(1, int(work[0].real)), np.complex128), query=False)
+    return d, e

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dwigner import ensembles
+from dwigner import ensembles, spectral
 from dwigner.ensembles import (
     KERNEL_MAX_WORDS,
     KERNEL_MIN_BATCH,
@@ -222,6 +222,23 @@ def test_census_draw_peak_memory_is_the_draws_and_one_stack():
     run_spectrum_census(cfg)  # loads the LAPACK routines before tracing
     peak = _traced_peak(lambda: run_spectrum_census(cfg))
     assert peak <= STACK_PEAK_BOUND, peak
+
+
+def test_pipelined_census_peak_memory_is_one_draw_and_one_band():
+    # A census of three complex n = 300 draws: while the calling thread
+    # samples draw i, the helper thread may still hold the band of draw i - 1
+    # (n (kd + 1) complex128, 81,600 bytes at kd = 16) and the workspace of
+    # its second stage, as the stage's own query sizes it. No second n x n
+    # array is alive at any time.
+    routines = spectral._lapack_routines()
+    band = spectral._band(np.eye(STACK_PEAK_N, dtype=np.complex128))
+    workspace = spectral._hb2st_workspace(routines["zhetrd_hb2st"], STACK_PEAK_N,
+                                          band.shape[1] - 1)
+    bound = STACK_PEAK_BOUND + band.nbytes + sum(a.nbytes for a in workspace)
+    cfg = ExperimentConfig(base=make_config(n=STACK_PEAK_N), n_samples=3)
+    run_spectrum_census(cfg)  # loads the LAPACK routines before tracing
+    peak = _traced_peak(lambda: run_spectrum_census(cfg))
+    assert peak <= bound, (peak, bound)
 
 
 def test_eigenvalues_draw_peak_memory_is_the_draws_and_one_stack():

@@ -974,6 +974,31 @@ def test_cli_overflowing_matrices_exit_2_with_one_line_naming_sigma(args, capsys
     assert line == err.splitlines()[-1] and "--sigma" in line
 
 
+def test_cli_census_mean_of_eigenvalues_near_the_float_limit(tmp_path, capsys):
+    # every lambda_1 is finite, but their sum is not: the mean is taken over
+    # the values scaled by a power of two and equals the exact mean, rounded once
+    out = tmp_path / "census.json"
+    assert cli_main(["census", "--n", "4", "--samples", "2", "--sigma", "8e307", "--theta", "0",
+                     "--law", "rademacher", "--symmetry", "complex", "--out", str(out),
+                     "--format", "json"]) == 0
+    records = json.loads(out.read_text())["records"]
+    lam = [r["value"] for r in records if r["statistic"] == "lambda_1"]
+    (mean,) = [r["value"] for r in records if r["statistic"] == "mean_lambda_1"]
+    assert len(lam) == 2 and all(math.isfinite(v) for v in lam) and not math.isfinite(sum(lam))
+    assert mean == float(sum(map(Fraction, lam)) / 2)
+
+
+@pytest.mark.parametrize("command", ["census", "fluctuations", "trace-growth"])
+def test_cli_supercritical_theta_whose_square_overflows_exits_2_naming_both(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--n", "4", "--samples", "2", "--sigma", "1e200", "--theta", "2e200"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("dwigner: error: ")]
+    assert line == err.splitlines()[-1] and "--sigma" in line and "--theta" in line
+
+
 @pytest.mark.parametrize("command", ["census", "fluctuations", "oracle-compare"])
 def test_cli_out_of_memory_exits_2_with_one_line_naming_n(command, monkeypatch, capsys):
     # The sampler raises as numpy does when it cannot allocate the stack. A
@@ -1175,30 +1200,28 @@ def _record_threads(monkeypatch, name, get):
 
 
 def _record_spectral_threads(monkeypatch, get):
-    """Wrap the reflector and both reductions of ``spectral``; returns the
-    thread counts read inside their calls, keyed by ``"reflector"`` and
-    ``"reduction"``."""
-    seen = {"reflector": [], "reduction": []}
+    """Wrap the reflector and both stages of the reduction in ``spectral``;
+    returns the thread counts read inside their calls, keyed by
+    ``"reflector"``, ``"band"`` (stage 1: ``zhetrd_he2hb``, or ``dsytrd`` for
+    real input) and ``"bulge"`` (stage 2: ``zhetrd_hb2st``, or reading
+    ``(d, e)`` off a real band)."""
+    seen = {"reflector": [], "band": [], "bulge": []}
 
     def reading(site, fn):
         return lambda *args: seen[site].append(get()) or fn(*args)
 
-    routines = dict(dwigner.spectral._lapack_routines())
-    routines["dsytrd"] = reading("reduction", routines["dsytrd"])
-    monkeypatch.setattr(dwigner.spectral, "_lapack_routines", lambda: routines)
-    monkeypatch.setattr(dwigner.spectral, "_zhetrd_2stage",
-                        reading("reduction", dwigner.spectral._zhetrd_2stage))
-    monkeypatch.setattr(dwigner.spectral, "_reflect",
-                        reading("reflector", dwigner.spectral._reflect))
+    for site, name in (("reflector", "_reflect"), ("band", "_band"),
+                       ("bulge", "_band_tridiagonal")):
+        monkeypatch.setattr(dwigner.spectral, name, reading(site, getattr(dwigner.spectral, name)))
     return seen
 
 
 # runner, the spectral steps each draw takes, theta
 _THREAD_RUNS = {
-    "census": (run_spectrum_census, ("reflector", "reduction"), 2.0),
-    "fluctuations-super": (run_fluctuations, ("reduction",), 2.0),
-    "fluctuations-sub": (run_fluctuations, ("reduction",), 0.5),
-    "trace-growth": (run_trace_growth, ("reduction",), 2.0),
+    "census": (run_spectrum_census, ("reflector", "band", "bulge"), 2.0),
+    "fluctuations-super": (run_fluctuations, ("band", "bulge"), 2.0),
+    "fluctuations-sub": (run_fluctuations, ("band", "bulge"), 0.5),
+    "trace-growth": (run_trace_growth, ("band", "bulge"), 2.0),
 }
 
 
@@ -1237,6 +1260,38 @@ def test_a_draw_that_raises_restores_the_blas_count(blas_threads, monkeypatch, w
     assert blas_threads() == 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_census_whose_second_stage_raises_joins_its_threads(blas_threads, monkeypatch,
+                                                              workers):
+    # the second stage runs on a helper thread; its failure reaches the
+    # caller, and no thread of the run outlives it
+    def broken(*args):
+        raise RuntimeError("second stage failed")
+
+    monkeypatch.setattr(dwigner.spectral, "_band_tridiagonal", broken)
+    count, running = threading.active_count(), set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="second stage failed"):
+        run_spectrum_census(_thread_run_config("census", "complex", workers))
+    assert blas_threads() == 2
+    assert threading.active_count() == count
+    assert set(threading.enumerate()) == running
+
+
+def test_census_pipeline_under_a_short_switch_interval_keeps_index_order():
+    # more first-stage threads than cores, plus the helper, switching every
+    # microsecond: a draw finished out of order or lost would change a row
+    base = EnsembleConfig.create(n=24, sigma=1.0, theta=2.0, law="rademacher",
+                                 symmetry="complex", master_seed=5)
+    want = run_spectrum_census(ExperimentConfig(base=base, n_samples=16))["records"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_spectrum_census(ExperimentConfig(base=base, n_samples=16, workers=4))["records"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
 def test_oracle_compare_leaves_the_blas_count_alone(blas_threads, monkeypatch):
     seen = _record_threads(monkeypatch, "sample_batch", blas_threads)
     base = EnsembleConfig.create(n=3, sigma=1.0, theta=2.0, law="rademacher",
@@ -1263,17 +1318,12 @@ def test_runs_without_the_thread_symbols_leave_the_count_alone(blas_threads, mon
 def test_a_reduction_outside_a_run_holds_one_thread_for_complex_input(blas_threads,
                                                                      monkeypatch, symmetry):
     # criterion 8 calls eigenvalues from its own pool, outside any runner
-    seen = []
-    routines = dict(dwigner.spectral._lapack_routines())
-    two_stage, one_stage = dwigner.spectral._zhetrd_2stage, routines["dsytrd"]
-    monkeypatch.setattr(dwigner.spectral, "_zhetrd_2stage",
-                        lambda *args: seen.append(blas_threads()) or two_stage(*args))
-    routines["dsytrd"] = lambda *args: seen.append(blas_threads()) or one_stage(*args)
-    monkeypatch.setattr(dwigner.spectral, "_lapack_routines", lambda: routines)
+    seen = _record_spectral_threads(monkeypatch, blas_threads)
     cfg = EnsembleConfig.create(n=12, sigma=1.0, theta=2.0, law="gaussian",
                                 symmetry=symmetry, master_seed=3)
     dwigner.spectral.eigenvalues(sample_deformed(cfg, 0))
-    assert seen == [1 if symmetry == "complex" else 2]
+    count = 1 if symmetry == "complex" else 2
+    assert seen == {"reflector": [], "band": [count], "bulge": [count]}
     assert blas_threads() == 2
 
 

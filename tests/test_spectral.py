@@ -19,13 +19,14 @@ from dwigner.experiments import ExperimentConfig, mc_trace_moments, run_spectrum
 from dwigner.spectral import (
     EigensolverError,
     Spectrum,
+    band_spectra,
     eigenvalues,
     interlacing_check,
     outlier_census,
-    rank_one_spectra,
+    reflected_band,
     rescaled_fluctuation,
 )
-from reference import trace_power_dense
+from reference import trace_power_dense, zhetrd_2stage_reference
 
 
 def matrix_of(arr):
@@ -197,6 +198,12 @@ def dense_spectrum(entries) -> Spectrum:
     return Spectrum(values=np.linalg.eigvalsh(entries)[::-1])
 
 
+def rank_one_spectra(b, theta):
+    """The census's two stages on one thread: the spectra of ``W`` and its
+    rank-one deformation from ``b`` holding ``W``, which is overwritten."""
+    return band_spectra(reflected_band(b), theta)
+
+
 def max_gap_within_bound(got: Spectrum, want: Spectrum) -> bool:
     radius = float(np.max(np.abs(want.values)))
     return float(np.max(np.abs(got.values - want.values))) <= RANK_ONE_TOL * (1.0 + radius)
@@ -227,8 +234,8 @@ def _traced_peak(fn) -> int:
 @pytest.mark.parametrize("symmetry", ["complex", "real"])
 def test_rank_one_spectra_overwrite_the_input_and_copy_nothing(symmetry):
     # The reflector and the reduction work in the array handed over: no n x n
-    # array is allocated beside it (what the reduction adds, the two-stage
-    # workspace and vectors of size n, stays below half of it at n = 300).
+    # array is allocated beside it (what the two stages add, the band, their
+    # workspaces and vectors of size n, stays below half of it at n = 300).
     w = scaled_wigner("gaussian", symmetry, 300).entries
     rank_one_spectra(w.copy(), 2.0)  # loads the LAPACK routines before tracing
     b = w.copy()
@@ -288,6 +295,24 @@ def test_rank_one_spectra_report_lapack_failure(monkeypatch):
     monkeypatch.setattr(spectral, "_lapack_routines", lambda: routines)
     with pytest.raises(EigensolverError, match="dsterf"):
         rank_one_spectra(scaled_wigner("gaussian", "real", 5).entries, 1.0)
+
+
+# The two stages of the complex reduction against the one-call zhetrd_2stage;
+# the seed was fixed before the first run.
+SPLIT_SEED = 2424
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform-symmetric"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 18, 200, 1000])
+def test_two_stage_split_is_bit_equal_to_zhetrd_2stage(law, n):
+    # n <= kd + 1 = 17 is the size at which the first stage copies the matrix
+    # into the band without reducing it
+    cfg = EnsembleConfig.create(n=n, sigma=1.0, theta=0.0, law=law, symmetry="complex",
+                                master_seed=SPLIT_SEED)
+    w = sample_wigner(cfg, 0).entries / math.sqrt(n)
+    d, e = spectral.tridiagonal(w.copy())
+    want_d, want_e = zhetrd_2stage_reference(w.copy())
+    assert d.tobytes() == want_d.tobytes() and e.tobytes() == want_e.tobytes()
 
 
 @pytest.mark.parametrize("symmetry", ["complex", "real"])
