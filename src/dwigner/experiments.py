@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -166,17 +165,18 @@ def _map_indices(fn, indices, workers: int) -> list:
 def _map_two_stage(first, second, then, indices, workers: int) -> list:
     """``then(second(first(i)))`` for each index, in index order.
 
-    ``first`` runs on the calling thread, or on a pool of ``workers`` threads
-    when ``workers > 1``; ``second`` runs on one helper thread, overlapping the
-    next ``first``; ``then`` runs on the calling thread. At most ``workers``
-    calls of ``first`` run at once. The first failure in index order is
-    raised, and every thread is joined on every exit.
+    With one worker, ``first`` and ``then`` run on the calling thread and
+    ``second`` on one helper thread, overlapping the next ``first``; the
+    first failure in index order is raised, and the helper is joined on
+    every exit. With ``workers > 1``, each of ``workers`` pool threads runs
+    whole indices, as :func:`_map_indices` does.
     """
+    if workers > 1:
+        return _map_indices(lambda i: then(second(first(i))), indices, workers)
     out, pending = [], None
-    with ThreadPoolExecutor(max_workers=1) as helper, \
-            ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(max_workers=1) as helper:
         try:
-            for value in pool.map(first, indices) if pool else map(first, indices):
+            for value in map(first, indices):
                 submitted = helper.submit(second, value)
                 previous, pending = pending, None
                 if previous is not None:
@@ -395,9 +395,10 @@ def _mean(values: list[float]) -> float:
 def run_spectrum_census(cfg: ExperimentConfig) -> dict:
     """Per-sample ESD fit, paired interlacing check and outlier tallies.
 
-    Each draw is a two-stage pipeline: the calling thread (or ``workers``
-    pool threads) samples, reflects and reduces it to a band, and one helper
-    thread finishes its two spectra while the next draw is sampled.
+    With one worker each draw is a two-stage pipeline: the calling thread
+    samples, reflects and reduces it to a band, and one helper thread
+    finishes its two spectra while the next draw is sampled. With
+    ``workers > 1`` each pool thread runs whole draws.
     """
     base = cfg.base
     supercritical = base.theta > base.sigma

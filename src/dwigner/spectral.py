@@ -148,10 +148,12 @@ class _OneBlasThread:
 one_blas_thread = _OneBlasThread()
 
 
-def _blas_rule(a: np.ndarray):
-    """The thread rule for a reduction of ``a``: one OpenBLAS thread for
-    complex input, the threads as found for real input."""
-    return one_blas_thread if a.dtype == np.complex128 else contextlib.nullcontext()
+def _blas_rule(a):
+    """The thread rule for a reduction of ``a``, a matrix or a band from
+    :func:`_band`: one OpenBLAS thread for complex input, the threads as
+    found for real input."""
+    complex_input = isinstance(a, np.ndarray) and a.dtype == np.complex128
+    return one_blas_thread if complex_input else contextlib.nullcontext()
 
 
 def _int(value: int):
@@ -203,14 +205,15 @@ def _zhetrd_hb2st(routine, ab: np.ndarray, d: np.ndarray, e: np.ndarray) -> int:
     return info.value
 
 
-def _band(b: np.ndarray) -> np.ndarray:
-    """Stage 1 of :func:`tridiagonal`: the lower band of a Hermitian band
-    matrix unitarily similar to ``b``, which it overwrites. Row ``j`` of the
+def _band(b: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of :func:`tridiagonal`: a band matrix unitarily similar to the
+    Hermitian ``b``, which it overwrites. Complex input takes
+    ``zhetrd_he2hb`` (dense to band in BLAS-3) at the bandwidth that
+    ``zhetrd_2stage`` picks, and returns the lower band: row ``j`` of the
     C-ordered ``(n, kd + 1)`` result is column ``j`` of the band from the
-    diagonal down (LAPACK's lower band storage, read column-major). Complex
-    input takes ``zhetrd_he2hb`` (dense to band in BLAS-3) at the bandwidth
-    that ``zhetrd_2stage`` picks; real input is reduced all the way by
-    ``dsytrd``, to a band with ``kd = 1``: row ``j`` is ``(d_j, e_j)``.
+    diagonal down (LAPACK's lower band storage, read column-major). Real
+    input is reduced all the way by ``dsytrd``, and its band is the pair
+    ``(d, e)``.
     """
     if b.dtype not in (np.complex128, np.float64) or b.ndim != 2 \
             or b.shape[0] != b.shape[1] or not b.flags.c_contiguous:
@@ -229,22 +232,20 @@ def _band(b: np.ndarray) -> np.ndarray:
     if info < 0 and not np.isfinite(b).all():  # LAPACKE refuses a nan in b
         raise OverflowError(_OVERFLOW)
     _lapack_check(info, "dsytrd")
-    ab = np.zeros((n, 2))
-    ab[:, 0], ab[:-1, 1] = d, e
-    return ab
+    return d, e
 
 
-def _band_tridiagonal(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _band_tridiagonal(band) -> tuple[np.ndarray, np.ndarray]:
     """Stage 2 of :func:`tridiagonal`: ``(d, e)`` of a band from
     :func:`_band`, which it overwrites. A complex band takes the bulge
-    chasing of ``zhetrd_hb2st``; a real band holds ``(d, e)`` already."""
-    n = len(ab)
-    if ab.dtype == np.complex128:
-        d, e = np.empty(n), np.empty(max(n - 1, 0))
-        info = _zhetrd_hb2st(_lapack_routines()["zhetrd_hb2st"], ab, d, e)
-        _lapack_check(info, "zhetrd_hb2st")
+    chasing of ``zhetrd_hb2st``; a real band is ``(d, e)`` already."""
+    if isinstance(band, tuple):
+        d, e = band
     else:
-        d, e = ab[:, 0].copy(), ab[:-1, 1].copy()
+        n = len(band)
+        d, e = np.empty(n), np.empty(max(n - 1, 0))
+        info = _zhetrd_hb2st(_lapack_routines()["zhetrd_hb2st"], band, d, e)
+        _lapack_check(info, "zhetrd_hb2st")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise OverflowError(_OVERFLOW)
     return d, e
@@ -325,14 +326,15 @@ def _reflect(b: np.ndarray) -> None:
     b[:, 0] += x
 
 
-def reflected_band(b: np.ndarray) -> np.ndarray:
+def reflected_band(b: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Stage 1 of the spectra of ``W`` and ``W + theta u u^T`` with
     ``u = 1/sqrt(n)``, from ``b`` holding ``W``: a C-ordered complex128 or
     float64 array that it overwrites. After the Hermitian check,
     :func:`_reflect` makes ``b`` into ``B = H W H`` and the first stage of
     :func:`tridiagonal` reduces ``B`` to a band, which it returns for
-    :func:`band_spectra`. Complex input is reflected and reduced on one
-    OpenBLAS thread. Without the LAPACK symbols ``b`` itself is returned.
+    :func:`band_spectra`: a thin complex band, or ``(d, e)`` for real
+    input. Complex input is reflected and reduced on one OpenBLAS thread.
+    Without the LAPACK symbols ``b`` itself is returned, unreflected.
     """
     _check_hermitian(b)
     if _lapack_routines() is None:
@@ -342,7 +344,7 @@ def reflected_band(b: np.ndarray) -> np.ndarray:
         return _band(b)
 
 
-def band_spectra(band: np.ndarray, theta: float) -> tuple[Spectrum, Spectrum]:
+def band_spectra(band, theta: float) -> tuple[Spectrum, Spectrum]:
     """Stage 2: the spectra of ``W`` and ``W + theta u u^T``, both
     descending, from the band that :func:`reflected_band` made of ``W``,
     which it overwrites. ``B + theta e1 e1^T`` is similar to the deformed
@@ -350,13 +352,16 @@ def band_spectra(band: np.ndarray, theta: float) -> tuple[Spectrum, Spectrum]:
     ``(d, e)`` of the band serves both: ``dsterf`` on ``(d, e)`` and on
     ``(d + theta e1, e)``. A complex band is reduced on one OpenBLAS thread.
     Its LAPACK calls release the GIL, so it can run on a second thread while
-    the next draw is sampled. Without the LAPACK symbols both spectra come
-    from :func:`eigenvalues` of the unreduced ``W``.
+    the next draw is sampled. Without the LAPACK symbols the band is ``W``
+    itself: both spectra come from :func:`eigenvalues`, the second after
+    ``theta/n`` is added to ``W`` in place, so the helper holds no n x n
+    array but ``W`` and the working copy that ``np.linalg.eigvalsh`` makes.
     """
     routines = _lapack_routines()
     if routines is None:
-        deformed = MatrixSample(entries=band + theta / len(band))
-        return eigenvalues(MatrixSample(entries=band)), eigenvalues(deformed)
+        base = eigenvalues(MatrixSample(entries=band))  # eigvalsh leaves band as it is
+        band += theta / len(band)
+        return base, eigenvalues(MatrixSample(entries=band))
     with _blas_rule(band):
         d, e = _band_tridiagonal(band)
     base = _tridiagonal_spectrum(routines, d, e)

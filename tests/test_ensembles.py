@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -8,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dwigner import ensembles, spectral
+from dwigner import ensembles, experiments, spectral
 from dwigner.ensembles import (
     KERNEL_MAX_WORDS,
     KERNEL_MIN_BATCH,
     EnsembleConfig,
+    MatrixSample,
     RegimeError,
     _law_draws,
     _philox_words,
@@ -224,19 +226,58 @@ def test_census_draw_peak_memory_is_the_draws_and_one_stack():
     assert peak <= STACK_PEAK_BOUND, peak
 
 
+def _band_and_workspace_bytes(n: int) -> int:
+    """Bytes of the band of one complex n x n draw and of the workspace of
+    its second stage, as the stage's own query sizes it."""
+    band = spectral._band(np.eye(n, dtype=np.complex128))
+    workspace = spectral._hb2st_workspace(spectral._lapack_routines()["zhetrd_hb2st"], n,
+                                          band.shape[1] - 1)
+    return band.nbytes + sum(a.nbytes for a in workspace)
+
+
 def test_pipelined_census_peak_memory_is_one_draw_and_one_band():
     # A census of three complex n = 300 draws: while the calling thread
     # samples draw i, the helper thread may still hold the band of draw i - 1
     # (n (kd + 1) complex128, 81,600 bytes at kd = 16) and the workspace of
-    # its second stage, as the stage's own query sizes it. No second n x n
-    # array is alive at any time.
-    routines = spectral._lapack_routines()
-    band = spectral._band(np.eye(STACK_PEAK_N, dtype=np.complex128))
-    workspace = spectral._hb2st_workspace(routines["zhetrd_hb2st"], STACK_PEAK_N,
-                                          band.shape[1] - 1)
-    bound = STACK_PEAK_BOUND + band.nbytes + sum(a.nbytes for a in workspace)
+    # its second stage. No second n x n array is alive at any time.
+    bound = STACK_PEAK_BOUND + _band_and_workspace_bytes(STACK_PEAK_N)
     cfg = ExperimentConfig(base=make_config(n=STACK_PEAK_N), n_samples=3)
     run_spectrum_census(cfg)  # loads the LAPACK routines before tracing
+    peak = _traced_peak(lambda: run_spectrum_census(cfg))
+    assert peak <= bound, (peak, bound)
+
+
+def test_pipelined_census_without_lapack_symbols_holds_one_draw_and_one_matrix(monkeypatch):
+    # Without the LAPACK symbols the band that crosses to the helper thread
+    # is W itself (n**2 complex128, 1,440,000 bytes at n = 300), which the
+    # helper shifts by theta/n in place for the second spectrum: beside the
+    # draw that the calling thread samples, no other n x n array is alive.
+    # What the helper adds is the Hermitian check of eigenvalues, whose own
+    # peak is traced here.
+    cfg = ExperimentConfig(base=make_config(n=STACK_PEAK_N), n_samples=3)
+    w = MatrixSample(entries=sample_wigner(cfg.base, 0).entries)
+    bound = STACK_PEAK_BOUND + STACK_PEAK_N**2 * 16 + _traced_peak(w.is_hermitian)
+    monkeypatch.setattr(spectral, "_lapack_routines", lambda: None)
+    run_spectrum_census(cfg)
+    peak = _traced_peak(lambda: run_spectrum_census(cfg))
+    assert peak <= bound, (peak, bound)
+
+
+def test_census_on_four_workers_holds_at_most_four_draws(monkeypatch):
+    # With workers > 1 each pool thread runs whole draws, so at most four
+    # draws are alive at n = 64: each the sampler's arrays, a band and the
+    # second-stage workspace (219,392 bytes). Beyond them every sample keeps
+    # only small objects (its row, its records and its pool future, under
+    # 4 KiB). A second stage slowed by 5 ms must not let the first stage's
+    # bands pile up, one per sample.
+    n, samples, workers = 64, 96, 4
+    bound = workers * (n**2 * (8 + 16) + 64 * 1024 + _band_and_workspace_bytes(n)) \
+        + samples * 4 * 1024
+    band_spectra = experiments.band_spectra
+    monkeypatch.setattr(experiments, "band_spectra",
+                        lambda *args: time.sleep(0.005) or band_spectra(*args))
+    cfg = ExperimentConfig(base=make_config(n=n), n_samples=samples, workers=workers)
+    run_spectrum_census(replace(cfg, n_samples=1))  # loads the LAPACK routines before tracing
     peak = _traced_peak(lambda: run_spectrum_census(cfg))
     assert peak <= bound, (peak, bound)
 

@@ -1278,18 +1278,21 @@ def test_a_census_whose_second_stage_raises_joins_its_threads(blas_threads, monk
 
 
 def test_census_pipeline_under_a_short_switch_interval_keeps_index_order():
-    # more first-stage threads than cores, plus the helper, switching every
-    # microsecond: a draw finished out of order or lost would change a row
+    # the pipeline of one worker and its helper, and four pool threads
+    # running whole draws, switching every microsecond: a draw finished out
+    # of order or lost would change a row
     base = EnsembleConfig.create(n=24, sigma=1.0, theta=2.0, law="rademacher",
                                  symmetry="complex", master_seed=5)
     want = run_spectrum_census(ExperimentConfig(base=base, n_samples=16))["records"]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = run_spectrum_census(ExperimentConfig(base=base, n_samples=16, workers=4))["records"]
+        got = [run_spectrum_census(ExperimentConfig(base=base, n_samples=16,
+                                                    workers=workers))["records"]
+               for workers in (1, 4)]
     finally:
         sys.setswitchinterval(interval)
-    assert got == want
+    assert got == [want, want]
 
 
 def test_oracle_compare_leaves_the_blas_count_alone(blas_threads, monkeypatch):
