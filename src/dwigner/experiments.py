@@ -34,11 +34,10 @@ from .moment_oracle import (
 )
 from .spectral import (
     Spectrum,
-    band_spectra,
     eigenvalues,
     interlacing_check,
     outlier_census,
-    reflected_band,
+    rank_one_spectra,
     rescaled_fluctuation,
 )
 
@@ -162,22 +161,23 @@ def _map_indices(fn, indices, workers: int) -> list:
         return list(pool.map(fn, indices))
 
 
-def _map_two_stage(first, second, then, indices, workers: int) -> list:
-    """``then(second(first(i)))`` for each index, in index order.
+def _map_two_stage(first, then, indices, workers: int) -> list:
+    """``then(first(i)())`` for each index, in index order: ``first`` runs
+    stage 1 and returns stage 2, a function of no arguments.
 
     With one worker, ``first`` and ``then`` run on the calling thread and
-    ``second`` on one helper thread, overlapping the next ``first``; the
+    each stage 2 on one helper thread, overlapping the next ``first``; the
     first failure in index order is raised, and the helper is joined on
     every exit. With ``workers > 1``, each of ``workers`` pool threads runs
     whole indices, as :func:`_map_indices` does.
     """
     if workers > 1:
-        return _map_indices(lambda i: then(second(first(i))), indices, workers)
+        return _map_indices(lambda i: then(first(i)()), indices, workers)
     out, pending = [], None
     with ThreadPoolExecutor(max_workers=1) as helper:
         try:
-            for value in map(first, indices):
-                submitted = helper.submit(second, value)
+            for stage in map(first, indices):
+                submitted = helper.submit(stage)
                 previous, pending = pending, None
                 if previous is not None:
                     out.append(then(previous.result()))
@@ -396,20 +396,21 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
     """Per-sample ESD fit, paired interlacing check and outlier tallies.
 
     With one worker each draw is a two-stage pipeline: the calling thread
-    samples, reflects and reduces it to a band, and one helper thread
-    finishes its two spectra while the next draw is sampled. With
+    samples it and runs stage 1 of :func:`rank_one_spectra`, and one helper
+    thread runs stage 2 while the next draw is sampled. With
     ``workers > 1`` each pool thread runs whole draws.
     """
     base = cfg.base
     supercritical = base.theta > base.sigma
     sqrt_n = math.sqrt(base.n)
 
-    def band(i: int):
+    def draw(i: int):
         # the draw is this sample's own buffer: scaled, turned into the
         # reflected matrix and reduced in place, never copied
         w = sample_wigner(base, i).entries
-        w /= sqrt_n
-        return reflected_band(w)
+        with np.errstate(over="ignore", invalid="ignore"):  # spectral reports an overflow
+            w /= sqrt_n
+        return rank_one_spectra(w, base.theta)
 
     def row(spectra):
         base_spec, spec = spectra
@@ -419,8 +420,7 @@ def run_spectrum_census(cfg: ExperimentConfig) -> dict:
         census = outlier_census(spec, base.theta, base.sigma, base.n) if supercritical else (0, 0)
         return (ks.statistic, violations, float(spec.values[0])) + census
 
-    rows = _map_two_stage(band, lambda ab: band_spectra(ab, base.theta), row,
-                          range(cfg.n_samples), cfg.workers)
+    rows = _map_two_stage(draw, row, range(cfg.n_samples), cfg.workers)
     names = ["esd_ks", "interlacing_violations", "lambda_1"]
     summary = {
         "max_esd_ks": max(r[0] for r in rows),

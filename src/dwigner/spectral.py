@@ -2,11 +2,12 @@
 
 Everything downstream consumes eigenvalues only. Every spectrum of one matrix
 is a reduction to real tridiagonal form, in the buffer it is handed, followed
-by ``dsterf``. The module exposes that reduction, the full spectrum of one
-matrix, the pair of spectra of ``W`` and its rank-one deformation from one
-shared reduction in two stages (dense to band, then band to spectra, which
-can run on different threads), the rank-one interlacing check, the top-k edge
-rescaling and the outlier census; only it holds OpenBLAS at one thread.
+by ``dsterf``. The module exposes that reduction, which runs its first
+stage at once and returns its second, to run on any thread; the full
+spectrum of one matrix; the pair of spectra of ``W`` and its rank-one
+deformation from one shared reduction, staged the same way; the rank-one
+interlacing check, the top-k edge rescaling and the outlier census. Only it
+holds OpenBLAS at one thread, and only it knows the band between the stages.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextlib
 import ctypes
 import functools
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +28,7 @@ __all__ = [
     "EigensolverError",
     "tridiagonal",
     "eigenvalues",
-    "reflected_band",
-    "band_spectra",
+    "rank_one_spectra",
     "interlacing_check",
     "rescaled_fluctuation",
     "outlier_census",
@@ -148,37 +149,27 @@ class _OneBlasThread:
 one_blas_thread = _OneBlasThread()
 
 
-def _blas_rule(a):
-    """The thread rule for a reduction of ``a``, a matrix or a band from
-    :func:`_band`: one OpenBLAS thread for complex input, the threads as
-    found for real input."""
-    complex_input = isinstance(a, np.ndarray) and a.dtype == np.complex128
-    return one_blas_thread if complex_input else contextlib.nullcontext()
-
-
 def _int(value: int):
     """A Fortran integer argument: an int64 passed by reference."""
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _zhetrd_he2hb(routine, b: np.ndarray, ab: np.ndarray) -> int:
+def _zhetrd_he2hb(routine, b: np.ndarray, ab: np.ndarray) -> None:
     """``zhetrd_he2hb`` with ``UPLO = 'L'``: ``b`` to the lower band ``ab`` of
-    bandwidth ``ab.shape[1] - 1``. A workspace query, then the reduction.
-    Returns LAPACK's ``info``."""
+    bandwidth ``ab.shape[1] - 1``. A workspace query, then the reduction."""
     n, kd = len(b), ab.shape[1] - 1
     tau = np.empty(max(n - 1, 1), np.complex128)
     info = ctypes.c_int64(0)
 
-    def call(work: np.ndarray, lwork: int) -> int:
+    def call(work: np.ndarray, lwork: int) -> None:
         routine(b"L", _int(n), _int(kd), b.ctypes.data, _int(n), ab.ctypes.data, _int(kd + 1),
                 tau.ctypes.data, work.ctypes.data, _int(lwork), ctypes.byref(info), 1)
-        return info.value
+        _lapack_check(info.value, "zhetrd_he2hb")
 
     work = np.zeros(1, np.complex128)
-    if call(work, -1) != 0:
-        return info.value
+    call(work, -1)
     size = max(1, int(work[0].real))
-    return call(np.empty(size, np.complex128), size)
+    call(np.empty(size, np.complex128), size)
 
 
 def _hb2st_workspace(routine, n: int, kd: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,83 +183,72 @@ def _hb2st_workspace(routine, n: int, kd: int) -> tuple[np.ndarray, np.ndarray]:
             np.empty(max(1, int(work[0].real)), np.complex128))
 
 
-def _zhetrd_hb2st(routine, ab: np.ndarray, d: np.ndarray, e: np.ndarray) -> int:
+def _zhetrd_hb2st(routine, ab: np.ndarray, d: np.ndarray, e: np.ndarray) -> None:
     """``zhetrd_hb2st`` with ``STAGE1 = 'Y'``, ``VECT = 'N'``, ``UPLO = 'L'``:
-    bulge chasing from the lower band ``ab`` to ``(d, e)``. Returns LAPACK's
-    ``info``."""
+    bulge chasing from the lower band ``ab`` to ``(d, e)``."""
     n, kd = ab.shape[0], ab.shape[1] - 1
     hous, work = _hb2st_workspace(routine, n, kd)
     info = ctypes.c_int64(0)
     routine(b"Y", b"N", b"L", _int(n), _int(kd), ab.ctypes.data, _int(kd + 1), d.ctypes.data,
             e.ctypes.data, hous.ctypes.data, _int(hous.size), work.ctypes.data,
             _int(work.size), ctypes.byref(info), 1, 1, 1)
-    return info.value
+    _lapack_check(info.value, "zhetrd_hb2st")
 
 
-def _band(b: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Stage 1 of :func:`tridiagonal`: a band matrix unitarily similar to the
-    Hermitian ``b``, which it overwrites. Complex input takes
-    ``zhetrd_he2hb`` (dense to band in BLAS-3) at the bandwidth that
-    ``zhetrd_2stage`` picks, and returns the lower band: row ``j`` of the
-    C-ordered ``(n, kd + 1)`` result is column ``j`` of the band from the
-    diagonal down (LAPACK's lower band storage, read column-major). Real
-    input is reduced all the way by ``dsytrd``, and its band is the pair
-    ``(d, e)``.
+def _finite(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise OverflowError(_OVERFLOW)
+    return d, e
+
+
+def tridiagonal(b: np.ndarray) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """Stage 1 of the reduction of the Hermitian/symmetric matrix ``b``, a
+    C-ordered complex128 or float64 array that it overwrites, to real
+    symmetric tridiagonal form; returns stage 2, a function of no arguments,
+    to be called once, that returns ``(d, e)``.
+
+    ``d`` is the diagonal (n) and ``e`` the subdiagonal (n - 1) of a
+    tridiagonal matrix unitarily similar to ``b``. Complex input takes
+    LAPACK's two-stage reduction on one OpenBLAS thread: ``zhetrd_he2hb``
+    (dense to band in BLAS-3), then, in stage 2, ``zhetrd_hb2st`` (bulge
+    chasing to tridiagonal), the two stages of ``zhetrd_2stage`` with its
+    bandwidth and bit for bit its result. Stage 2 holds the band, not ``b``,
+    and its LAPACK calls release the GIL, so it can run on another thread.
+    Real input keeps the one-stage ``dsytrd`` on the threads it finds, which
+    is faster there, all in stage 1. Both reduce the lower triangle and fix
+    ``e1``, so ``(d + theta e1, e)`` is the form of ``b + theta e1 e1^T``.
+    Read column-major, the C-order buffer of ``b`` is ``conj(b)``, whose
+    real tridiagonal form is the same. Requires the LAPACK symbols; raises
+    ``OverflowError`` if ``b`` or its form overflows.
     """
     if b.dtype not in (np.complex128, np.float64) or b.ndim != 2 \
             or b.shape[0] != b.shape[1] or not b.flags.c_contiguous:
         raise ValueError("tridiagonal needs a square C-ordered complex128 or float64 array")
     routines = _lapack_routines()
     n = len(b)
-    if b.dtype == np.complex128:
+    if b.dtype == np.float64:
+        d, e, tau = np.empty(n), np.empty(max(n - 1, 0)), np.empty(max(n - 1, 1))
+        info = routines["dsytrd"](_COL_MAJOR, b"L", n, b.ctypes.data, n, d.ctypes.data,
+                                  e.ctypes.data, tau.ctypes.data)
+        if info < 0 and not np.isfinite(b).all():  # LAPACKE refuses a nan in b
+            raise OverflowError(_OVERFLOW)
+        _lapack_check(info, "dsytrd")
+        return lambda: _finite(d, e)
+    # at zhetrd_2stage's bandwidth; row j of the C-ordered (n, kd + 1) band is its
+    # column j from the diagonal down, LAPACK's lower band storage read column-major
+    with one_blas_thread:
         kd = routines["ilaenv2stage"](_int(1), b"ZHETRD_2STAGE", b"N", _int(n), _int(-1),
                                       _int(-1), _int(-1), 13, 1)
         ab = np.empty((n, kd + 1), np.complex128)
-        _lapack_check(_zhetrd_he2hb(routines["zhetrd_he2hb"], b, ab), "zhetrd_he2hb")
-        return ab
-    d, e, tau = np.empty(n), np.empty(max(n - 1, 0)), np.empty(max(n - 1, 1))
-    info = routines["dsytrd"](_COL_MAJOR, b"L", n, b.ctypes.data, n, d.ctypes.data,
-                              e.ctypes.data, tau.ctypes.data)
-    if info < 0 and not np.isfinite(b).all():  # LAPACKE refuses a nan in b
-        raise OverflowError(_OVERFLOW)
-    _lapack_check(info, "dsytrd")
-    return d, e
+        _zhetrd_he2hb(routines["zhetrd_he2hb"], b, ab)
 
-
-def _band_tridiagonal(band) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 2 of :func:`tridiagonal`: ``(d, e)`` of a band from
-    :func:`_band`, which it overwrites. A complex band takes the bulge
-    chasing of ``zhetrd_hb2st``; a real band is ``(d, e)`` already."""
-    if isinstance(band, tuple):
-        d, e = band
-    else:
-        n = len(band)
+    def bulge_chasing() -> tuple[np.ndarray, np.ndarray]:
         d, e = np.empty(n), np.empty(max(n - 1, 0))
-        info = _zhetrd_hb2st(_lapack_routines()["zhetrd_hb2st"], band, d, e)
-        _lapack_check(info, "zhetrd_hb2st")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise OverflowError(_OVERFLOW)
-    return d, e
+        with one_blas_thread:
+            _zhetrd_hb2st(routines["zhetrd_hb2st"], ab, d, e)
+        return _finite(d, e)
 
-
-def tridiagonal(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real symmetric tridiagonal form ``(d, e)`` of the Hermitian/symmetric
-    matrix ``b``, a C-ordered complex128 or float64 array that it overwrites.
-
-    ``d`` is the diagonal (n) and ``e`` the subdiagonal (n - 1) of a
-    tridiagonal matrix unitarily similar to ``b``. Complex input takes
-    LAPACK's two-stage reduction on one OpenBLAS thread: ``zhetrd_he2hb``
-    (dense to band in BLAS-3), then ``zhetrd_hb2st`` (bulge chasing to
-    tridiagonal), the two stages of ``zhetrd_2stage`` with its bandwidth and
-    bit for bit its result. Real input keeps the one-stage ``dsytrd`` on the
-    threads it finds, which is faster there. Both reduce the lower triangle
-    and fix ``e1``, so ``(d + theta e1, e)`` is the form of
-    ``b + theta e1 e1^T``. Read column-major, the C-order buffer of ``b`` is
-    ``conj(b)``, whose real tridiagonal form is the same. Requires the LAPACK
-    symbols; raises ``OverflowError`` if ``b`` or its form overflows.
-    """
-    with _blas_rule(b):
-        return _band_tridiagonal(_band(b))
+    return bulge_chasing
 
 
 def _tridiagonal_spectrum(routines: dict, d: np.ndarray, e: np.ndarray) -> Spectrum:
@@ -303,7 +283,7 @@ def eigenvalues(m: MatrixSample) -> Spectrum:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
             raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
         return Spectrum(values=np.ascontiguousarray(vals[::-1]))
-    return _tridiagonal_spectrum(routines, *tridiagonal(b))
+    return _tridiagonal_spectrum(routines, *tridiagonal(b)())
 
 
 def _reflect(b: np.ndarray) -> None:
@@ -317,56 +297,52 @@ def _reflect(b: np.ndarray) -> None:
     v = np.full(n, c)
     v[0] -= 1.0
     tau = 2.0 / (v @ v)
-    wv = b @ v.astype(b.dtype)
-    x = tau * wv - (0.5 * tau * tau * (v @ wv).real) * v
-    # H b H = b - v x^H - x v^T, with v = c 1 - e1 applied as row and column broadcasts
-    b -= c * x.conj()
-    b[0] += x.conj()
-    b -= (c * x)[:, None]
-    b[:, 0] += x
+    # an overflow leaves an inf or a nan in b, which the reduction reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        wv = b @ v.astype(b.dtype)
+        x = tau * wv - (0.5 * tau * tau * (v @ wv).real) * v
+        # H b H = b - v x^H - x v^T, with v = c 1 - e1 applied as row and column broadcasts
+        b -= c * x.conj()
+        b[0] += x.conj()
+        b -= (c * x)[:, None]
+        b[:, 0] += x
 
 
-def reflected_band(b: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def rank_one_spectra(b: np.ndarray, theta: float) -> Callable[[], tuple[Spectrum, Spectrum]]:
     """Stage 1 of the spectra of ``W`` and ``W + theta u u^T`` with
-    ``u = 1/sqrt(n)``, from ``b`` holding ``W``: a C-ordered complex128 or
-    float64 array that it overwrites. After the Hermitian check,
-    :func:`_reflect` makes ``b`` into ``B = H W H`` and the first stage of
-    :func:`tridiagonal` reduces ``B`` to a band, which it returns for
-    :func:`band_spectra`: a thin complex band, or ``(d, e)`` for real
-    input. Complex input is reflected and reduced on one OpenBLAS thread.
-    Without the LAPACK symbols ``b`` itself is returned, unreflected.
+    ``u = 1/sqrt(n)`` from ``b`` holding ``W``, a C-ordered complex128 or
+    float64 array that it overwrites; returns stage 2, a function of no
+    arguments, to be called once, that returns both spectra, descending.
+
+    Stage 1 is the Hermitian check, :func:`_reflect`, which makes ``b`` into
+    ``B = H W H``, and stage 1 of :func:`tridiagonal`, complex input on one
+    OpenBLAS thread. ``B + theta e1 e1^T`` is similar to the deformed matrix
+    and both stages keep ``e1`` in place, so stage 2 runs ``dsterf`` on the
+    one form ``(d, e)`` of ``B`` and on ``(d + theta e1, e)``. Without the
+    LAPACK symbols stage 2 takes both spectra through :func:`eigenvalues`,
+    the second after ``theta/n`` is added to ``W`` in place, so it holds no
+    n x n array but ``W`` and the working copy of ``np.linalg.eigvalsh``.
     """
     _check_hermitian(b)
-    if _lapack_routines() is None:
-        return b
-    with _blas_rule(b):
-        _reflect(b)
-        return _band(b)
-
-
-def band_spectra(band, theta: float) -> tuple[Spectrum, Spectrum]:
-    """Stage 2: the spectra of ``W`` and ``W + theta u u^T``, both
-    descending, from the band that :func:`reflected_band` made of ``W``,
-    which it overwrites. ``B + theta e1 e1^T`` is similar to the deformed
-    matrix and both stages keep ``e1`` in place, so the one tridiagonal form
-    ``(d, e)`` of the band serves both: ``dsterf`` on ``(d, e)`` and on
-    ``(d + theta e1, e)``. A complex band is reduced on one OpenBLAS thread.
-    Its LAPACK calls release the GIL, so it can run on a second thread while
-    the next draw is sampled. Without the LAPACK symbols the band is ``W``
-    itself: both spectra come from :func:`eigenvalues`, the second after
-    ``theta/n`` is added to ``W`` in place, so the helper holds no n x n
-    array but ``W`` and the working copy that ``np.linalg.eigvalsh`` makes.
-    """
     routines = _lapack_routines()
     if routines is None:
-        base = eigenvalues(MatrixSample(entries=band))  # eigvalsh leaves band as it is
-        band += theta / len(band)
-        return base, eigenvalues(MatrixSample(entries=band))
-    with _blas_rule(band):
-        d, e = _band_tridiagonal(band)
-    base = _tridiagonal_spectrum(routines, d, e)
-    d[0] += theta
-    return base, _tridiagonal_spectrum(routines, d, e)
+        def dense() -> tuple[Spectrum, Spectrum]:
+            base = eigenvalues(MatrixSample(entries=b))  # eigvalsh leaves b as it is
+            np.add(b, theta / len(b), out=b)
+            return base, eigenvalues(MatrixSample(entries=b))
+
+        return dense
+    with one_blas_thread if b.dtype == np.complex128 else contextlib.nullcontext():
+        _reflect(b)
+        reduced = tridiagonal(b)
+
+    def spectra() -> tuple[Spectrum, Spectrum]:
+        d, e = reduced()
+        base = _tridiagonal_spectrum(routines, d, e)
+        d[0] += theta
+        return base, _tridiagonal_spectrum(routines, d, e)
+
+    return spectra
 
 
 def interlacing_check(deformed: Spectrum, base: Spectrum) -> int:

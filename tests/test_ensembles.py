@@ -214,6 +214,22 @@ def test_wigner_stack_peak_memory_is_the_draws_and_one_stack():
     assert peak <= STACK_PEAK_BOUND, peak
 
 
+# The Hermitian check of one complex matrix: one block of its conjugate
+# columns (ensembles._HERMITIAN_BLOCK = 8192 complex128 entries, 131,072
+# bytes), the bool result of one block comparison (8,192 bytes), and a 16 KiB
+# margin for numpy's ufunc buffers and small objects. Fixed before the first
+# run.
+HERMITIAN_PEAK_BOUND = 8192 * 16 + 8192 + 16 * 1024
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_hermitian_check_copies_at_most_one_block(n):
+    w = sample_wigner(make_config(n=n), 0)
+    assert w.is_hermitian()
+    peak = _traced_peak(w.is_hermitian)
+    assert peak <= HERMITIAN_PEAK_BOUND, peak
+
+
 def test_census_draw_peak_memory_is_the_draws_and_one_stack():
     # One census draw at n = 300: sampling holds the draws and the stack;
     # the draws are freed when the sampler returns, and the census scales,
@@ -227,12 +243,14 @@ def test_census_draw_peak_memory_is_the_draws_and_one_stack():
 
 
 def _band_and_workspace_bytes(n: int) -> int:
-    """Bytes of the band of one complex n x n draw and of the workspace of
-    its second stage, as the stage's own query sizes it."""
-    band = spectral._band(np.eye(n, dtype=np.complex128))
-    workspace = spectral._hb2st_workspace(spectral._lapack_routines()["zhetrd_hb2st"], n,
-                                          band.shape[1] - 1)
-    return band.nbytes + sum(a.nbytes for a in workspace)
+    """Bytes of the band of one complex n x n draw (``n (kd + 1)``
+    complex128 at the bandwidth ``kd`` of ``zhetrd_2stage``) and of the
+    workspace of its second stage, as the stage's own query sizes it."""
+    routines, int64 = spectral._lapack_routines(), spectral._int
+    kd = routines["ilaenv2stage"](int64(1), b"ZHETRD_2STAGE", b"N", int64(n), int64(-1),
+                                  int64(-1), int64(-1), 13, 1)
+    workspace = spectral._hb2st_workspace(routines["zhetrd_hb2st"], n, kd)
+    return n * (kd + 1) * 16 + sum(a.nbytes for a in workspace)
 
 
 def test_pipelined_census_peak_memory_is_one_draw_and_one_band():
@@ -248,8 +266,8 @@ def test_pipelined_census_peak_memory_is_one_draw_and_one_band():
 
 
 def test_pipelined_census_without_lapack_symbols_holds_one_draw_and_one_matrix(monkeypatch):
-    # Without the LAPACK symbols the band that crosses to the helper thread
-    # is W itself (n**2 complex128, 1,440,000 bytes at n = 300), which the
+    # Without the LAPACK symbols the stage that crosses to the helper thread
+    # holds W itself (n**2 complex128, 1,440,000 bytes at n = 300), which the
     # helper shifts by theta/n in place for the second spectrum: beside the
     # draw that the calling thread samples, no other n x n array is alive.
     # What the helper adds is the Hermitian check of eigenvalues, whose own
@@ -273,9 +291,13 @@ def test_census_on_four_workers_holds_at_most_four_draws(monkeypatch):
     n, samples, workers = 64, 96, 4
     bound = workers * (n**2 * (8 + 16) + 64 * 1024 + _band_and_workspace_bytes(n)) \
         + samples * 4 * 1024
-    band_spectra = experiments.band_spectra
-    monkeypatch.setattr(experiments, "band_spectra",
-                        lambda *args: time.sleep(0.005) or band_spectra(*args))
+    rank_one_spectra = experiments.rank_one_spectra
+
+    def slowed(*args):
+        stage = rank_one_spectra(*args)
+        return lambda: time.sleep(0.005) or stage()
+
+    monkeypatch.setattr(experiments, "rank_one_spectra", slowed)
     cfg = ExperimentConfig(base=make_config(n=n), n_samples=samples, workers=workers)
     run_spectrum_census(replace(cfg, n_samples=1))  # loads the LAPACK routines before tracing
     peak = _traced_peak(lambda: run_spectrum_census(cfg))

@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a dangling export;
 every exported name is reached from the program, so no library surface serves
-only the tests; the package itself exports nothing; every span of the
-benchmark's tracer times code the program runs."""
+only the tests; the package itself exports nothing; no module reaches a
+private name of another; every span of the benchmark's tracer times code the
+program runs."""
 
 import ast
 import contextlib
@@ -73,6 +74,32 @@ def test_every_export_is_reached():
                 reached.add(node.name)
     assert sorted(exported - reached - UNREACHED_ALLOWED) == []
     assert UNREACHED_ALLOWED <= exported - reached  # no stale allowance
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_reaches_a_private_name_of_another(path):
+    # a _-prefixed name stays inside its module: none is imported from
+    # another dwigner module or read as an attribute of one
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, reached = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "dwigner"):
+            reached += [alias.name for alias in node.names if _private(alias.name)]
+            if node.module in (None, "dwigner"):  # from . import <module>
+                modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "dwigner")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) \
+                and ast.unparse(node.value) in modules:
+            reached.append(f"{ast.unparse(node.value)}.{node.attr}")
+    assert reached == []
 
 
 def test_every_tracer_span_records_a_call(monkeypatch, tmp_path):

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,11 +21,9 @@ from dwigner.experiments import ExperimentConfig, mc_trace_moments, run_spectrum
 from dwigner.spectral import (
     EigensolverError,
     Spectrum,
-    band_spectra,
     eigenvalues,
     interlacing_check,
     outlier_census,
-    reflected_band,
     rescaled_fluctuation,
 )
 from reference import trace_power_dense, zhetrd_2stage_reference
@@ -201,7 +201,7 @@ def dense_spectrum(entries) -> Spectrum:
 def rank_one_spectra(b, theta):
     """The census's two stages on one thread: the spectra of ``W`` and its
     rank-one deformation from ``b`` holding ``W``, which is overwritten."""
-    return band_spectra(reflected_band(b), theta)
+    return spectral.rank_one_spectra(b, theta)()
 
 
 def max_gap_within_bound(got: Spectrum, want: Spectrum) -> bool:
@@ -242,6 +242,22 @@ def test_rank_one_spectra_overwrite_the_input_and_copy_nothing(symmetry):
     peak = _traced_peak(lambda: rank_one_spectra(b, 2.0))
     assert peak <= b.nbytes // 2, peak
     assert not np.array_equal(b, w)
+
+
+@pytest.mark.parametrize("symmetry", ["complex", "real"])
+def test_rank_one_second_stage_holds_no_reference_to_the_matrix(symmetry):
+    # the census frees each n x n buffer once stage 1 returns: the stage it
+    # hands to its helper thread holds the band or (d, e), never the matrix
+    w = scaled_wigner("gaussian", symmetry, 40).entries
+    b = w.copy()
+    alive = weakref.ref(b)
+    stage = spectral.rank_one_spectra(b, 2.0)
+    del b
+    gc.collect()
+    assert alive() is None
+    base, deformed = stage()
+    assert max_gap_within_bound(base, dense_spectrum(w))
+    assert max_gap_within_bound(deformed, dense_spectrum(w + 2.0 / 40))
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -310,7 +326,7 @@ def test_two_stage_split_is_bit_equal_to_zhetrd_2stage(law, n):
     cfg = EnsembleConfig.create(n=n, sigma=1.0, theta=0.0, law=law, symmetry="complex",
                                 master_seed=SPLIT_SEED)
     w = sample_wigner(cfg, 0).entries / math.sqrt(n)
-    d, e = spectral.tridiagonal(w.copy())
+    d, e = spectral.tridiagonal(w.copy())()
     want_d, want_e = zhetrd_2stage_reference(w.copy())
     assert d.tobytes() == want_d.tobytes() and e.tobytes() == want_e.tobytes()
 
@@ -360,7 +376,7 @@ def test_tridiagonal_and_eigenvalues_match_dense_eigvalsh(law, symmetry, n):
     assert max_gap_within_bound(got, want)
     # the form is similar to w and keeps e1 in place: (d + theta e1, e) is the
     # form of w + theta e1 e1^T
-    d, e = spectral.tridiagonal(np.array(w.entries))
+    d, e = spectral.tridiagonal(np.array(w.entries))()
     assert d.shape == (n,) and e.shape == (n - 1,)
     assert max_gap_within_bound(dense_spectrum(tridiagonal_matrix(d, e)), want)
     shifted = w.entries.copy()
