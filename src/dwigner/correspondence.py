@@ -64,9 +64,11 @@ def raise_row_error(code: int) -> None:
 def _rotate_rows(verts: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Closed paths whose edge sequences start at edge ``r + 1`` of each row."""
     length = verts.shape[1] - 1
-    # i_r, ..., i_{L-1} then i_0, ..., i_r: the closing repeat is i_r itself.
-    index = (np.asarray(r)[:, None] + np.arange(length + 1)) % length
-    return np.take_along_axis(verts[:, :length], index, axis=1)
+    # i_r, ..., i_{L-1} then i_0, ..., i_r: the closing repeat is i_r itself,
+    # so the rotated row is the window at r mod L of its cycle written out twice.
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(verts[:, :length], 2),
+                                                       length + 1, axis=1)
+    return windows[np.arange(len(verts)), np.asarray(r, dtype=np.intp) % length]
 
 
 def edge_multiset(verts: np.ndarray) -> np.ndarray:

@@ -5,7 +5,11 @@ steps, into rises and sub-Dyck blocks, and checks every row's decomposition.
 All counts are exact big integers and all probabilities exact rationals;
 floats appear only in the final expectation values of the tail reports. The
 bounds being examined are exponentially small, and float-first evaluation
-would hide failures.
+would hide failures. The maximum-level law is kept as integer numerators over
+one common denominator, the number of Dyck paths or tuples of blocks; a
+mass becomes a reduced ``Fraction`` only where the law is returned, and a
+float, in the tail reports, through one correctly rounded integer division.
+Every law up to ``PMF_M_GUARD`` is exact.
 """
 
 from __future__ import annotations
@@ -179,51 +183,35 @@ def confined_dyck_count(m: int, ceiling: int) -> int:
     """Dyck paths of length 2m with maximum level <= ceiling.
 
     Double-reflection sum over the images of the endpoint under the group
-    generated by reflections at -1 and ceiling + 1; agrees with the transfer
-    recursion (cross-checked in the test suite) but costs O(m / ceiling)
-    lookups instead of O(m * ceiling) state updates. Every term is read from
-    one binomial row C(2m, 0..2m), built once per length and cached.
+    generated by reflections at -1 and ceiling + 1. With q = ceiling + 2 the
+    images of level 0 are the levels 2jq, those of level -2 the levels
+    2jq - 2, and C(2m, m + i) walks of 2m steps end at level 2i. So the count
+    is the sum of C(2m, k) over k = m (mod q) minus the sum over
+    k = m - 1 (mod q): two strided slices of one binomial row C(2m, 0..2m),
+    built once per length and cached. That is O(m / ceiling) additions
+    instead of the O(m * ceiling) state updates of the transfer recursion,
+    which it agrees with (cross-checked in the test suite).
     """
     if m < 0 or ceiling < 0:
         raise ValueError("m and ceiling must be nonnegative")
-    if m == 0:
-        return 1
-    if ceiling == 0:
-        return 0
-    row = _binomial_row(2 * m)
-
-    def walks_to(level: int) -> int:
-        # unconstrained 2m-step walks from 0 to an even level: C(2m, m + level/2)
-        k = m + level // 2
-        return row[k] if 0 <= k <= 2 * m else 0
-
-    period = 2 * (ceiling + 2)
-    total = 0
-    j = 0
-    while True:
-        offsets = [j * period, -j * period] if j else [0]
-        contrib = 0
-        for off in offsets:
-            contrib += walks_to(off) - walks_to(-2 + off)
-        if contrib == 0 and j * period > 2 * m + 2:
-            break
-        total += contrib
-        j += 1
-    return total
+    row, q = _binomial_row(2 * m), ceiling + 2
+    return sum(row[m % q::q]) - sum(row[(m - 1) % q::q])
 
 
 # Largest m for which max_level_distribution computes its exact law.
 PMF_M_GUARD = 2000
 
 
-def max_level_distribution(
-    m: int, blocks: tuple[int, ...] | None = None
-) -> dict[int, Fraction]:
-    """Exact law of the maximum level of a uniform Dyck path of length 2m.
+def _max_level_masses(m: int, blocks: tuple[int, ...] | None) -> tuple[dict[int, int], int]:
+    """The maximum-level law over independent uniform Dyck blocks of the given
+    half-lengths (one block of half-length m by default) as integer numerators
+    over one denominator.
 
-    With ``blocks`` given (half-lengths summing to m), the law is that of the
-    maximum over independent uniform Dyck blocks of those lengths:
-    P(max <= k) is the product of the per-block confined ratios.
+    ``total`` is the number of tuples of blocks, the product of the per-block
+    Catalan counts. ``N_k``, the number of tuples whose blocks all stay at or
+    below k, is the product of the confined counts, and ``masses[k]`` is
+    ``N_k - N_{k-1}``, nonzero masses only. The masses must add up to
+    ``total``: P(max <= top) == 1.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -235,27 +223,35 @@ def max_level_distribution(
         raise ValueError("block half-lengths must be nonnegative and sum to m")
     blocks = tuple(b for b in blocks if b > 0)
     if not blocks:
-        return {0: Fraction(1)}
-    top = max(blocks)
-    totals = {b: ballot_count(2 * b, 0) for b in set(blocks)}
+        return {0: 1}, 1
+    total = math.prod(ballot_count(2 * b, 0) for b in blocks)
+    masses: dict[int, int] = {}
+    below = 0
+    for k in range(1, max(blocks) + 1):
+        confined = math.prod(confined_dyck_count(b, k) for b in blocks)
+        if confined != below:
+            masses[k] = confined - below
+        below = confined
+    reached = sum(masses.values())
+    if reached != total:
+        raise AssertionError(f"P(max <= {max(blocks)}) is {Fraction(reached, total)}, not 1")
+    return masses, total
 
-    def cdf(k: int) -> Fraction:
-        out = Fraction(1)
-        for b in blocks:
-            out *= Fraction(confined_dyck_count(b, k), totals[b])
-        return out
 
-    pmf: dict[int, Fraction] = {}
-    prev = Fraction(0)
-    for k in range(1, top + 1):
-        cur = cdf(k)
-        mass = cur - prev
-        if mass:
-            pmf[k] = mass
-        prev = cur
-    if prev != 1:
-        raise AssertionError(f"P(max <= {top}) is {prev}, not 1")
-    return pmf
+def max_level_distribution(
+    m: int, blocks: tuple[int, ...] | None = None
+) -> dict[int, Fraction]:
+    """Exact law of the maximum level of a uniform Dyck path of length 2m.
+
+    With ``blocks`` given (half-lengths summing to m), the law is that of the
+    maximum over independent uniform Dyck blocks of those lengths:
+    P(max <= k) is the product of the per-block confined ratios. Each mass is
+    one reduced fraction of the integer numerator and common denominator of
+    ``_max_level_masses``, so the values are exact for every m up to
+    ``PMF_M_GUARD``.
+    """
+    masses, total = _max_level_masses(m, blocks)
+    return {k: Fraction(mass, total) for k, mass in masses.items()}
 
 
 # The lemma reports' constants: the Gaussian-tail c0 and exponential-moment C
@@ -279,21 +275,24 @@ def tail_bound_check(m_grid: list[int]) -> dict:
     with ``c0 = TAIL_C0`` (reported, not asserted against any fixed
     constant), and ``E[exp(C max / sqrt(m))]`` is evaluated at
     ``C = EXP_MOMENT_C``. The families are the single Dyck block and two
-    equal blocks. Exponential moments and spreads are keyed by C.
+    equal blocks. Exponential moments and spreads are keyed by C. Each mass
+    enters as the integer true division of its numerator by the common
+    denominator of ``_max_level_masses``: correctly rounded, so the same float
+    as that of the reduced fraction, with no gcd taken.
     """
     c0, c = TAIL_C0, EXP_MOMENT_C
     out: dict = {"c0": c0, "families": {}}
     for name, block_fn in _TAIL_FAMILIES.items():
         rows = []
         for m in m_grid:
-            pmf = max_level_distribution(m, blocks=block_fn(m))
+            masses, total = _max_level_masses(m, block_fn(m))
+            pmf = {k: mass / total for k, mass in masses.items()}
             sqrt_m = math.sqrt(m)
             q = 0.0
             for k, mass in pmf.items():
                 if k >= 4 * c0 * sqrt_m:
-                    q = max(q, float(mass) * sqrt_m * math.exp(c0 * k * k / (2.0 * m)))
-            exp_moment = math.fsum(
-                float(mass) * math.exp(c * k / sqrt_m) for k, mass in pmf.items())
+                    q = max(q, mass * sqrt_m * math.exp(c0 * k * k / (2.0 * m)))
+            exp_moment = math.fsum(mass * math.exp(c * k / sqrt_m) for k, mass in pmf.items())
             rows.append({"m": m, "q": q, "exp_moments": {c: exp_moment}})
         vals = [row["exp_moments"][c] for row in rows]
         out["families"][name] = {"rows": rows, "spread": {c: max(vals) / min(vals)}}

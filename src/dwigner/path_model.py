@@ -48,11 +48,17 @@ def edge_codes(verts: np.ndarray) -> np.ndarray:
     so the edges on labels ``1..v`` take the codes ``0..v (v + 1) / 2 - 1`` and
     two rows traverse the same edge multiset exactly when their sorted codes
     are equal.
+
+    The codes come back as int64. They are computed in int16 while every
+    label v keeps ``v (v - 1)`` below 2**15 (labels up to 181) and in int64
+    beyond, so no intermediate value overflows the type it is computed in.
     """
-    verts = np.asarray(verts, dtype=np.int64)
+    verts = np.asarray(verts)
+    wide = max(v * (v - 1) for v in (int(verts.min(initial=0)), int(verts.max(initial=0))))
+    verts = verts.astype(np.int16 if wide < 2**15 else np.int64, copy=False)
     a, b = verts[:, :-1], verts[:, 1:]
     hi = np.maximum(a, b)
-    return hi * (hi - 1) // 2 + np.minimum(a, b) - 1
+    return (hi * (hi - 1) // 2 + np.minimum(a, b) - 1).astype(np.int64)
 
 
 def instant_marks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

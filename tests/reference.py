@@ -26,6 +26,10 @@ block ends instead. ``wigner_stack_reference`` is the mirror-sum assembly
 that ``ensembles._wigner_stack`` replaced with its in-place fill.
 ``zhetrd_2stage_reference`` is the one-call Fortran ``zhetrd_2stage`` whose
 two stages ``spectral.tridiagonal`` calls one at a time.
+``max_level_distribution_reference`` is the loop of reduced fractions, one
+product of per-block ratios per level, that
+``dyck_stats.max_level_distribution`` replaced with integer numerators over
+one denominator.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from dwigner import ensembles, spectral
+from dwigner.dyck_stats import ballot_count, confined_dyck_count
 from dwigner.ensembles import MatrixSample
 from dwigner.moment_oracle import MomentModel
 from dwigner.path_model import (
@@ -66,6 +71,7 @@ __all__ = [
     "preimage_census_reference",
     "wigner_stack_reference",
     "zhetrd_2stage_reference",
+    "max_level_distribution_reference",
 ]
 
 
@@ -411,3 +417,31 @@ def zhetrd_2stage_reference(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         call(np.empty(max(1, int(hous2[0].real)), np.complex128),
              np.empty(max(1, int(work[0].real)), np.complex128), query=False)
     return d, e
+
+
+def max_level_distribution_reference(m: int, blocks: tuple[int, ...] | None = None
+                                     ) -> dict[int, Fraction]:
+    """The maximum-level law of independent uniform Dyck blocks (one block of
+    half-length m by default): P(max <= k) as a product of reduced fractions,
+    one confined ratio per block, and each mass the difference of two of them."""
+    blocks = tuple(b for b in (blocks or (m,)) if b > 0)
+    if not blocks:
+        return {0: Fraction(1)}
+    totals = {b: ballot_count(2 * b, 0) for b in set(blocks)}
+
+    def cdf(k: int) -> Fraction:
+        out = Fraction(1)
+        for b in blocks:
+            out *= Fraction(confined_dyck_count(b, k), totals[b])
+        return out
+
+    pmf: dict[int, Fraction] = {}
+    prev = Fraction(0)
+    for k in range(1, max(blocks) + 1):
+        cur = cdf(k)
+        if cur != prev:
+            pmf[k] = cur - prev
+        prev = cur
+    if prev != 1:
+        raise AssertionError(f"P(max <= {max(blocks)}) is {prev}, not 1")
+    return pmf

@@ -135,6 +135,22 @@ def test_from_marked_origin_rejects_inconsistent_pairs():
             _sources([image], [shift_k])
 
 
+def test_out_of_range_shifts_get_error_code_3_without_raising():
+    (image,), (shift_k,), _ = _rotated([NINE_PATH])
+    length = len(NINE_PATH) - 1
+    shifts = np.array([-1, shift_k, length + 3])
+    sources, error = from_marked_origin(np.array([image] * 3), shifts)
+    assert error.tolist() == [3, 0, 3]
+    assert tuple(sources[1].tolist()) == NINE_PATH
+    # int8 shifts on rows longer than 127 steps: the modulus is taken in intp
+    long_path = (1, 2) * 70 + NINE_PATH
+    (image,), (shift_k,), _ = _rotated([long_path])
+    sources, error = from_marked_origin(np.array([image] * 2),
+                                        np.array([-1, shift_k], dtype=np.int8))
+    assert error.tolist() == [3, 0]
+    assert tuple(sources[1].tolist()) == long_path
+
+
 def test_same_image_different_shift_is_another_source():
     # the image alone does not determine the source: distinct shifts invert
     # to distinct admissible paths with the same image

@@ -21,7 +21,12 @@ from dwigner.path_model import (
     trajectory_rows,
     trajectory_to_string,
 )
-from reference import dyck_failed_checks_mask, levels_of, trajectory_from_string
+from reference import (
+    dyck_failed_checks_mask,
+    levels_of,
+    max_level_distribution_reference,
+    trajectory_from_string,
+)
 
 
 def _split(steps, rises, starts, ends):
@@ -198,8 +203,9 @@ def test_ballot_sum_identity():
 
 
 def test_confined_reflection_equals_transfer():
-    cases = [(m, ceiling) for m in range(0, 11) for ceiling in range(1, 2 * m + 3)]
+    cases = [(m, ceiling) for m in range(0, 11) for ceiling in range(0, 2 * m + 3)]
     cases += [(60, ceiling) for ceiling in (1, 2, 3, 5, 10, 30, 59, 60, 100)]
+    cases += [(301, ceiling) for ceiling in (1, 2, 3, 7, 17, 150, 299, 300, 301, 302)]
     for m, ceiling in cases:
         expected = bounded_path_count(2 * m, ceiling, 0)
         assert confined_dyck_count(m, ceiling) == expected, (m, ceiling)
@@ -267,6 +273,43 @@ def test_tail_bound_report():
     for family in ("single", "halves"):
         (row,) = one["families"][family]["rows"]
         assert row["exp_moments"] == {1.0: pytest.approx(math.e)}
+
+
+def test_max_level_law_equals_the_fraction_route():
+    # integer numerators over one denominator against a product of reduced
+    # fractions per level, value for value
+    cases = [(m, (m,)) for m in (*range(61), 400, 900, 2000)]
+    cases += [(m, (m // 2, m - m // 2)) for m in range(61)]
+    for m, blocks in cases:
+        law = max_level_distribution(m, blocks=blocks)
+        assert law == max_level_distribution_reference(m, blocks), (m, blocks)
+        assert list(law) == sorted(law) and all(law.values()), (m, blocks)
+
+
+def reference_tail_report(m_grid):
+    """The tail report read from the fraction route's law, each mass as float(mass)."""
+    c0, c = 1.0 / 96.0, 1.0
+    out = {"c0": c0, "families": {}}
+    for name, blocks_of in (("single", lambda m: (m,)),
+                            ("halves", lambda m: (m // 2, m - m // 2))):
+        rows = []
+        for m in m_grid:
+            pmf = max_level_distribution_reference(m, blocks_of(m))
+            sqrt_m = math.sqrt(m)
+            q = max((float(mass) * sqrt_m * math.exp(c0 * k * k / (2.0 * m))
+                     for k, mass in pmf.items() if k >= 4 * c0 * sqrt_m), default=0.0)
+            exp_moment = math.fsum(float(mass) * math.exp(c * k / sqrt_m)
+                                   for k, mass in pmf.items())
+            rows.append({"m": m, "q": q, "exp_moments": {c: exp_moment}})
+        vals = [row["exp_moments"][c] for row in rows]
+        out["families"][name] = {"rows": rows, "spread": {c: max(vals) / min(vals)}}
+    return out
+
+
+@pytest.mark.parametrize("m_grid", [[1, 2, 3], [25, 100, 400, 900]])
+def test_tail_bound_report_equals_the_fraction_route(m_grid):
+    # every float of the report, to the last bit, as the reduced fractions give it
+    assert repr(tail_bound_check(m_grid)) == repr(reference_tail_report(m_grid))
 
 
 def reference_class_count_bound(s, c0):

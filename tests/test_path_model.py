@@ -320,6 +320,21 @@ def test_marks_kernel_word_widths_agree():
         assert odd[-1].tolist() == [counts[key] % 2 == 1 for key in keys]
 
 
+@pytest.mark.parametrize("label", [1, 181, 182, 255, 256, 46340, 46341, 10**6])
+def test_edge_codes_at_the_narrow_type_boundaries(label):
+    # the codes are computed in int16 up to label 181 and in int64 beyond;
+    # at and past that boundary, and far past it, they equal the Python-int
+    # formula
+    path = (1, label, label, max(label - 1, 1), label, 1)
+    expected = [hi * (hi - 1) // 2 + lo - 1
+                for lo, hi in (sorted(edge) for edge in zip(path, path[1:]))]
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint32):
+        if label <= np.iinfo(dtype).max:
+            codes = edge_codes(np.array([path, (1,) * len(path)], dtype=dtype))
+            assert codes.dtype == np.int64
+            assert codes.tolist() == [expected, [0] * (len(path) - 1)], dtype
+
+
 def test_odd_edge_count_examples():
     # the end level l of the trajectory is the number of odd-multiplicity edges
     for path, odd in (((1, 2, 1), 0), ((1, 2, 3, 1), 3), (NINE_PATH, 4)):
