@@ -12,11 +12,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .correspondence import GLUE_CENSUS_GUARD
-from .dyck_stats import PMF_M_GUARD
 from .ensembles import SYMMETRIES, EnsembleConfig
 from .experiments import (
-    DEFAULT_VERIFY_LIMITS,
+    VERIFY_CHECKS,
     ExperimentConfig,
     load_config_file,
     run_combinatorics_verify,
@@ -26,7 +24,6 @@ from .experiments import (
     run_trace_growth,
     write_report,
 )
-from .path_model import ENUMERATION_STEP_CAP
 
 _LAWS = ("gaussian", "rademacher", "uniform")
 
@@ -62,19 +59,6 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
         if command in commands:
             parser.add_argument(f"--{dest.replace('_', '-')}", dest=dest, type=kind,
                                 choices=choices, help=text)
-
-
-# Verify limits that a library guard caps: a larger value would only crash
-# the check on that guard after every smaller case had run.
-_VERIFY_MAXIMA = {
-    "trajectory_steps": ENUMERATION_STEP_CAP,
-    "surgery_steps": ENUMERATION_STEP_CAP,
-    "dyck_roundtrip_steps": ENUMERATION_STEP_CAP,
-    "max_pmf_m": ENUMERATION_STEP_CAP // 2,  # enumerates the Dyck paths of 2m steps
-    "glue_length": GLUE_CENSUS_GUARD,
-    "glue_vertices": GLUE_CENSUS_GUARD,
-    "lemma77_grid": PMF_M_GUARD,
-}
 
 
 def verify_limit(maximum: int | None):
@@ -161,20 +145,20 @@ def main(argv: list[str] | None = None) -> int:
     verify = subs.add_parser("verify-combinatorics")
     verify.add_argument("--out", help="output file path")
     verify.add_argument("--format", choices=["csv", "json"], default="json")
-    for key, default in DEFAULT_VERIFY_LIMITS.items():
-        kind = verify_limit(_VERIFY_MAXIMA.get(key))
-        if isinstance(default, tuple):
-            verify.add_argument(f"--{key.replace('_', '-')}", type=kind, nargs="+",
-                                default=list(default))
-        else:
-            verify.add_argument(f"--{key.replace('_', '-')}", type=kind, default=default)
+    limit_keys = []
+    for _, _, spec in VERIFY_CHECKS:
+        for key, default, cap in spec:
+            limit_keys.append(key)
+            grid = isinstance(default, tuple)
+            verify.add_argument(f"--{key.replace('_', '-')}", type=verify_limit(cap),
+                                nargs="+" if grid else None,
+                                default=list(default) if grid else default)
 
     args = parser.parse_args(argv)
 
     try:
         if args.command == "verify-combinatorics":
-            _, report = run_combinatorics_verify(
-                {key: getattr(args, key) for key in DEFAULT_VERIFY_LIMITS})
+            _, report = run_combinatorics_verify({key: getattr(args, key) for key in limit_keys})
             out, fmt = args.out, args.format
         else:
             settings = _gather(args)

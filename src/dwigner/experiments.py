@@ -54,7 +54,7 @@ __all__ = [
     "run_combinatorics_verify",
     "run_oracle_compare",
     "mc_trace_moments",
-    "DEFAULT_VERIFY_LIMITS",
+    "VERIFY_CHECKS",
     "load_config_file",
     "render_csv",
     "render_json",
@@ -539,22 +539,6 @@ def run_oracle_compare(cfg: ExperimentConfig, power: int) -> dict:
 # --------------------------------------------------------------------------
 # combinatorics verification battery
 
-DEFAULT_VERIFY_LIMITS: dict = {
-    "trajectory_steps": 12,
-    "sum_identity_steps": 20,
-    "correspondence_length": 8,
-    "correspondence_vertices": 4,
-    "surgery_steps": 8,
-    "glue_length": 3,
-    "glue_vertices": 3,
-    "lemma73_s": 100,
-    "lemma77_grid": (25, 100),
-    "dyck_roundtrip_steps": 12,
-    "ballot_steps": 16,
-    "max_pmf_m": 6,
-}
-
-
 def _classes_up_to(max_steps: int):
     for total in range(1, max_steps + 1):
         for m in range(0, total // 2 + 1):
@@ -771,9 +755,7 @@ def _check_ballot(max_steps: int):
 def _check_max_pmf(max_m: int):
     params = {"max_m": max_m}
     for m in range(1, max_m + 1):
-        pmf = dyck_stats.max_level_distribution(m)
-        if sum(pmf.values()) != 1:
-            return params, {"m": m, "reason": "pmf does not sum to 1"}
+        pmf = dyck_stats.max_level_distribution(m)  # raises if it does not sum to 1
         tally = np.zeros(m + 1, np.int64)
         for rows in path_model.trajectory_rows(m, 0):
             tops = np.cumsum(rows, axis=1, dtype=np.int8).max(axis=1)
@@ -783,31 +765,35 @@ def _check_max_pmf(max_m: int):
             if mass != Fraction(int(tally[k]), total):
                 return params, {"m": m, "k": k, "pmf": str(mass),
                                 "enumerated": f"{tally[k]}/{total}"}
-        halves = (m - m // 2, m // 2) if m >= 2 else None
-        if halves and halves[1] > 0:
-            joint = dyck_stats.max_level_distribution(m, blocks=halves)
-            if sum(joint.values()) != 1:
-                return params, {"m": m, "reason": "class pmf does not sum to 1"}
+        if m >= 2:  # the law over two halves runs its own sum-to-1 guard
+            dyck_stats.max_level_distribution(m, blocks=(m - m // 2, m // 2))
     return params, None
 
 
-# (check, function name, limit keys): each check runs when its first key is
-# among the limits, with later keys defaulting to DEFAULT_VERIFY_LIMITS, and
-# returns (params, counterexample), None meaning pass. The function is looked
-# up by name at call time, so a wrapped module attribute (a tracer, a test
-# double) is the one that runs.
-_CHECKS = (
-    ("trajectory_counts", "_check_trajectory_counts", ("trajectory_steps",)),
-    ("sum_identity", "_check_sum_identity", ("sum_identity_steps",)),
+# (check, function name, ((limit key, default, cap), ...)): each check runs
+# when any of its keys is among the limits, the others taking their defaults,
+# and returns (params, counterexample), None meaning pass. The function is
+# looked up by name at call time, so a wrapped module attribute (a tracer, a
+# test double) is the one that runs. A cap is a library guard that a larger
+# limit would only crash on after every smaller case had run, so the command
+# line refuses such a limit up front; None means no guard bounds the limit.
+_STEP_CAP = path_model.ENUMERATION_STEP_CAP
+VERIFY_CHECKS = (
+    ("trajectory_counts", "_check_trajectory_counts", (("trajectory_steps", 12, _STEP_CAP),)),
+    ("sum_identity", "_check_sum_identity", (("sum_identity_steps", 20, None),)),
     ("correspondence_roundtrip", "_check_correspondence",
-     ("correspondence_length", "correspondence_vertices")),
-    ("surgery_bijection", "_check_surgery", ("surgery_steps",)),
-    ("gluing_preimage_bound", "_check_gluing", ("glue_length", "glue_vertices")),
-    ("lemma73_class_bound", "_check_lemma73", ("lemma73_s",)),
-    ("lemma77_exp_moment", "_check_lemma77", ("lemma77_grid",)),
-    ("dyck_roundtrip", "_check_dyck_roundtrip", ("dyck_roundtrip_steps",)),
-    ("ballot_counts", "_check_ballot", ("ballot_steps",)),
-    ("max_level_pmf", "_check_max_pmf", ("max_pmf_m",)),
+     (("correspondence_length", 8, None), ("correspondence_vertices", 4, None))),
+    ("surgery_bijection", "_check_surgery", (("surgery_steps", 8, _STEP_CAP),)),
+    ("gluing_preimage_bound", "_check_gluing",
+     (("glue_length", 3, correspondence.GLUE_CENSUS_GUARD),
+      ("glue_vertices", 3, correspondence.GLUE_CENSUS_GUARD))),
+    ("lemma73_class_bound", "_check_lemma73", (("lemma73_s", 100, None),)),
+    ("lemma77_exp_moment", "_check_lemma77",
+     (("lemma77_grid", (25, 100), dyck_stats.PMF_M_GUARD),)),
+    ("dyck_roundtrip", "_check_dyck_roundtrip", (("dyck_roundtrip_steps", 12, _STEP_CAP),)),
+    ("ballot_counts", "_check_ballot", (("ballot_steps", 16, None),)),
+    # the check enumerates the Dyck paths of 2m steps
+    ("max_level_pmf", "_check_max_pmf", (("max_pmf_m", 6, _STEP_CAP // 2),)),
 )
 
 
@@ -815,14 +801,20 @@ def run_combinatorics_verify(limits: dict | None = None) -> tuple[int, dict]:
     """Run every exact combinatorics check; nonzero exit on any failure.
 
     ``limits=None`` runs the defaults; an empty dict runs nothing and
-    passes. Counterexamples are machine-readable.
+    passes. A key that no check reads raises ValueError. Counterexamples are
+    machine-readable.
     """
-    limits = DEFAULT_VERIFY_LIMITS if limits is None else limits
+    defaults = {key: default for *_, spec in VERIFY_CHECKS for key, default, _ in spec}
+    limits = defaults if limits is None else limits
+    unknown = [key for key in limits if key not in defaults]
+    if unknown:
+        raise ValueError(f"no verify check reads the limit(s) {', '.join(map(repr, unknown))}")
     records: list[dict] = []
-    for check, fn_name, keys in _CHECKS:
-        if keys[0] not in limits:
+    for check, fn_name, spec in VERIFY_CHECKS:
+        keys = [key for key, _, _ in spec]
+        if not any(key in limits for key in keys):
             continue
-        args = [limits.get(key, DEFAULT_VERIFY_LIMITS[key]) for key in keys]
+        args = [limits.get(key, defaults[key]) for key in keys]
         args = [tuple(a) if isinstance(a, list) else a for a in args]  # CLI grids are lists
         try:
             params, counterexample = globals()[fn_name](*args)

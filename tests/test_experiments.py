@@ -22,8 +22,6 @@ import dwigner.spectral
 from dwigner.cli import main as cli_main
 from dwigner.ensembles import EnsembleConfig, RegimeError, regime_of, sample_deformed
 from dwigner.experiments import (
-    _CHECKS,
-    DEFAULT_VERIFY_LIMITS,
     MC_BATCH_ENTRIES,
     MC_SINGLE_DRAW_N,
     ExperimentConfig,
@@ -374,6 +372,21 @@ def test_verify_battery_empty_is_noop_pass():
     assert report["records"] == []
 
 
+def test_verify_battery_refuses_a_limit_no_check_reads():
+    # a misspelt key must not run nothing and pass
+    with pytest.raises(ValueError, match="'trajectory_step', 'glue_vertice'$"):
+        run_combinatorics_verify({"trajectory_step": 5, "ballot_steps": 2, "glue_vertice": 4})
+
+
+def test_verify_check_runs_when_any_of_its_limits_is_given():
+    # the check's other limit takes its default
+    code, report = run_combinatorics_verify({"glue_vertices": 4})
+    assert code == 0
+    (rec,) = report["records"]
+    assert rec["check"] == "gluing_preimage_bound"
+    assert rec["params"] == {"max_length": 3, "vertices": 4}
+
+
 def test_verify_battery_quick_pass():
     code, report = run_combinatorics_verify(QUICK_LIMITS)
     assert code == 0, [r for r in report["records"] if not r["pass"]]
@@ -648,6 +661,12 @@ def test_max_level_pmf_reports_the_first_raised_maximum(monkeypatch):
     assert _battery_record("max_level_pmf", "max_pmf_m", 6) == expected
 
 
+def test_max_level_pmf_records_a_law_that_does_not_sum_to_one(monkeypatch):
+    monkeypatch.setattr(dwigner.dyck_stats, "confined_dyck_count", lambda m, k: 0)
+    assert _battery_record("max_level_pmf", "max_pmf_m", 3) == {
+        "error": "AssertionError('P(max <= 1) is 0, not 1')"}
+
+
 def test_dyck_roundtrip_reports_a_shifted_last_visit(monkeypatch):
     real = dwigner.dyck_stats._last_visits
     target = np.cumsum([0, 1, -1, 1, 1, -1, 1, 1])  # UDUUDUU: level 1's block is UD
@@ -807,11 +826,6 @@ def test_exact_guards_fire_under_python_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"] * 6
-
-
-def test_verify_check_table_uses_every_limit():
-    keys = [key for _, _, check_keys in _CHECKS for key in check_keys]
-    assert sorted(keys) == sorted(DEFAULT_VERIFY_LIMITS)
 
 
 def test_load_config_file(tmp_path):
